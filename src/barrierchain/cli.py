@@ -25,7 +25,15 @@ import numpy as np
 from . import __version__
 from ._csvio import write_csv
 from .chain import ChainSpec, barrier_profile, build_hamiltonian, ebit_barrier_profile, parse_config_block
-from .disorder import BARRIER_LEAKAGE, BULK_UNIFORM, MAX_CONCURRENCE, MAX_FIDELITY, DisorderModel, monte_carlo
+from .disorder import (
+    BARRIER_LEAKAGE,
+    BULK_UNIFORM,
+    MAX_CONCURRENCE,
+    MAX_FIDELITY,
+    DisorderModel,
+    default_window,
+    monte_carlo,
+)
 from .ebit import EbitState, ebit_window, evolve_ebit, pair_concurrence
 from .effective import predicted_vs_exact_gap
 from .metrics import (
@@ -206,19 +214,13 @@ def _cmd_scaling(args) -> list[str]:
     return [path]
 
 
-def _window_from_factor(spec: ChainSpec, omega: float, factor: float) -> tuple[float, float]:
-    profile = barrier_profile(spec, omega)
-    report = localization_report(eigendecompose(build_hamiltonian(spec, profile)), profile)
-    return (0.0, factor * rabi_transfer_time(report))
-
-
 def _cmd_disorder(args) -> list[str]:
     spec = ChainSpec(args.n)
     rows: dict[str, list] = {
         "b": [], "omega": [], "mean": [], "stderr": [], "n_samples": [], "seed": [],
     }
     for omega in _float_list(args.omega_list):
-        window = _window_from_factor(spec, omega, args.window_factor)
+        window = default_window(spec, omega, args.window_factor)
         for b in _float_list(args.b_list):
             model = DisorderModel(BULK_UNIFORM, b)
             result = monte_carlo(
@@ -246,7 +248,7 @@ def _cmd_leakage(args) -> list[str]:
             "omega": [], "mean": [], "stderr": [], "n_samples": [], "seed": [],
         }
         for omega in omegas:
-            window = _window_from_factor(spec, omega, args.window_factor)
+            window = default_window(spec, omega, args.window_factor)
             model = DisorderModel(BARRIER_LEAKAGE, omega)
             result = monte_carlo(
                 args.metric, model, spec, omega, window,

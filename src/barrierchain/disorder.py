@@ -105,12 +105,12 @@ MAX_CONCURRENCE = "max-concurrence"
 MAX_FIDELITY = "max-fidelity"
 
 
-def default_window(spec: ChainSpec, omega: float) -> tuple[float, float]:
-    """[0, 3 t_MAX] of the clean barrier chain; generous enough that a
-    disorder-shifted Rabi peak still falls inside."""
+def default_window(spec: ChainSpec, omega: float, factor: float = 3.0) -> tuple[float, float]:
+    """[0, factor t_MAX] of the clean barrier chain; the default 3 is
+    generous enough that a disorder-shifted Rabi peak still falls inside."""
     profile = barrier_profile(spec, omega)
     report = localization_report(eigendecompose(build_hamiltonian(spec, profile)), profile)
-    return (0.0, 3.0 * rabi_transfer_time(report))
+    return (0.0, factor * rabi_transfer_time(report))
 
 
 def monte_carlo(

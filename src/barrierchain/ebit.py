@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, FieldProfile, build_hamiltonian, ebit_barrier_profile
-from .metrics import _golden_section
+from .metrics import _peak_search
 from .spectral import (
     AmplitudeVector,
     SpectralDecomposition,
     eigendecompose,
     evolve,
+    scan_amplitude,
     transition_amplitude,
 )
 
@@ -133,27 +134,15 @@ def peak_pair_concurrence(
     _check_ebit_profile(spec, profile)
     decomp = eigendecompose(build_hamiltonian(spec, profile))
     lo, hi = float(window[0]), float(window[1])
-    if hi <= lo:
-        raise ValueError("window must have positive length")
     step = 0.25 if grid_step is None else float(grid_step)
-    times = np.arange(lo, hi + step, step)
-    times = times[times <= hi]
-    w_nm1 = decomp.eigenvectors[-2, :]
-    w_n = decomp.eigenvectors[-1, :]
     start = decomp.eigenvectors[0, :] * state.alpha + decomp.eigenvectors[1, :] * state.beta
-    values = np.empty(times.size)
-    for block in range(0, times.size, 16384):  # bound the phase-matrix allocation
-        chunk = times[block : block + 16384]
-        phases = np.exp(-1j * np.outer(chunk, decomp.eigenvalues))
-        p_nm1 = phases @ (w_nm1 * start)
-        p_n = phases @ (w_n * start)
-        values[block : block + 16384] = 2.0 * np.abs(p_nm1) * np.abs(p_n)
-    best = int(np.argmax(values))
+
+    def scan(grid: np.ndarray) -> np.ndarray:
+        p_nm1 = scan_amplitude(decomp, decomp.eigenvectors[-2, :] * start, lo, step, grid.size)
+        p_n = scan_amplitude(decomp, decomp.eigenvectors[-1, :] * start, lo, step, grid.size)
+        return 2.0 * np.abs(p_nm1) * np.abs(p_n)
 
     def objective(t: float) -> float:
         return pair_concurrence(evolve_ebit(spec, profile, state, t, decomp))
 
-    t_best = _golden_section(objective, max(lo, times[best] - step), min(hi, times[best] + step))
-    if objective(t_best) < values[best]:
-        t_best = float(times[best])
-    return float(t_best), objective(t_best)
+    return _peak_search(objective, scan, lo, hi, step)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._csvio import format_csv
 from .chain import FieldProfile
-from .spectral import SpectralDecomposition, transition_amplitude
+from .spectral import SpectralDecomposition, scan_amplitude, transition_amplitude, transition_weights
 
 _RANGE_SLACK = 1e-9
 
@@ -160,6 +160,28 @@ def _golden_section(fun, lo: float, hi: float, tol: float = 1e-4) -> float:
     return c if fc >= fd else d
 
 
+def _peak_search(objective, scan, lo: float, hi: float, step: float) -> tuple[float, float]:
+    """Grid scan plus golden-section refinement; returns (t*, objective(t*)).
+
+    ``scan`` maps the grid lo, lo + step, ... <= hi to the objective's values
+    there.  The grid argmax (earliest on ties) is refined by golden section
+    over +-1 step clipped to [lo, hi]; if refinement ends below the grid
+    value, the grid point is kept.
+    """
+    if hi <= lo:
+        raise ValueError("window must have positive length")
+    grid = np.arange(lo, hi + step, step)
+    grid = grid[grid <= hi]
+    values = scan(grid)
+    best = int(np.argmax(values))
+    t_best = _golden_section(objective, max(lo, grid[best] - step), min(hi, grid[best] + step))
+    value = objective(t_best)
+    if value < values[best]:
+        t_best = float(grid[best])
+        value = objective(t_best)
+    return float(t_best), value
+
+
 def max_fidelity(
     decomp: SpectralDecomposition,
     window: tuple[float, float] | float,
@@ -169,28 +191,25 @@ def max_fidelity(
 ) -> tuple[float, float]:
     """Peak of Fbar(t) over a window: grid scan plus golden-section refinement.
 
-    The grid step is min(0.25, t_max/200) when the Rabi time is known and
-    0.25 otherwise; ties resolve to the earliest time.  Returns (t*, Fbar*).
+    The grid is lo + j step up to hi, with step min(0.25, t_max/200) when the
+    Rabi time is known and 0.25 otherwise; |f| on it comes from the blocked
+    ``scan_amplitude``, and the refinement evaluates ``transition_amplitude``
+    at single times.  Ties on the grid resolve to the earliest time.
+    Returns (t*, Fbar*).
     """
     lo, hi = (0.0, float(window)) if np.isscalar(window) else (float(window[0]), float(window[1]))
-    if hi <= lo:
-        raise ValueError("window must have positive length")
     receiver = decomp.n_sites if receiver is None else receiver
     step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
-    grid = np.arange(lo, hi + step, step)
-    grid = grid[grid <= hi]
-    abs_f = np.abs(transition_amplitude(decomp, sender, receiver, grid))
-    best = int(np.argmax(abs_f))
+    weights = transition_weights(decomp, sender, receiver)
+
+    def scan(grid: np.ndarray) -> np.ndarray:
+        return np.abs(scan_amplitude(decomp, weights, lo, step, grid.size))
 
     def objective(t: float) -> float:
         return abs(transition_amplitude(decomp, sender, receiver, t))
 
-    t_best = _golden_section(
-        objective, max(lo, grid[best] - step), min(hi, grid[best] + step)
-    )
-    if objective(t_best) < abs_f[best]:
-        t_best = float(grid[best])
-    return float(t_best), average_fidelity(objective(t_best))
+    t_star, abs_f = _peak_search(objective, scan, lo, hi, step)
+    return t_star, average_fidelity(abs_f)
 
 
 def receiver_fidelity(amplitudes: np.ndarray, alpha: complex, beta: complex, receiver: int | None = None) -> float:

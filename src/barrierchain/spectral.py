@@ -9,10 +9,28 @@ solution sometimes written with the characteristic determinant P(lambda) and
 its minors Q_{k,s}(lambda) is the same expansion: by Cramer's rule the
 minors-over-dP/dlambda ratio at a simple eigenvalue equals the spectral
 projector element a_{k,s} a_{k,j}, so no determinants are ever computed.
+
+Peak searches evaluate the expansion on long uniform grids t_j = lo + j dt
+(up to ~300k points), which a direct (n_times x N) table of exponentials
+would hold whole.  ``scan_amplitude`` instead splits j = b B + m with block
+length B = ceil(sqrt(n_times)), so t_j = t_b + m dt and
+
+    sum_k w_k exp(-i lambda_k t_j)
+        = sum_k [w_k exp(-i lambda_k t_b)] [exp(-i lambda_k m dt)],
+
+one (blocks x N) by (N x B) matrix product over two tables of about
+sqrt(n_times) x N exponentials each.  Its rounding matches the direct
+table's: there each phase lambda_k t_j is rounded once, with an absolute
+error of order eps |lambda_k t_j|; here lambda_k t_b and lambda_k m dt are
+rounded separately, neither larger in magnitude than lambda_k t_j (lo >= 0),
+and the product of two unit-modulus factors adds a relative error of a few
+eps.  Both tables thus carry errors of the same order, eps |lambda_k| t, per
+term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,17 +163,39 @@ def evolve_many(decomp: SpectralDecomposition, initial: AmplitudeVector, times: 
     return (phases * coeffs) @ decomp.eigenvectors.T
 
 
+def transition_weights(decomp: SpectralDecomposition, from_site: int, to_site: int) -> np.ndarray:
+    """Spectral weights a_{k,to} a_{k,from} of the transition amplitude."""
+    n = decomp.n_sites
+    for site in (from_site, to_site):
+        if not 1 <= site <= n:
+            raise ValueError(f"site {site} outside 1..{n}")
+    return decomp.eigenvectors[to_site - 1, :] * decomp.eigenvectors[from_site - 1, :]
+
+
 def transition_amplitude(decomp: SpectralDecomposition, from_site: int, to_site: int, t):
     """f_{to,from}(t) = sum_k a_{k,to} a_{k,from} exp(-i lambda_k t).
 
     ``t`` may be a scalar or an array; the result matches its shape.
     """
-    n = decomp.n_sites
-    for site in (from_site, to_site):
-        if not 1 <= site <= n:
-            raise ValueError(f"site {site} outside 1..{n}")
-    weights = decomp.eigenvectors[to_site - 1, :] * decomp.eigenvectors[from_site - 1, :]
+    weights = transition_weights(decomp, from_site, to_site)
     t = np.asarray(t, dtype=float)
     phases = np.exp(-1j * np.multiply.outer(t, decomp.eigenvalues))
     result = phases @ weights
     return complex(result) if result.ndim == 0 else result
+
+
+def scan_amplitude(decomp: SpectralDecomposition, weights: np.ndarray, lo: float, step: float, count: int) -> np.ndarray:
+    """sum_k w_k exp(-i lambda_k (lo + j step)) for j = 0..count-1.
+
+    Evaluated as a blocked phase table (see the module docstring) whose two
+    exponential tables hold O(sqrt(count) N) entries; returns a complex
+    array of length count.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    block = math.isqrt(count - 1) + 1
+    starts = lo + step * np.arange(0, count, block)
+    offsets = step * np.arange(block)
+    coarse = np.exp(-1j * np.multiply.outer(starts, decomp.eigenvalues)) * weights
+    fine = np.exp(-1j * np.multiply.outer(offsets, decomp.eigenvalues))
+    return (coarse @ fine.T).reshape(-1)[:count]

@@ -104,16 +104,18 @@ def test_ebit_window_covers_three_beats():
 
 def test_peak_search_beats_its_own_grid():
     spec = ChainSpec(10)
-    profile = ebit_barrier_profile(spec, 6.0)
     state = EbitState(HALF, HALF)
-    window = ebit_window(spec, 6.0)
-    t_star, c_star = peak_pair_concurrence(spec, profile, state, window)
-    grid = np.linspace(window[0], window[1], 4001)
-    coarse = max(
-        pair_concurrence(evolve_ebit(spec, profile, state, float(t))) for t in grid[::40]
-    )
-    assert window[0] <= t_star <= window[1]
-    assert c_star >= coarse - 1e-12
+    for omega in (6.0, 15.0):  # omega=15: a long window, over 16384 grid points
+        profile = ebit_barrier_profile(spec, omega)
+        window = ebit_window(spec, omega)
+        t_star, c_star = peak_pair_concurrence(spec, profile, state, window)
+        grid = np.linspace(window[0], window[1], 4001)
+        coarse = max(
+            pair_concurrence(evolve_ebit(spec, profile, state, float(t))) for t in grid[::40]
+        )
+        assert window[0] <= t_star <= window[1]
+        assert c_star >= coarse - 1e-12
+    assert window[1] / 0.25 > 16384
     with pytest.raises(ValueError):
         peak_pair_concurrence(spec, profile, state, (5.0, 5.0))
 

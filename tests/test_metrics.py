@@ -4,6 +4,7 @@ import pytest
 from barrierchain.chain import ChainSpec, FieldProfile, barrier_profile, build_hamiltonian, uniform_profile
 from barrierchain.metrics import (
     _golden_section,
+    _peak_search,
     average_fidelity,
     bilocalized_pair_by_energy,
     haar_qubits,
@@ -16,7 +17,7 @@ from barrierchain.metrics import (
     transfer_record,
     transfer_series,
 )
-from barrierchain.spectral import eigendecompose
+from barrierchain.spectral import eigendecompose, scan_amplitude, transition_amplitude, transition_weights
 
 
 def decompose(n, omega):
@@ -126,6 +127,11 @@ def test_max_fidelity_two_site_chain():
     t_star, fbar = max_fidelity(decomp, (0.0, 3.0))
     assert fbar == pytest.approx(1.0, abs=1e-9)
     assert t_star == pytest.approx(np.pi / 2.0, abs=1e-3)
+    # |f| still rises at the window's end: the refinement stays inside the
+    # window and falls back to the last grid point
+    t_edge, f_edge = max_fidelity(decomp, (0.0, 1.0))
+    assert t_edge == 1.0
+    assert f_edge == pytest.approx(average_fidelity(np.sin(1.0)), abs=1e-12)
 
 
 def test_max_fidelity_two_equal_peaks_resolve_deterministically():
@@ -146,6 +152,27 @@ def test_max_fidelity_scalar_window_and_errors():
     assert (t_a, f_a) == (t_b, f_b)
     with pytest.raises(ValueError):
         max_fidelity(decomp, (5.0, 5.0))
+
+
+@pytest.mark.parametrize("hi", [4000.0, 20000.0])
+def test_max_fidelity_matches_direct_scan(hi):
+    """Gate 6's N=11, omega=10 chain: the blocked scan picks the direct
+    scan's grid argmax, and the same refinement then gives the same peak."""
+    decomp = decompose(11, 10.0)
+    step = 0.25
+    grid = np.arange(0.0, hi + step, step)
+    grid = grid[grid <= hi]
+    direct = np.abs(transition_amplitude(decomp, 1, 11, grid))
+    blocked = np.abs(scan_amplitude(decomp, transition_weights(decomp, 1, 11), 0.0, step, grid.size))
+    assert int(np.argmax(blocked)) == int(np.argmax(direct))
+
+    def objective(t):
+        return abs(transition_amplitude(decomp, 1, 11, t))
+
+    t_ref, abs_f_ref = _peak_search(
+        objective, lambda g: np.abs(transition_amplitude(decomp, 1, 11, g)), 0.0, hi, step
+    )
+    assert max_fidelity(decomp, (0.0, hi)) == (t_ref, average_fidelity(abs_f_ref))
 
 
 def test_receiver_fidelity_limits():

@@ -9,8 +9,10 @@ from barrierchain.spectral import (
     eigendecompose,
     evolve,
     evolve_many,
+    scan_amplitude,
     site_state,
     transition_amplitude,
+    transition_weights,
 )
 
 
@@ -86,6 +88,29 @@ def test_transition_amplitude_array_times():
     assert abs(f[3] - transition_amplitude(decomp, 1, 5, times[3])) < 1e-14
     with pytest.raises(ValueError):
         transition_amplitude(decomp, 0, 5, 1.0)
+
+
+@pytest.mark.parametrize("n", [4, 10, 100])
+def test_scan_amplitude_matches_transition_amplitude(n):
+    spec = ChainSpec(n)
+    chains = (
+        (build_hamiltonian(spec, barrier_profile(spec, 10.0)), 1, n),
+        (build_hamiltonian(spec, random_profile(n, seed=n, scale=1.0)), 1, 1),
+    )
+    step = 0.25
+    for h, from_site, to_site in chains:
+        decomp = eigendecompose(h)
+        weights = transition_weights(decomp, from_site, to_site)
+        for count in (1, 2, 17, 16001, 120001):
+            for lo in (0.0, 37.3):
+                scan = scan_amplitude(decomp, weights, lo, step, count)
+                assert scan.shape == (count,)
+                times = lo + step * np.arange(count)
+                for a in range(0, count, 10000):  # bound the reference table
+                    direct = transition_amplitude(decomp, from_site, to_site, times[a : a + 10000])
+                    assert np.max(np.abs(scan[a : a + 10000] - direct)) <= 1e-11
+    with pytest.raises(ValueError):
+        scan_amplitude(decomp, weights, 0.0, step, 0)
 
 
 def test_transition_amplitude_is_symmetric():
