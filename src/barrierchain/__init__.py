@@ -49,7 +49,6 @@ from .effective import (
 )
 from .metrics import (
     LocalizationReport,
-    TransferRecord,
     average_fidelity,
     bilocalized_pair_by_energy,
     haar_qubits,
@@ -58,7 +57,6 @@ from .metrics import (
     max_fidelity,
     rabi_transfer_time,
     receiver_fidelity,
-    transfer_record,
     transfer_series,
 )
 from .oracle import (
@@ -111,7 +109,6 @@ __all__ = [
     "SpectralDecomposition",
     "StepControlError",
     "SwitchingSchedule",
-    "TransferRecord",
     "average_fidelity",
     "barrier_profile",
     "bilocalized_pair_by_energy",
@@ -152,7 +149,6 @@ __all__ = [
     "singlet_transfer_concurrence",
     "site_state",
     "storage_fidelity",
-    "transfer_record",
     "transfer_series",
     "transition_amplitude",
     "two_level_interval",

@@ -39,8 +39,8 @@ def format_csv(columns: Mapping[str, Sequence], metadata: Mapping[str, object] |
     for key, value in (metadata or {}).items():
         buf.write(f"# {key} = {_format_value(value)}\n")
     buf.write(",".join(names) + "\n")
-    for i in range(length):
-        buf.write(",".join(_format_value(a[i]) for a in arrays) + "\n")
+    for row in zip(*(a.tolist() for a in arrays)):
+        buf.write(",".join(_format_value(v) for v in row) + "\n")
     return buf.getvalue()
 
 

@@ -41,7 +41,6 @@ from .metrics import (
     localization_report,
     max_fidelity,
     rabi_transfer_time,
-    records_to_csv,
     transfer_series,
 )
 from .oracle import oracle_transition_amplitude
@@ -164,12 +163,10 @@ def _cmd_transfer(args) -> list[str]:
     spec = ChainSpec(args.n)
     decomp = eigendecompose(build_hamiltonian(spec, barrier_profile(spec, args.omega)))
     times = np.linspace(0.0, args.big_t, args.points)
-    records = transfer_series(decomp, times)
     meta = _metadata(args)
     meta["units_time"] = "1/J"
     path = _resolve_out(args)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(records_to_csv(records, meta))
+    write_csv(path, transfer_series(decomp, times), meta)
     return [path]
 
 
@@ -322,8 +319,17 @@ def _cmd_protocol(args) -> list[str]:
     else:
         csv_path = _resolve_out(args, ".csv")
         json_path = _resolve_out(args, ".json")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory.to_csv(meta))
+    write_csv(
+        csv_path,
+        {
+            "t": trajectory.times,
+            "omega2": trajectory.omega2,
+            "omegaNm1": trajectory.omega_nm1,
+            "abs_f": trajectory.abs_f,
+            "avg_fidelity": trajectory.avg_fidelity,
+        },
+        meta,
+    )
     _write_json(
         json_path,
         args,

@@ -16,20 +16,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import format_csv
 from .chain import FieldProfile
 from .spectral import SpectralDecomposition, scan_amplitude, transition_amplitude, transition_weights
 
 _RANGE_SLACK = 1e-9
 
 
-def average_fidelity(abs_f: float) -> float:
-    """Input-averaged transfer fidelity for a given |f_{N1}|."""
-    abs_f = float(abs_f)
-    if not -_RANGE_SLACK <= abs_f <= 1.0 + _RANGE_SLACK:
-        raise ValueError(f"|f| must lie in [0, 1], got {abs_f}")
-    abs_f = min(max(abs_f, 0.0), 1.0)
-    return abs_f / 3.0 + abs_f**2 / 6.0 + 0.5
+def average_fidelity(abs_f):
+    """Input-averaged transfer fidelity Fbar = |f|/3 + |f|^2/6 + 1/2.
+
+    ``abs_f`` may be a scalar or an array; a scalar gives a float.  Values
+    within 1e-9 of [0, 1] (round-off from the evolution) are clipped into
+    it, anything further out raises ValueError.  The square is libm ``pow``
+    (``np.float_power``), as Python's ``**`` on a float, so an array gives
+    the same bits as element-by-element scalar calls; numpy's ``x**2`` is
+    ``x*x``, which can differ in the last bit.
+    """
+    x = np.asarray(abs_f, dtype=float)
+    in_range = (x >= -_RANGE_SLACK) & (x <= 1.0 + _RANGE_SLACK)
+    if not np.all(in_range):
+        raise ValueError(f"|f| must lie in [0, 1], got {x[~in_range].flat[0]}")
+    x = np.clip(x, 0.0, 1.0)
+    result = x / 3.0 + np.float_power(x, 2.0) / 6.0 + 0.5
+    return float(result) if result.ndim == 0 else result
 
 
 def ipr(vector: np.ndarray) -> float:
@@ -42,44 +51,13 @@ def ipr(vector: np.ndarray) -> float:
     return float(total**2 / np.sum(weights**2))
 
 
-@dataclass(frozen=True)
-class TransferRecord:
-    """Snapshot of the transfer quality at one time."""
-
-    time: float
-    abs_f: float
-    avg_fidelity: float
-    concurrence: float
-
-
-def transfer_record(decomp: SpectralDecomposition, t: float, sender: int = 1, receiver: int | None = None) -> TransferRecord:
-    """Evaluate |f|, Fbar, and C at one time."""
-    receiver = decomp.n_sites if receiver is None else receiver
-    abs_f = abs(transition_amplitude(decomp, sender, receiver, t))
-    return TransferRecord(float(t), abs_f, average_fidelity(abs_f), abs_f)
-
-
-def transfer_series(decomp: SpectralDecomposition, times: np.ndarray, sender: int = 1, receiver: int | None = None) -> list[TransferRecord]:
+def transfer_series(decomp: SpectralDecomposition, times: np.ndarray, sender: int = 1, receiver: int | None = None) -> dict[str, np.ndarray]:
+    """|f|, Fbar and C on a time grid, as the columns t, abs_f, avg_fidelity,
+    concurrence (C = |f|) ready for ``format_csv``."""
     receiver = decomp.n_sites if receiver is None else receiver
     times = np.asarray(times, dtype=float)
-    f = transition_amplitude(decomp, sender, receiver, times)
-    return [
-        TransferRecord(float(t), float(a), average_fidelity(a), float(a))
-        for t, a in zip(times, np.abs(f))
-    ]
-
-
-def records_to_csv(records: list[TransferRecord], metadata: dict | None = None) -> str:
-    """Serialize records with header t,abs_f,avg_fidelity,concurrence."""
-    return format_csv(
-        {
-            "t": [r.time for r in records],
-            "abs_f": [r.abs_f for r in records],
-            "avg_fidelity": [r.avg_fidelity for r in records],
-            "concurrence": [r.concurrence for r in records],
-        },
-        metadata,
-    )
+    abs_f = np.abs(transition_amplitude(decomp, sender, receiver, times))
+    return {"t": times, "abs_f": abs_f, "avg_fidelity": average_fidelity(abs_f), "concurrence": abs_f}
 
 
 @dataclass(frozen=True)

@@ -88,29 +88,27 @@ class SwitchingSchedule:
         return 1.0 / self.smoothing_timescale
 
 
-def field_at(schedule: SwitchingSchedule, site, t):
-    """Drive field omega_site(t); site is 2 or 'N-1'.  Accepts array t.
+def field_at(schedule: SwitchingSchedule, t):
+    """Drive fields (omega_2(t), omega_{N-1}(t)) on the two barrier sites.
 
-    The logistic form is defined for every t (its t -> -inf limit is K1 on
-    the sender side); protocol runs themselves start at t0.
+    ``t`` may be a scalar or an array; a scalar gives two floats, an array
+    two arrays of its shape.  The logistic form is defined for every t (its
+    t -> -inf limit is K1 on the sender side); protocol runs themselves
+    start at t0.
     """
     t = np.asarray(t, dtype=float)
     k1, k2 = schedule.k1, schedule.k2
     t1, t2 = schedule.t1, schedule.t2
     alpha = schedule.smoothing_rate
-    if site == 2:
-        if alpha == 0:
-            result = np.where(t < t1, k1, np.where(t <= t2, k2, 0.0))
-        else:
-            result = k2 * expit(-alpha * (t - t2)) + (k1 - k2) * expit(-alpha * (t - t1))
-    elif site in ("N-1", "n-1"):
-        if alpha == 0:
-            result = np.where(t < t1, 0.0, np.where(t <= t2, k2, k1))
-        else:
-            result = k2 * expit(alpha * (t - t1)) + (k1 - k2) * expit(alpha * (t - t2))
+    if alpha == 0:
+        omega2 = np.where(t < t1, k1, np.where(t <= t2, k2, 0.0))
+        omega_nm1 = np.where(t < t1, 0.0, np.where(t <= t2, k2, k1))
     else:
-        raise ValueError(f"site must be 2 or 'N-1', got {site!r}")
-    return float(result) if result.ndim == 0 else result
+        omega2 = k2 * expit(-alpha * (t - t2)) + (k1 - k2) * expit(-alpha * (t - t1))
+        omega_nm1 = k2 * expit(alpha * (t - t1)) + (k1 - k2) * expit(alpha * (t - t2))
+    if t.ndim == 0:
+        return float(omega2), float(omega_nm1)
+    return omega2, omega_nm1
 
 
 def optimal_interval(n_sites: int, k2: float) -> float:
@@ -163,20 +161,6 @@ class ProtocolTrajectory:
     def final_avg_fidelity(self) -> float:
         return float(self.avg_fidelity[-1])
 
-    def to_csv(self, metadata: dict | None = None) -> str:
-        from ._csvio import format_csv
-
-        return format_csv(
-            {
-                "t": self.times,
-                "omega2": self.omega2,
-                "omegaNm1": self.omega_nm1,
-                "abs_f": self.abs_f,
-                "avg_fidelity": self.avg_fidelity,
-            },
-            metadata,
-        )
-
 
 def _sample_grid(schedule: SwitchingSchedule, t_end: float, sample_dt: float) -> np.ndarray:
     """Sample times covering [t0, t_end] with t1, t2 hit exactly."""
@@ -190,8 +174,7 @@ def _sample_grid(schedule: SwitchingSchedule, t_end: float, sample_dt: float) ->
 
 
 # Commutator-free fourth-order coefficients (two Gauss nodes).
-_NODE_LO = 0.5 - np.sqrt(3.0) / 6.0
-_NODE_HI = 0.5 + np.sqrt(3.0) / 6.0
+_NODES = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 _WEIGHT_BIG = 0.25 + np.sqrt(3.0) / 6.0
 _WEIGHT_SMALL = 0.25 - np.sqrt(3.0) / 6.0
 
@@ -199,16 +182,9 @@ _WEIGHT_SMALL = 0.25 - np.sqrt(3.0) / 6.0
 def _cf4_step(spec: ChainSpec, schedule: SwitchingSchedule, psi: np.ndarray, t: float, h: float) -> np.ndarray:
     from scipy.linalg import eigh_tridiagonal
 
-    d1 = _drive_diagonal(
-        spec,
-        field_at(schedule, 2, t + _NODE_LO * h),
-        field_at(schedule, "N-1", t + _NODE_LO * h),
-    )
-    d2 = _drive_diagonal(
-        spec,
-        field_at(schedule, 2, t + _NODE_HI * h),
-        field_at(schedule, "N-1", t + _NODE_HI * h),
-    )
+    omega2, omega_nm1 = field_at(schedule, t + h * _NODES)
+    d1 = _drive_diagonal(spec, omega2[0], omega_nm1[0])
+    d2 = _drive_diagonal(spec, omega2[1], omega_nm1[1])
     # Each factor exponentiates da*H1 + db*H2; both node Hamiltonians share
     # the constant off-diagonal -1, so the combination's is -(da + db) = -1/2.
     off = np.full(spec.n_sites - 1, -(_WEIGHT_BIG + _WEIGHT_SMALL))
@@ -282,12 +258,12 @@ def _run_once(
     t_end: float,
     sample_times: np.ndarray,
     h0: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One full pass at base step h0.
 
-    Returns (amplitudes at sample_times, fine pre-send survival samples,
-    final-state amplitude vector is amplitudes' last row's source state) --
-    concretely (samples, presend_survival, final_psi)."""
+    Returns (samples, presend_survival, final_psi): the site amplitudes at
+    each of sample_times as rows, the site-1 survival probabilities sampled
+    before t1, and the state vector at t_end."""
     n = spec.n_sites
     psi = site_state(n, 1).amplitudes.copy()
     samples = np.empty((sample_times.size, n), dtype=complex)
@@ -299,9 +275,7 @@ def _run_once(
         inside = sample_times[mask]
         if not active:
             mid = 0.5 * (lo + hi)
-            decomp = _stage_decomposition(
-                spec, field_at(schedule, 2, mid), field_at(schedule, "N-1", mid)
-            )
+            decomp = _stage_decomposition(spec, *field_at(schedule, mid))
             start = AmplitudeVector(psi)
             if inside.size:
                 samples[mask] = evolve_many(decomp, start, inside - lo)
@@ -380,12 +354,13 @@ def simulate_protocol(
             )
 
     abs_f = np.abs(samples[:, -1])
+    omega2, omega_nm1 = field_at(schedule, sample_times)
     return ProtocolTrajectory(
         times=sample_times,
-        omega2=field_at(schedule, 2, sample_times),
-        omega_nm1=field_at(schedule, "N-1", sample_times),
+        omega2=omega2,
+        omega_nm1=omega_nm1,
         abs_f=abs_f,
-        avg_fidelity=np.array([average_fidelity(x) for x in abs_f]),
+        avg_fidelity=average_fidelity(abs_f),
         survival=np.abs(samples[:, 0]) ** 2,
         final_state=AmplitudeVector(psi, time_stamp=t_end),
         schedule=schedule,
@@ -439,8 +414,7 @@ def optimize_interval(
     def objective(delta_t: float) -> float:
         held = evolve(stage2, psi_t1, delta_t)
         tail = evolve_many(stage3, held, taus)
-        abs_f = np.abs(tail[:, -1])
-        return float(np.mean([average_fidelity(x) for x in abs_f]))
+        return float(np.mean(average_fidelity(np.abs(tail[:, -1]))))
 
     lo = schedule.delta_t * (1.0 - span)
     hi = schedule.delta_t * (1.0 + span)

@@ -124,14 +124,15 @@ def _parity_adapt(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _fix_signs(v: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible component of each column positive."""
-    v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        significant = np.nonzero(np.abs(col) > 1e-11 * np.abs(col).max())[0]
-        if col[significant[0]] < 0:
-            v[:, k] = -col
-    return v
+    """Make the first non-negligible component of each column positive.
+
+    A component is non-negligible above 1e-11 of its column's largest
+    magnitude, so round-off entries (such as the even-site entries of an
+    odd chain's zero mode) never decide the sign.
+    """
+    mag = np.abs(v)
+    first = np.argmax(mag > 1e-11 * mag.max(axis=0), axis=0)
+    return np.where(v[first, np.arange(v.shape[1])] < 0, -v, v)
 
 
 def eigendecompose(h: SingleExcitationHamiltonian) -> SpectralDecomposition:

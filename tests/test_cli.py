@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from barrierchain._csvio import read_csv
+from barrierchain.chain import ChainSpec, barrier_profile, build_hamiltonian
 from barrierchain.cli import ENV_OUTDIR, main
+from barrierchain.metrics import average_fidelity
+from barrierchain.protocol import SwitchingSchedule, simulate_protocol
+from barrierchain.spectral import eigendecompose, transition_amplitude
 
 
 def run(argv, outdir, capsys, expect=0):
@@ -104,6 +108,14 @@ def test_transfer_and_maxfid_smoke(tmp_path, capsys):
     cols, _ = read_csv(tmp_path / "transfer.csv")
     assert list(cols) == ["t", "abs_f", "avg_fidelity", "concurrence"]
     assert len(cols["t"]) == 21
+    # floats are written with repr, so the columns read back exactly
+    spec = ChainSpec(10)
+    decomp = eigendecompose(build_hamiltonian(spec, barrier_profile(spec, 5.0)))
+    times = np.linspace(0.0, 40.0, 21)
+    assert np.array_equal(cols["t"], times)
+    assert np.array_equal(cols["abs_f"], np.abs(transition_amplitude(decomp, 1, 10, times)))
+    assert np.array_equal(cols["avg_fidelity"], average_fidelity(cols["abs_f"]))
+    assert np.array_equal(cols["concurrence"], cols["abs_f"])
 
     run(["maxfid", "--n-min", "6", "--n-max", "8", "--n-step", "2",
          "--omega-min", "0", "--omega-max", "10", "--omega-steps", "2", "--T", "60"],
@@ -144,8 +156,20 @@ def test_protocol_outputs_csv_and_json(tmp_path, capsys):
     assert paths[1].endswith("protocol.json")
     cols, meta = read_csv(tmp_path / "protocol.csv")
     assert list(cols) == ["t", "omega2", "omegaNm1", "abs_f", "avg_fidelity"]
-    body = json.loads((tmp_path / "protocol.json").read_text())
+    lines = (tmp_path / "protocol.csv").read_text().splitlines()
+    assert lines[0] == "# tool = barrierchain"
+    header = lines.index("t,omega2,omegaNm1,abs_f,avg_fidelity")
+    assert all(line.startswith("# ") for line in lines[:header])
+    assert meta["n"] == "8"
+    # one row per sample time, each the trajectory's value to the last bit
     closed = 0.5 * np.pi * 16.0
+    schedule = SwitchingSchedule(k1=8.0, k2=4.0, delta_t=closed, t1=5.0)
+    traj = simulate_protocol(ChainSpec(8), schedule, t_end=schedule.t2 + 20.0)
+    assert len(lines) == header + 1 + len(traj.times)
+    for name, column in [("t", traj.times), ("omega2", traj.omega2), ("omegaNm1", traj.omega_nm1),
+                         ("abs_f", traj.abs_f), ("avg_fidelity", traj.avg_fidelity)]:
+        assert np.array_equal(cols[name], column)
+    body = json.loads((tmp_path / "protocol.json").read_text())
     assert body["closed_form_interval"] == pytest.approx(closed)
     assert body["two_level_interval"] == pytest.approx(4.0 * closed)
     assert body["interval_used"] == pytest.approx(closed)

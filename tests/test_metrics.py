@@ -13,8 +13,6 @@ from barrierchain.metrics import (
     max_fidelity,
     rabi_transfer_time,
     receiver_fidelity,
-    records_to_csv,
-    transfer_record,
     transfer_series,
 )
 from barrierchain.spectral import eigendecompose, scan_amplitude, transition_amplitude, transition_weights
@@ -40,6 +38,24 @@ def test_average_fidelity_range_check():
     assert average_fidelity(1.0 + 1e-12) == pytest.approx(1.0)
 
 
+def test_average_fidelity_array_is_bit_identical_to_scalar():
+    x = np.array([0.8064621134539653, 0.0, 1.0, 1.0 + 1e-12])
+    out = average_fidelity(x)
+    assert isinstance(out, np.ndarray) and out.shape == x.shape
+    assert isinstance(average_fidelity(x[0]), float)
+    # the square is libm pow, as Python's **; numpy's x**2 (x*x) gives
+    # 0.8772175612240944 for the first input
+    assert out[0] == 0.8772175612240946
+    assert out.tolist() == [0.8772175612240946, 0.5, 1.0, 1.0]
+    clipped = [min(max(v, 0.0), 1.0) for v in x.tolist()]
+    assert out.tolist() == [v / 3.0 + v**2 / 6.0 + 0.5 for v in clipped]
+    assert out.tolist() == [average_fidelity(v) for v in x.tolist()]
+    with pytest.raises(ValueError):
+        average_fidelity(np.array([0.5, 1.1]))
+    with pytest.raises(ValueError):
+        average_fidelity(np.array([[0.5], [np.nan]]))
+
+
 def test_ipr_bounds():
     assert ipr(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
     assert ipr(np.ones(7) / np.sqrt(7)) == pytest.approx(7.0)
@@ -53,30 +69,21 @@ def test_ipr_scale_invariance():
     assert ipr(vec) == pytest.approx(ipr(3.7 * vec))
 
 
-def test_transfer_record_concurrence_equals_abs_f():
+def test_transfer_series_columns():
     decomp = decompose(6, 4.0)
-    rec = transfer_record(decomp, 3.7)
-    assert rec.concurrence == rec.abs_f
-    assert rec.avg_fidelity == pytest.approx(average_fidelity(rec.abs_f))
-
-
-def test_transfer_series_matches_records():
-    decomp = decompose(5, 2.0)
     times = np.linspace(0.0, 8.0, 9)
     series = transfer_series(decomp, times)
-    assert len(series) == 9
-    for rec in series[::3]:
-        single = transfer_record(decomp, rec.time)
-        assert rec.abs_f == pytest.approx(single.abs_f, abs=1e-12)
-
-
-def test_records_to_csv_layout():
-    decomp = decompose(5, 2.0)
-    text = records_to_csv(transfer_series(decomp, [0.0, 1.0]), {"n": 5})
-    lines = text.strip().splitlines()
-    assert lines[0] == "# n = 5"
-    assert lines[1] == "t,abs_f,avg_fidelity,concurrence"
-    assert len(lines) == 4
+    assert list(series) == ["t", "abs_f", "avg_fidelity", "concurrence"]
+    assert np.array_equal(series["t"], times)
+    # the transferred concurrence is |f| itself
+    assert np.array_equal(series["concurrence"], series["abs_f"])
+    assert series["avg_fidelity"].tolist() == [average_fidelity(a) for a in series["abs_f"].tolist()]
+    assert np.array_equal(series["abs_f"], np.abs(transition_amplitude(decomp, 1, 6, times)))
+    # each row is the single-time amplitude, up to the summation order
+    for t, abs_f in zip(series["t"].tolist(), series["abs_f"].tolist()):
+        assert abs_f == pytest.approx(abs(transition_amplitude(decomp, 1, 6, t)), abs=1e-12)
+    inner = transfer_series(decomp, times, sender=2, receiver=4)
+    assert np.array_equal(inner["abs_f"], np.abs(transition_amplitude(decomp, 2, 4, times)))
 
 
 def test_localization_report_identifies_pairs():

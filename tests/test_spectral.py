@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import eigh_tridiagonal
 
 from barrierchain.chain import ChainSpec, FieldProfile, barrier_profile, build_hamiltonian
 from barrierchain.metrics import ipr
 from barrierchain.spectral import (
+    _CLUSTER_RTOL,
     AmplitudeVector,
+    _fix_signs,
+    _parity_adapt,
     eigendecompose,
     evolve,
     evolve_many,
@@ -179,6 +183,76 @@ def test_zero_mode_is_field_independent_on_even_sites():
         vec = decomp.eigenvectors[:, k]
         assert np.max(np.abs(vec[1::2])) < 1e-10
         assert abs(vec[0]) == pytest.approx(np.sqrt(2.0 / 12.0), abs=1e-12)
+
+
+def _fix_signs_per_column(v):
+    """The sign rule as a per-column loop: the reference for ``_fix_signs``."""
+    v = v.copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        significant = np.nonzero(np.abs(col) > 1e-11 * np.abs(col).max())[0]
+        if col[significant[0]] < 0:
+            v[:, k] = -col
+    return v
+
+
+def _deep_field_profile():
+    # a 1e4 field on site 6 localizes one state there; its entries on sites
+    # 1..3 (~1e-22..1e-13) fall below the threshold and alternate in sign
+    fields = np.zeros(12)
+    fields[5] = 1e4
+    return ChainSpec(12), FieldProfile(fields)
+
+
+def _presign_vectors(spec, profile):
+    """Eigenvectors as ``eigendecompose`` holds them before the sign rule."""
+    h = build_hamiltonian(spec, profile)
+    w, v = eigh_tridiagonal(h.diagonal, h.off_diagonal)
+    if np.array_equal(h.diagonal, h.diagonal[::-1]):
+        v = _parity_adapt(w, v, _CLUSTER_RTOL * max(1.0, float(np.abs(w).max())))
+    return h, w, v
+
+
+def _first_significant(v):
+    mag = np.abs(v)
+    return np.argmax(mag > 1e-11 * mag.max(axis=0), axis=0)
+
+
+@pytest.mark.parametrize(
+    "spec, profile",
+    [
+        (ChainSpec(12), random_profile(12, seed=5)),
+        (ChainSpec(11), barrier_profile(ChainSpec(11), 64.0)),
+        (ChainSpec(18), barrier_profile(ChainSpec(18), 50.0)),
+        _deep_field_profile(),
+    ],
+    ids=["random12", "barrier11", "barrier18-parity", "deep-field12"],
+)
+def test_fix_signs_rule(spec, profile):
+    h, _, v = _presign_vectors(spec, profile)
+    fixed = _fix_signs(v)
+    assert np.array_equal(fixed, _fix_signs_per_column(v))
+    assert np.array_equal(eigendecompose(h).eigenvectors, fixed)
+    # the rule fixes each column's sign whatever sign it came in with
+    flips = np.random.default_rng(3).choice([-1.0, 1.0], size=spec.n_sites)
+    assert np.array_equal(_fix_signs(v * flips), fixed)
+    assert np.all(fixed[_first_significant(fixed), np.arange(spec.n_sites)] > 0)
+
+
+def test_fix_signs_threshold_skips_round_off_entries():
+    # N=11 barrier chain: the zero mode's even-site entries are round-off
+    _, w, v = _presign_vectors(ChainSpec(11), barrier_profile(ChainSpec(11), 64.0))
+    k = int(np.argmin(np.abs(w)))
+    fixed = _fix_signs(v)
+    assert 0 < np.max(np.abs(fixed[1::2, k])) < 1e-11
+    assert _first_significant(fixed)[k] == 0
+    assert fixed[0, k] > 0
+    # deep-field chain: the site-6 state's sign is set by its site-4 entry,
+    # not by the sub-threshold site-1 entry of opposite sign
+    _, _, v = _presign_vectors(*_deep_field_profile())
+    fixed = _fix_signs(v)
+    assert _first_significant(fixed)[-1] == 3
+    assert fixed[3, -1] > 0 > fixed[0, -1]
 
 
 def test_site_state_validation():
