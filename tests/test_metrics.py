@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from barrierchain._csvio import format_csv
 from barrierchain.chain import ChainSpec, FieldProfile, barrier_profile, build_hamiltonian, uniform_profile
 from barrierchain.metrics import (
     _golden_section,
@@ -84,6 +85,31 @@ def test_transfer_series_columns():
         assert abs_f == pytest.approx(abs(transition_amplitude(decomp, 1, 6, t)), abs=1e-12)
     inner = transfer_series(decomp, times, sender=2, receiver=4)
     assert np.array_equal(inner["abs_f"], np.abs(transition_amplitude(decomp, 2, 4, times)))
+
+
+def test_transfer_record_concurrence_equals_abs_f():
+    decomp = decompose(6, 4.0)
+    row = transfer_series(decomp, [3.7])
+    assert row["concurrence"][0] == row["abs_f"][0]
+    assert row["avg_fidelity"][0] == pytest.approx(average_fidelity(row["abs_f"][0]))
+
+
+def test_transfer_series_matches_records():
+    decomp = decompose(5, 2.0)
+    times = np.linspace(0.0, 8.0, 9)
+    series = transfer_series(decomp, times)
+    assert len(series["t"]) == 9
+    for t, abs_f in zip(series["t"][::3].tolist(), series["abs_f"][::3].tolist()):
+        assert abs_f == pytest.approx(abs(transition_amplitude(decomp, 1, 5, t)), abs=1e-12)
+
+
+def test_records_to_csv_layout():
+    decomp = decompose(5, 2.0)
+    text = format_csv(transfer_series(decomp, [0.0, 1.0]), {"n": 5})
+    lines = text.strip().splitlines()
+    assert lines[0] == "# n = 5"
+    assert lines[1] == "t,abs_f,avg_fidelity,concurrence"
+    assert len(lines) == 4
 
 
 def test_localization_report_identifies_pairs():

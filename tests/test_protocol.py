@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from barrierchain._csvio import format_csv
 from barrierchain.chain import ChainSpec, FieldProfile, build_hamiltonian
 from barrierchain.protocol import (
     ProtocolTrajectory,
@@ -149,6 +150,23 @@ def test_step_control_error_when_tolerance_is_unreachable():
         simulate_protocol(
             spec, sch, t_end=0.2, sample_dt=0.05, step_hint=0.05, step_tolerance=0.0
         )
+
+
+def test_trajectory_csv_layout():
+    sch = schedule8()
+    traj = simulate_protocol(N8, sch, t_end=sch.t2 + 2.0, sample_dt=5.0)
+    columns = {
+        "t": traj.times,
+        "omega2": traj.omega2,
+        "omegaNm1": traj.omega_nm1,
+        "abs_f": traj.abs_f,
+        "avg_fidelity": traj.avg_fidelity,
+    }
+    text = format_csv(columns, {"n": 8})
+    lines = text.strip().splitlines()
+    assert lines[0] == "# n = 8"
+    assert lines[1] == "t,omega2,omegaNm1,abs_f,avg_fidelity"
+    assert len(lines) == 2 + len(traj.times)
 
 
 def test_optimize_interval_beats_its_seed():
