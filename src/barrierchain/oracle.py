@@ -1,11 +1,18 @@
 """Brute-force validators independent of the spectral fast path.
 
 Everything here works in the full 2^N Hilbert space built directly from the
-Pauli terms of the chain Hamiltonian (dense eigendecomposition, N <= 12), or
-integrates the one-excitation ODE system step by step.  None of it shares
-code with the tridiagonal spectral engine, which is the point: agreement
-between the two paths validates the sector reduction, Eq.-of-motion signs,
-and the concurrence formulas.
+Pauli terms of the chain Hamiltonian (dense matrix, N <= 12), or integrates
+the one-excitation ODE system step by step.  None of it shares code with the
+tridiagonal spectral engine, which is the point: agreement between the two
+paths validates the sector reduction, Eq.-of-motion signs, and the
+concurrence formulas.
+
+A state is evolved on the invariant blocks of the full matrix that it
+reaches: the closure of its support under the nonzero pattern of H, split
+into connected blocks, each diagonalized densely.  The split is read from
+the matrix, not from magnetization, so a term that broke conservation would
+merge blocks instead of being dropped.  A site excitation touches one
+N-state block, not all 2^N states.
 
 Basis convention: site n maps to bit (N - n), so site 1 is the most
 significant bit and the all-up state is index 0.
@@ -45,12 +52,15 @@ def single_excitation_state(spec: ChainSpec, site: int) -> np.ndarray:
     return state
 
 
+def _site_indices(n_sites: int) -> np.ndarray:
+    """Basis indices of the one-excitation states for sites 1..N, in order."""
+    return 1 << (n_sites - np.arange(1, n_sites + 1))
+
+
 def embed_amplitudes(n_sites: int, amplitudes: np.ndarray) -> np.ndarray:
     """Lift one-excitation site amplitudes to a full 2^N vector."""
-    amplitudes = np.asarray(amplitudes, dtype=complex)
     state = np.zeros(2**n_sites, dtype=complex)
-    for site in range(1, n_sites + 1):
-        state[site_index(n_sites, site)] = amplitudes[site - 1]
+    state[_site_indices(n_sites)] = np.asarray(amplitudes, dtype=complex)
     return state
 
 
@@ -60,9 +70,7 @@ def extract_amplitudes(n_sites: int, state: np.ndarray) -> tuple[np.ndarray, flo
     Returns (site amplitudes, norm of the component outside the sector).
     """
     state = np.asarray(state, dtype=complex)
-    amplitudes = np.array(
-        [state[site_index(n_sites, site)] for site in range(1, n_sites + 1)]
-    )
+    amplitudes = state[_site_indices(n_sites)]
     outside = np.linalg.norm(state) ** 2 - np.linalg.norm(amplitudes) ** 2
     return amplitudes, float(np.sqrt(max(outside, 0.0)))
 
@@ -95,17 +103,36 @@ def full_hamiltonian(spec: ChainSpec, profile: FieldProfile) -> np.ndarray:
 
 
 class FullDecomposition:
-    """Dense eigendecomposition of the full Hamiltonian, reusable across times."""
+    """Full Hamiltonian, evolved on the invariant blocks a state reaches."""
 
     def __init__(self, spec: ChainSpec, profile: FieldProfile):
         _check_size(spec.n_sites)
         self.spec = spec
         self.profile = profile
-        self.eigenvalues, self.eigenvectors = scipy.linalg.eigh(full_hamiltonian(spec, profile))
+        self.hamiltonian = full_hamiltonian(spec, profile)
+
+    def _block(self, seed: int) -> np.ndarray:
+        """Sorted basis indices H connects to ``seed``, in any number of steps."""
+        reached = np.zeros(self.hamiltonian.shape[0], dtype=bool)
+        reached[seed] = True
+        frontier = np.array([seed])
+        while frontier.size:
+            coupled = np.any(self.hamiltonian[frontier] != 0.0, axis=0) & ~reached
+            reached |= coupled
+            frontier = np.flatnonzero(coupled)
+        return np.flatnonzero(reached)
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
-        coeffs = self.eigenvectors.conj().T @ np.asarray(state, dtype=complex)
-        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * coeffs)
+        """exp(-i H t) @ state, one eigensolve per block the state touches."""
+        state = np.asarray(state, dtype=complex)
+        evolved = np.zeros_like(state)
+        pending = state != 0
+        while pending.any():
+            block = self._block(int(np.argmax(pending)))
+            w, v = scipy.linalg.eigh(self.hamiltonian[np.ix_(block, block)])
+            evolved[block] = v @ (np.exp(-1j * w * t) * (v.conj().T @ state[block]))
+            pending[block] = False
+        return evolved
 
 
 def full_evolve(spec: ChainSpec, profile: FieldProfile, initial: np.ndarray, t: float) -> np.ndarray:
@@ -118,7 +145,7 @@ def total_magnetization(state: np.ndarray) -> float:
     state = np.asarray(state, dtype=complex)
     n = int(np.log2(state.size))
     states = np.arange(state.size)
-    popcount = np.array([bin(s).count("1") for s in states])
+    popcount = sum((states >> bit) & 1 for bit in range(n))
     return float(np.sum(np.abs(state) ** 2 * (n - 2.0 * popcount)))
 
 

@@ -6,6 +6,9 @@ expansion except as the object under test.
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+import barrierchain.oracle
 
 from barrierchain.chain import ChainSpec, FieldProfile, barrier_profile, build_hamiltonian
 from barrierchain.oracle import (
@@ -48,6 +51,24 @@ def test_embed_extract_round_trip():
     back, outside = extract_amplitudes(4, state)
     assert np.allclose(back, amps)
     assert outside == pytest.approx(0.0, abs=1e-15)
+
+
+def test_helpers_match_per_site_loops():
+    rng = np.random.default_rng(8)
+    n = 6
+    state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    sites = range(1, n + 1)
+    amps, outside = extract_amplitudes(n, state)
+    looped = np.array([state[site_index(n, site)] for site in sites])
+    assert np.array_equal(amps, looped)
+    expected = np.sqrt(np.linalg.norm(state) ** 2 - np.linalg.norm(looped) ** 2)
+    assert outside == expected
+    embedded = embed_amplitudes(n, amps)
+    assert np.array_equal(embedded[[site_index(n, site) for site in sites]], amps)
+    assert np.count_nonzero(embedded) == n
+    popcount = np.array([bin(s).count("1") for s in range(2**n)])
+    magnetization = float(np.sum(np.abs(state) ** 2 * (n - 2.0 * popcount)))
+    assert total_magnetization(state) == magnetization
 
 
 def test_full_hamiltonian_is_hermitian_and_size_capped():
@@ -168,3 +189,59 @@ def test_vacuum_is_stationary_up_to_phase():
     evolved = full_evolve(spec, profile, all_up_state(spec), 5.0)
     assert abs(abs(evolved[0]) - 1.0) < 1e-12
     assert np.max(np.abs(evolved[1:])) < 1e-12
+
+
+def _random_state(dim, rng):
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return state / np.linalg.norm(state)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_block_evolve_matches_dense_propagator(n):
+    # a random state on all 2^N entries touches every invariant block
+    rng = np.random.default_rng(n)
+    spec = ChainSpec(n)
+    profile = random_profile(n, seed=10 + n)
+    h = full_hamiltonian(spec, profile)
+    t = 2.3
+    state = _random_state(2**n, rng)
+    evolved = FullDecomposition(spec, profile).evolve(state, t)
+    assert np.max(np.abs(evolved - scipy.linalg.expm(-1j * t * h) @ state)) <= 1e-12
+    joint = _random_state(2 ** (n + 1), rng)
+    dense = scipy.linalg.expm(-1j * t * np.kron(np.eye(2), h)) @ joint
+    assert np.max(np.abs(evolve_with_idle_ancilla(spec, profile, joint, t) - dense)) <= 1e-12
+
+
+def test_block_split_is_read_from_the_matrix(monkeypatch):
+    # a transverse sx term on one site breaks magnetization conservation;
+    # the oracle must follow the matrix, not the excitation number
+    n, site, strength, t = 5, 3, 0.7, 3.1
+    spec = ChainSpec(n)
+    profile = barrier_profile(spec, 2.0)
+    builder = barrierchain.oracle.full_hamiltonian
+
+    def with_transverse_field(spec, profile):
+        h = builder(spec, profile)
+        states = np.arange(2**spec.n_sites)
+        h[states ^ (1 << (spec.n_sites - site)), states] += strength
+        return h
+
+    monkeypatch.setattr(barrierchain.oracle, "full_hamiltonian", with_transverse_field)
+    h = with_transverse_field(spec, profile)
+    assert np.allclose(h, h.T)
+    state = single_excitation_state(spec, 1)
+    evolved = FullDecomposition(spec, profile).evolve(state, t)
+    assert np.max(np.abs(evolved - scipy.linalg.expm(-1j * t * h) @ state)) <= 1e-12
+    assert extract_amplitudes(n, evolved)[1] > 1e-3
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_oracle_matches_spectral_path_at_its_size_cap(n):
+    rng = np.random.default_rng(1100 + n)
+    spec = ChainSpec(n)
+    for _ in range(3):
+        omega = rng.uniform(0.0, 60.0)
+        t = rng.uniform(0.0, 30.0)
+        profile = barrier_profile(spec, omega)
+        fast = transition_amplitude(eigendecompose(build_hamiltonian(spec, profile)), 1, n, t)
+        assert abs(fast - oracle_transition_amplitude(spec, profile, 1, n, t)) <= 1e-10
