@@ -14,7 +14,7 @@ public interface.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

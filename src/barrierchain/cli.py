@@ -8,9 +8,11 @@ out of the embedded header: the first two are plumbing and the third never
 affects results.
 
 A config file uses the same `key = value` format as profile blocks; keys
-mirror flag names with underscores.  Flags given on the command line win
-over config values.  The `BARRIERCHAIN_OUTDIR` environment variable sets
-the default output directory.
+mirror flag names with underscores (`T` for `--T`).  Its entries are read
+as flags placed before the command line's own, so flags given on the
+command line win, and each value is parsed and validated like its flag.
+The `BARRIERCHAIN_OUTDIR` environment variable sets the default output
+directory.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from ._csvio import write_csv
-from .chain import ChainSpec, barrier_profile, build_hamiltonian, ebit_barrier_profile, parse_config_block
+from .chain import ChainSpec, barrier_profile, ebit_barrier_profile, parse_config_block
 from .disorder import (
     BARRIER_LEAKAGE,
     BULK_UNIFORM,
@@ -37,6 +39,7 @@ from .disorder import (
 from .ebit import EbitState, ebit_window, evolve_ebit, pair_concurrence
 from .effective import predicted_vs_exact_gap
 from .metrics import (
+    barrier_report,
     ipr,
     localization_report,
     max_fidelity,
@@ -52,7 +55,7 @@ from .protocol import (
     storage_fidelity,
     two_level_interval,
 )
-from .spectral import eigendecompose, transition_amplitude
+from .spectral import decompose, transition_amplitude
 
 ENV_OUTDIR = "BARRIERCHAIN_OUTDIR"
 
@@ -60,13 +63,11 @@ ENV_OUTDIR = "BARRIERCHAIN_OUTDIR"
 _UNLOGGED = {"out", "config", "threads", "experiment"}
 
 
-def _float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _int_list(text) -> list[int]:
+def _int_list(text: str) -> list[int]:
     return [int(v) for v in _float_list(text)]
 
 
@@ -96,8 +97,16 @@ def _metadata(args) -> dict:
     return meta
 
 
+def _emit(args, columns, path: str | None = None, **extra) -> str:
+    """Write columns as CSV under the run's metadata followed by the ``extra``
+    header lines; ``path`` defaults to the run's output path.  Returns the path."""
+    path = path or _resolve_out(args)
+    write_csv(path, columns, {**_metadata(args), **extra})
+    return path
+
+
 def _write_json(path: str, args, payload: dict) -> None:
-    body = {"config": {k: v for k, v in _metadata(args).items()}, **payload}
+    body = {"config": _metadata(args), **payload}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(body, indent=2, sort_keys=True, default=float) + "\n")
 
@@ -111,27 +120,19 @@ def _cmd_spectrum(args) -> list[str]:
     omegas = np.linspace(args.omega_min, args.omega_max, args.steps)
     col_omega, col_k, col_lam, col_neg = [], [], [], []
     for omega in omegas:
-        decomp = eigendecompose(build_hamiltonian(spec, barrier_profile(spec, omega)))
-        lam = decomp.eigenvalues
+        lam = decompose(spec, barrier_profile(spec, omega)).eigenvalues
         col_omega.append(np.full(spec.n_sites, omega))
         col_k.append(np.arange(1, spec.n_sites + 1))
         col_lam.append(lam)
         # spectrum of the sign-flipped field profile (particle-hole partner)
         col_neg.append(-lam[::-1])
-    meta = _metadata(args)
-    meta["units_energy"] = "J"
-    path = _resolve_out(args)
-    write_csv(
-        path,
-        {
-            "omega": np.concatenate(col_omega),
-            "k": np.concatenate(col_k),
-            "lambda": np.concatenate(col_lam),
-            "lambda_flipped": np.concatenate(col_neg),
-        },
-        meta,
-    )
-    return [path]
+    columns = {
+        "omega": np.concatenate(col_omega),
+        "k": np.concatenate(col_k),
+        "lambda": np.concatenate(col_lam),
+        "lambda_flipped": np.concatenate(col_neg),
+    }
+    return [_emit(args, columns, units_energy="J")]
 
 
 def _cmd_ipr(args) -> list[str]:
@@ -142,7 +143,7 @@ def _cmd_ipr(args) -> list[str]:
     rows: dict[str, list] = {"omega": [], "role": [], "k": [], "lambda": [], "ipr": []}
     for omega in omegas:
         profile = barrier_profile(spec, omega)
-        decomp = eigendecompose(build_hamiltonian(spec, profile))
+        decomp = decompose(spec, profile)
         report = localization_report(decomp, profile)
         tracked = [("barrier", k) for k in report.barrier_pair]
         tracked += [("end", k) for k in report.bilocalized_pair]
@@ -152,22 +153,14 @@ def _cmd_ipr(args) -> list[str]:
             rows["k"].append(k + 1)
             rows["lambda"].append(decomp.eigenvalues[k])
             rows["ipr"].append(ipr(decomp.eigenvectors[:, k]))
-    meta = _metadata(args)
-    meta["units_energy"] = "J"
-    path = _resolve_out(args)
-    write_csv(path, rows, meta)
-    return [path]
+    return [_emit(args, rows, units_energy="J")]
 
 
 def _cmd_transfer(args) -> list[str]:
     spec = ChainSpec(args.n)
-    decomp = eigendecompose(build_hamiltonian(spec, barrier_profile(spec, args.omega)))
+    decomp = decompose(spec, barrier_profile(spec, args.omega))
     times = np.linspace(0.0, args.big_t, args.points)
-    meta = _metadata(args)
-    meta["units_time"] = "1/J"
-    path = _resolve_out(args)
-    write_csv(path, transfer_series(decomp, times), meta)
-    return [path]
+    return [_emit(args, transfer_series(decomp, times), units_time="1/J")]
 
 
 def _cmd_maxfid(args) -> list[str]:
@@ -176,17 +169,13 @@ def _cmd_maxfid(args) -> list[str]:
     for n in range(args.n_min, args.n_max + 1, args.n_step):
         spec = ChainSpec(n)
         for omega in omegas:
-            decomp = eigendecompose(build_hamiltonian(spec, barrier_profile(spec, omega)))
+            decomp = decompose(spec, barrier_profile(spec, omega))
             t_star, fbar = max_fidelity(decomp, (0.0, args.big_t))
             rows["n"].append(n)
             rows["omega"].append(omega)
             rows["t_star"].append(t_star)
             rows["max_avg_fidelity"].append(fbar)
-    meta = _metadata(args)
-    meta["units_time"] = "1/J"
-    path = _resolve_out(args)
-    write_csv(path, rows, meta)
-    return [path]
+    return [_emit(args, rows, units_time="1/J")]
 
 
 def _cmd_scaling(args) -> list[str]:
@@ -194,21 +183,15 @@ def _cmd_scaling(args) -> list[str]:
         raise ValueError("scaling sweep needs omega_min > 0")
     omegas = np.geomspace(args.omega_min, args.omega_max, args.steps)
     rows: dict[str, list] = {"n": [], "omega": [], "gap": [], "t_max": []}
-    for n in _int_list(args.n_list):
+    for n in args.n_list:
         spec = ChainSpec(n)
         for omega in omegas:
-            profile = barrier_profile(spec, omega)
-            report = localization_report(eigendecompose(build_hamiltonian(spec, profile)), profile)
+            report = barrier_report(spec, omega)
             rows["n"].append(n)
             rows["omega"].append(omega)
             rows["gap"].append(report.gap)
             rows["t_max"].append(rabi_transfer_time(report))
-    meta = _metadata(args)
-    meta["units_time"] = "1/J"
-    meta["units_energy"] = "J"
-    path = _resolve_out(args)
-    write_csv(path, rows, meta)
-    return [path]
+    return [_emit(args, rows, units_time="1/J", units_energy="J")]
 
 
 def _cmd_disorder(args) -> list[str]:
@@ -216,9 +199,9 @@ def _cmd_disorder(args) -> list[str]:
     rows: dict[str, list] = {
         "b": [], "omega": [], "mean": [], "stderr": [], "n_samples": [], "seed": [],
     }
-    for omega in _float_list(args.omega_list):
+    for omega in args.omega_list:
         window = default_window(spec, omega, args.window_factor)
-        for b in _float_list(args.b_list):
+        for b in args.b_list:
             model = DisorderModel(BULK_UNIFORM, b)
             result = monte_carlo(
                 args.metric, model, spec, omega, window,
@@ -230,16 +213,13 @@ def _cmd_disorder(args) -> list[str]:
             rows["stderr"].append(result.std_error)
             rows["n_samples"].append(result.n_samples)
             rows["seed"].append(result.seed)
-    meta = _metadata(args)
-    path = _resolve_out(args)
-    write_csv(path, rows, meta)
-    return [path]
+    return [_emit(args, rows)]
 
 
 def _cmd_leakage(args) -> list[str]:
     omegas = np.linspace(args.omega_min, args.omega_max, args.steps)
     written = []
-    for n in _int_list(args.n_list):
+    for n in args.n_list:
         spec = ChainSpec(n)
         rows: dict[str, list] = {
             "omega": [], "mean": [], "stderr": [], "n_samples": [], "seed": [],
@@ -256,11 +236,7 @@ def _cmd_leakage(args) -> list[str]:
             rows["stderr"].append(result.std_error)
             rows["n_samples"].append(result.n_samples)
             rows["seed"].append(result.seed)
-        meta = _metadata(args)
-        meta["n"] = n
-        path = _suffixed_out(args, f"n{n}")
-        write_csv(path, rows, meta)
-        written.append(path)
+        written.append(_emit(args, rows, _suffixed_out(args, f"n{n}"), n=n))
     return written
 
 
@@ -268,9 +244,9 @@ def _cmd_ebit(args) -> list[str]:
     spec = ChainSpec(args.n)
     state = EbitState(args.alpha, args.beta)
     written = []
-    for omega in _float_list(args.omega_list):
+    for omega in args.omega_list:
         profile = ebit_barrier_profile(spec, omega)
-        decomp = eigendecompose(build_hamiltonian(spec, profile))
+        decomp = decompose(spec, profile)
         lo, hi = ebit_window(spec, omega, state)
         rows: dict[str, list] = {
             "t": [], "abs_p_Nm1": [], "abs_p_N": [], "concurrence": [],
@@ -281,14 +257,8 @@ def _cmd_ebit(args) -> list[str]:
             rows["abs_p_Nm1"].append(abs(p[-2]))
             rows["abs_p_N"].append(abs(p[-1]))
             rows["concurrence"].append(pair_concurrence(p))
-        meta = _metadata(args)
-        meta["units_time"] = "1/J"
-        meta["omega"] = omega
-        meta["window_lo"] = lo
-        meta["window_hi"] = hi
         path = _suffixed_out(args, f"omega{omega:g}")
-        write_csv(path, rows, meta)
-        written.append(path)
+        written.append(_emit(args, rows, path, units_time="1/J", omega=omega, window_lo=lo, window_hi=hi))
     return written
 
 
@@ -311,25 +281,15 @@ def _cmd_protocol(args) -> list[str]:
     t_end = args.t_end if args.t_end is not None else schedule.t2 + args.window
     trajectory = simulate_protocol(spec, schedule, t_end=t_end, sample_dt=args.sample_dt)
     mean, drift = storage_fidelity(trajectory, min(args.window, t_end - schedule.t2))
-    meta = _metadata(args)
-    meta["units_time"] = "1/J"
-    if args.out:
-        csv_path = args.out
-        json_path = os.path.splitext(args.out)[0] + ".json"
-    else:
-        csv_path = _resolve_out(args, ".csv")
-        json_path = _resolve_out(args, ".json")
-    write_csv(
-        csv_path,
-        {
-            "t": trajectory.times,
-            "omega2": trajectory.omega2,
-            "omegaNm1": trajectory.omega_nm1,
-            "abs_f": trajectory.abs_f,
-            "avg_fidelity": trajectory.avg_fidelity,
-        },
-        meta,
-    )
+    columns = {
+        "t": trajectory.times,
+        "omega2": trajectory.omega2,
+        "omegaNm1": trajectory.omega_nm1,
+        "abs_f": trajectory.abs_f,
+        "avg_fidelity": trajectory.avg_fidelity,
+    }
+    csv_path = _emit(args, columns, units_time="1/J")
+    json_path = os.path.splitext(csv_path)[0] + ".json"
     _write_json(
         json_path,
         args,
@@ -351,18 +311,14 @@ def _cmd_protocol(args) -> list[str]:
 def _cmd_effective(args) -> list[str]:
     rows: dict[str, list] = {"n": [], "omega": [], "gap_exact": [], "gap_effective": [], "ratio": []}
     for n in range(args.n_min, args.n_max + 1, args.n_step):
-        for omega in _float_list(args.omega_list):
+        for omega in args.omega_list:
             cmp = predicted_vs_exact_gap(n, omega)
             rows["n"].append(n)
             rows["omega"].append(omega)
             rows["gap_exact"].append(cmp.gap_exact)
             rows["gap_effective"].append(cmp.gap_effective)
             rows["ratio"].append(cmp.ratio)
-    meta = _metadata(args)
-    meta["units_energy"] = "J"
-    path = _resolve_out(args)
-    write_csv(path, rows, meta)
-    return [path]
+    return [_emit(args, rows, units_energy="J")]
 
 
 def _cmd_oracle_check(args) -> list[str]:
@@ -375,7 +331,7 @@ def _cmd_oracle_check(args) -> list[str]:
             omega = rng.uniform(0.0, args.omega_max)
             t = rng.uniform(0.0, args.t_max)
             profile = barrier_profile(spec, omega)
-            decomp = eigendecompose(build_hamiltonian(spec, profile))
+            decomp = decompose(spec, profile)
             f_spectral = transition_amplitude(decomp, 1, n, t)
             f_oracle = oracle_transition_amplitude(spec, profile, 1, n, t)
             worst = max(worst, abs(f_spectral - f_oracle))
@@ -530,51 +486,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Load --config (if present) into the chosen subparser's defaults."""
-    if not argv or argv[0].startswith("-"):
-        return
-    experiment = argv[0]
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return
-    with open(path, encoding="utf-8") as fh:
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's entries are read as flags placed right
+    after the subcommand, so the command line's own flags come later and win."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    with open(args.config, encoding="utf-8") as fh:
         entries = parse_config_block(fh.read())
     if "T" in entries:
         entries["big_t"] = entries.pop("T")
     declared = entries.pop("experiment", None)
-    if declared is not None and declared != experiment:
-        raise ValueError(f"config declares experiment {declared!r}, command line says {experiment!r}")
-    sub = None
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            sub = action.choices.get(experiment)
-    if sub is None:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    actions = {a.dest: a for a in sub._actions}
-    unknown = set(entries) - set(actions)
+    if declared is not None and declared != args.experiment:
+        raise ValueError(f"config declares experiment {declared!r}, command line says {args.experiment!r}")
+    known = vars(args)
+    unknown = set(entries) - set(known)
     if unknown:
         raise ValueError(f"config keys not understood: {sorted(unknown)}")
-    # run config values through the same converters as command-line strings,
-    # so a config run and a flag run produce identical headers
+    flags = []
     for key, value in entries.items():
-        convert = actions[key].type
-        if convert is not None:
-            entries[key] = convert(value)
-    sub.set_defaults(**entries)
+        flag = "--T" if key == "big_t" else "--" + key.replace("_", "-")
+        if isinstance(value, bool) and isinstance(known[key], bool):
+            # an on/off switch takes no value
+            flags += [flag] if value else []
+            continue
+        if isinstance(value, (list, tuple)):
+            value = ",".join(str(v) for v in value)
+        flags.append(f"{flag}={value}")
+    at = argv.index(args.experiment) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         written = _HANDLERS[args.experiment](args)
     except (KeyboardInterrupt, SystemExit):
         raise

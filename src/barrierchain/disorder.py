@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, barrier_profile, build_hamiltonian, FieldProfile
-from .metrics import localization_report, max_fidelity, rabi_transfer_time
-from .spectral import eigendecompose, transition_amplitude
+from .chain import ChainSpec, barrier_profile, FieldProfile
+from .metrics import barrier_report, max_fidelity, rabi_transfer_time
+from .spectral import decompose, transition_amplitude
 
 RNG_KIND = "philox 2x64 key=(seed, sample_index)"
 
@@ -108,9 +108,7 @@ MAX_FIDELITY = "max-fidelity"
 def default_window(spec: ChainSpec, omega: float, factor: float = 3.0) -> tuple[float, float]:
     """[0, factor t_MAX] of the clean barrier chain; the default 3 is
     generous enough that a disorder-shifted Rabi peak still falls inside."""
-    profile = barrier_profile(spec, omega)
-    report = localization_report(eigendecompose(build_hamiltonian(spec, profile)), profile)
-    return (0.0, factor * rabi_transfer_time(report))
+    return (0.0, factor * rabi_transfer_time(barrier_report(spec, omega)))
 
 
 def monte_carlo(
@@ -135,12 +133,11 @@ def monte_carlo(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     base = barrier_profile(chain, omega)
-    clean_report = localization_report(eigendecompose(build_hamiltonian(chain, base)), base)
-    t_max = rabi_transfer_time(clean_report)
+    t_max = rabi_transfer_time(barrier_report(chain, omega))
 
     def one_sample_value(index: int) -> float:
         profile = sample_profile(model, base, index, seed)
-        decomp = eigendecompose(build_hamiltonian(chain, profile))
+        decomp = decompose(chain, profile)
         t_star, fbar = max_fidelity(decomp, window, t_max=t_max)
         if metric == MAX_FIDELITY:
             return fbar

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, FieldProfile, build_hamiltonian, ebit_barrier_profile
+from .chain import ChainSpec, FieldProfile, ebit_barrier_profile
 from .metrics import _peak_search
 from .spectral import (
     AmplitudeVector,
     SpectralDecomposition,
-    eigendecompose,
+    decompose,
     evolve,
     scan_amplitude,
     transition_amplitude,
@@ -59,7 +59,7 @@ def evolve_ebit(
     """Site amplitudes p_j(t) = alpha f_{j1}(t) + beta f_{j2}(t)."""
     _check_ebit_profile(spec, profile)
     if decomp is None:
-        decomp = eigendecompose(build_hamiltonian(spec, profile))
+        decomp = decompose(spec, profile)
     initial = np.zeros(spec.n_sites, dtype=complex)
     initial[0] = state.alpha
     initial[1] = state.beta
@@ -90,7 +90,7 @@ def dominant_pair_gap(
     entanglement revival.
     """
     _check_ebit_profile(spec, profile)
-    decomp = eigendecompose(build_hamiltonian(spec, profile))
+    decomp = decompose(spec, profile)
     weights = np.abs(
         decomp.eigenvectors[0, :] * state.alpha + decomp.eigenvectors[1, :] * state.beta
     ) ** 2
@@ -125,16 +125,16 @@ def peak_pair_concurrence(
     profile: FieldProfile,
     state: EbitState,
     window: tuple[float, float],
-    grid_step: float | None = None,
 ) -> tuple[float, float]:
     """(t*, C*) maximizing the receiver-pair concurrence over a window.
 
-    Same scan-plus-golden-section approach as the fidelity peak search.
+    Same scan-plus-golden-section approach as the fidelity peak search, on a
+    grid of step 0.25.
     """
     _check_ebit_profile(spec, profile)
-    decomp = eigendecompose(build_hamiltonian(spec, profile))
+    decomp = decompose(spec, profile)
     lo, hi = float(window[0]), float(window[1])
-    step = 0.25 if grid_step is None else float(grid_step)
+    step = 0.25
     start = decomp.eigenvectors[0, :] * state.alpha + decomp.eigenvectors[1, :] * state.beta
 
     def scan(grid: np.ndarray) -> np.ndarray:

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chain import ChainSpec, barrier_profile, build_hamiltonian
-from .metrics import localization_report
-from .spectral import eigendecompose
+from .chain import ChainSpec
+from .metrics import barrier_report
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,6 @@ def predicted_vs_exact_gap(n_sites: int, omega: float) -> GapComparison:
         raise ValueError("gap comparison needs N >= 6")
     if omega < 2:
         raise ValueError("gap comparison needs omega >= 2 (resolved pair)")
-    spec = ChainSpec(n_sites)
-    profile = barrier_profile(spec, omega)
-    report = localization_report(eigendecompose(build_hamiltonian(spec, profile)), profile)
+    report = barrier_report(ChainSpec(n_sites), omega)
     gap_effective = effective_gap(effective_model(n_sites, omega))
     return GapComparison(report.gap, gap_effective, gap_effective / report.gap)

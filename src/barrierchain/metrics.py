@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FieldProfile
-from .spectral import SpectralDecomposition, scan_amplitude, transition_amplitude, transition_weights
+from .chain import ChainSpec, FieldProfile, barrier_profile
+from .spectral import SpectralDecomposition, decompose, scan_amplitude, transition_amplitude, transition_weights
 
 _RANGE_SLACK = 1e-9
+# eigenvalues within this of zero count as exact zero modes
+_ZERO_MODE_TOL = 1e-9
 
 
 def average_fidelity(abs_f):
@@ -95,7 +97,13 @@ def localization_report(decomp: SpectralDecomposition, profile: FieldProfile) ->
     return LocalizationReport(iprs, (k1, k2), barrier_pair, gap)
 
 
-def bilocalized_pair_by_energy(decomp: SpectralDecomposition, zero_tol: float = 1e-9) -> tuple[int, int]:
+def barrier_report(spec: ChainSpec, omega: float) -> LocalizationReport:
+    """Localization report of the clean chain with barriers omega on sites 2 and N-1."""
+    profile = barrier_profile(spec, omega)
+    return localization_report(decompose(spec, profile), profile)
+
+
+def bilocalized_pair_by_energy(decomp: SpectralDecomposition) -> tuple[int, int]:
     """Pair selection by eigenvalue position instead of overlap mass.
 
     The sender/receiver pair sits closest to zero on the side of the band
@@ -105,7 +113,7 @@ def bilocalized_pair_by_energy(decomp: SpectralDecomposition, zero_tol: float = 
     """
     w = decomp.eigenvalues
     barrier_side = 1.0 if abs(w[-1]) >= abs(w[0]) else -1.0
-    candidates = np.nonzero(barrier_side * w < -zero_tol)[0]
+    candidates = np.nonzero(barrier_side * w < -_ZERO_MODE_TOL)[0]
     if candidates.size < 2:
         raise ValueError("no two eigenvalues on the expected side of zero")
     order = np.argsort(np.abs(w[candidates]))
@@ -164,8 +172,6 @@ def max_fidelity(
     decomp: SpectralDecomposition,
     window: tuple[float, float] | float,
     t_max: float | None = None,
-    sender: int = 1,
-    receiver: int | None = None,
 ) -> tuple[float, float]:
     """Peak of Fbar(t) over a window: grid scan plus golden-section refinement.
 
@@ -173,18 +179,18 @@ def max_fidelity(
     Rabi time is known and 0.25 otherwise; |f| on it comes from the blocked
     ``scan_amplitude``, and the refinement evaluates ``transition_amplitude``
     at single times.  Ties on the grid resolve to the earliest time.
-    Returns (t*, Fbar*).
+    Returns (t*, Fbar*) for transfer from site 1 to site N.
     """
     lo, hi = (0.0, float(window)) if np.isscalar(window) else (float(window[0]), float(window[1]))
-    receiver = decomp.n_sites if receiver is None else receiver
+    receiver = decomp.n_sites
     step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
-    weights = transition_weights(decomp, sender, receiver)
+    weights = transition_weights(decomp, 1, receiver)
 
     def scan(grid: np.ndarray) -> np.ndarray:
         return np.abs(scan_amplitude(decomp, weights, lo, step, grid.size))
 
     def objective(t: float) -> float:
-        return abs(transition_amplitude(decomp, sender, receiver, t))
+        return abs(transition_amplitude(decomp, 1, receiver, t))
 
     t_star, abs_f = _peak_search(objective, scan, lo, hi, step)
     return t_star, average_fidelity(abs_f)

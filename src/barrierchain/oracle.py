@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian, build_hamiltonian
+from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian
 
 _MAX_FULL_SITES = 12
 

@@ -31,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .chain import ChainSpec, FieldProfile, build_hamiltonian
+from .chain import ChainSpec, FieldProfile
 from .metrics import average_fidelity
 from .spectral import (
     AmplitudeVector,
     SpectralDecomposition,
-    eigendecompose,
+    decompose,
     evolve,
     evolve_many,
     site_state,
@@ -140,7 +140,7 @@ def _stage_decomposition(spec: ChainSpec, omega2: float, omega_nm1: float) -> Sp
     # fields K = -omega/2 make the static builder's 2K diagonal equal the
     # drive convention's -omega.
     profile = FieldProfile(_drive_diagonal(spec, omega2, omega_nm1) / 2.0)
-    return eigendecompose(build_hamiltonian(spec, profile))
+    return decompose(spec, profile)
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,12 +392,11 @@ def optimize_interval(
     spec: ChainSpec,
     schedule: SwitchingSchedule,
     window: float = 100.0,
-    span: float = 0.25,
     n_grid: int = 41,
 ) -> tuple[float, float]:
     """Tune delta_t to maximize the post-release storage mean (ideal steps).
 
-    Scans n_grid points over delta_t * [1 - span, 1 + span] around the
+    Scans n_grid points over delta_t * [0.75, 1.25] around the
     schedule's interval, then refines by golden section.  Returns
     (delta_t_star, storage mean there).
     """
@@ -416,8 +415,8 @@ def optimize_interval(
         tail = evolve_many(stage3, held, taus)
         return float(np.mean(average_fidelity(np.abs(tail[:, -1]))))
 
-    lo = schedule.delta_t * (1.0 - span)
-    hi = schedule.delta_t * (1.0 + span)
+    lo = schedule.delta_t * 0.75
+    hi = schedule.delta_t * 1.25
     grid = np.linspace(lo, hi, n_grid)
     values = [objective(d) for d in grid]
     best = int(np.argmax(values))

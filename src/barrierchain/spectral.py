@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .chain import SingleExcitationHamiltonian
+from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian, build_hamiltonian
 
 # Relative eigenvalue spacing below which two states are treated as one
 # degenerate cluster.  Kept far below any physical Rabi gap (>= 1/(2 omega^2)
@@ -146,6 +146,11 @@ def eigendecompose(h: SingleExcitationHamiltonian) -> SpectralDecomposition:
         scale = max(1.0, float(np.abs(w).max()))
         v = _parity_adapt(w, v, _CLUSTER_RTOL * scale)
     return SpectralDecomposition(w, _fix_signs(v))
+
+
+def decompose(spec: ChainSpec, profile: FieldProfile) -> SpectralDecomposition:
+    """Decomposition of the chain ``spec`` under the local fields ``profile``."""
+    return eigendecompose(build_hamiltonian(spec, profile))
 
 
 def evolve(decomp: SpectralDecomposition, initial: AmplitudeVector, t: float) -> AmplitudeVector:

@@ -196,17 +196,67 @@ def test_oracle_check_passes_and_fails(tmp_path, capsys):
     assert json.loads((tmp_path / "strict.json").read_text())["pass"] is False
 
 
-def test_config_file_matches_flags(tmp_path, capsys):
-    cfg = tmp_path / "spectrum.cfg"
-    cfg.write_text(
-        "experiment = spectrum\nn = 8\nomega-min = 0\nomega-max = 6\nsteps = 4\n"
-    )
+# (config text, equivalent flags, files written); one case per kind of value:
+# ints and floats, a switch, int and float lists, strings, negatives, exponents
+CONFIG_CASES = {
+    "spectrum": (
+        "experiment = spectrum\nn = 8\nomega-min = 0\nomega-max = 6\nsteps = 4\n",
+        SPECTRUM,
+        ["spectrum.csv"],
+    ),
+    "protocol": (
+        "experiment = protocol\nn = 8\nk1 = 8.0\nk2 = 4.0\nt1 = 5.0\nwindow = 20.0\noptimize = True\n",
+        ["protocol", "--n", "8", "--k1", "8", "--k2", "4", "--t1", "5", "--window", "20", "--optimize"],
+        ["protocol.csv", "protocol.json"],
+    ),
+    "leakage": (
+        "experiment = leakage\nn_list = [8, 10]\nomega_min = 4\nomega_max = 8\nsteps = 2\n"
+        "window_factor = 1.0\nmetric = max-fidelity\nn_samples = 5\nseed = 4\n",
+        ["leakage", "--n-list", "8,10", "--omega-min", "4", "--omega-max", "8", "--steps", "2",
+         "--window-factor", "1.0", "--metric", "max-fidelity", "--n-samples", "5", "--seed", "4"],
+        ["leakage_n8.csv", "leakage_n10.csv"],
+    ),
+    "ebit": (
+        "experiment = ebit\nn = 10\nomega_list = [4.0, 8.5]\npoints = 16\nalpha = 0.6\nbeta = -0.8\n",
+        ["ebit", "--n", "10", "--omega-list", "4,8.5", "--points", "16", "--alpha", "0.6",
+         "--beta", "-0.8"],
+        ["ebit_omega4.csv", "ebit_omega8.5.csv"],
+    ),
+    "oracle-check": (
+        "experiment = oracle-check\nn_min = 4\nn_max = 5\npairs = 2\ntol = 1e-10\n",
+        ["oracle-check", "--n-min", "4", "--n-max", "5", "--pairs", "2", "--tol", "0.0000000001"],
+        ["oracle-check.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", list(CONFIG_CASES))
+def test_config_file_matches_flags(experiment, tmp_path, capsys):
+    text, flags, names = CONFIG_CASES[experiment]
+    cfg = tmp_path / f"{experiment}.cfg"
+    cfg.write_text(text)
     a = tmp_path / "a"
     b = tmp_path / "b"
     a.mkdir(), b.mkdir()
-    run(SPECTRUM, a, capsys)
-    run(["spectrum", "--config", str(cfg)], b, capsys)
-    assert (a / "spectrum.csv").read_bytes() == (b / "spectrum.csv").read_bytes()
+    run(flags, a, capsys)
+    run([experiment, "--config", str(cfg)], b, capsys)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    if experiment == "protocol":
+        assert json.loads((b / "protocol.json").read_text())["config"]["optimize"] is True
+
+
+def test_config_value_is_validated_like_its_flag(tmp_path, capsys):
+    base = ["disorder", "--n", "8", "--omega-list", "10", "--b-list", "0", "--n-samples", "2"]
+    cfg = tmp_path / "bad.cfg"
+    for key, value, message in [("metric", "bogus", "invalid choice: 'bogus'"),
+                                ("n", "eight", "invalid int value: 'eight'")]:
+        cfg.write_text(f"{key} = {value}\n")
+        for argv in (base + [f"--{key}", value], base + ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv, tmp_path, capsys)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
 
 def test_flags_override_config(tmp_path, capsys):
