@@ -26,6 +26,14 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _format_column(a: np.ndarray) -> list[str]:
+    # tolist() gives Python floats, ints and bools (or lists of them), whose
+    # repr is exactly what _format_value writes for them
+    if a.dtype.kind in "fiub":
+        return list(map(repr, a.tolist()))
+    return [_format_value(v) for v in a.tolist()]
+
+
 def format_csv(columns: Mapping[str, Sequence], metadata: Mapping[str, object] | None = None) -> str:
     """Render named columns (equal length) plus metadata comments to CSV text."""
     names = list(columns)
@@ -39,8 +47,8 @@ def format_csv(columns: Mapping[str, Sequence], metadata: Mapping[str, object] |
     for key, value in (metadata or {}).items():
         buf.write(f"# {key} = {_format_value(value)}\n")
     buf.write(",".join(names) + "\n")
-    for row in zip(*(a.tolist() for a in arrays)):
-        buf.write(",".join(_format_value(v) for v in row) + "\n")
+    for row in zip(*(_format_column(a) for a in arrays)):
+        buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
 

@@ -11,6 +11,9 @@ A config file uses the same `key = value` format as profile blocks; keys
 mirror flag names with underscores (`T` for `--T`).  Its entries are read
 as flags placed before the command line's own, so flags given on the
 command line win, and each value is parsed and validated like its flag.
+An entry of `None` for a flag that defaults to None keeps that default, so
+the configuration a run logs (less its `tool` and `version` lines) loads
+back as a config.
 The `BARRIERCHAIN_OUTDIR` environment variable sets the default output
 directory.
 """
@@ -64,11 +67,17 @@ _UNLOGGED = {"out", "config", "threads", "experiment"}
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    return values
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in _float_list(text)]
+    values = _float_list(text)
+    if not all(v.is_integer() for v in values):
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
+    return [int(v) for v in values]
 
 
 def _outdir() -> str:
@@ -499,21 +508,24 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     declared = entries.pop("experiment", None)
     if declared is not None and declared != args.experiment:
         raise ValueError(f"config declares experiment {declared!r}, command line says {args.experiment!r}")
-    known = vars(args)
-    unknown = set(entries) - set(known)
+    at = argv.index(args.experiment) + 1
+    defaults = vars(parser.parse_args(argv[:at]))
+    unknown = set(entries) - set(defaults)
     if unknown:
         raise ValueError(f"config keys not understood: {sorted(unknown)}")
     flags = []
     for key, value in entries.items():
+        if value is None and defaults[key] is None:
+            # None asks for the flag's default, as the run headers record it
+            continue
         flag = "--T" if key == "big_t" else "--" + key.replace("_", "-")
-        if isinstance(value, bool) and isinstance(known[key], bool):
+        if isinstance(value, bool) and isinstance(defaults[key], bool):
             # an on/off switch takes no value
             flags += [flag] if value else []
             continue
         if isinstance(value, (list, tuple)):
             value = ",".join(str(v) for v in value)
         flags.append(f"{flag}={value}")
-    at = argv.index(args.experiment) + 1
     return parser.parse_args(argv[:at] + flags + argv[at:])
 
 

@@ -259,6 +259,53 @@ def test_config_value_is_validated_like_its_flag(tmp_path, capsys):
             assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scaling", "--n-list", "8.7"], "not a list of integers: '8.7'"),
+    (["leakage", "--n-list", "10,inf"], "not a list of integers: '10,inf'"),
+    (["disorder", "--b-list", ","], "empty list: ','"),
+    (["effective", "--omega-list", ""], "empty list: ''"),
+    (["scaling", "--n-list", " , "], "empty list: ' , '"),
+])
+def test_bad_list_flag_is_a_usage_error(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv, tmp_path, capsys)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_int_list_accepts_integral_values(tmp_path, capsys):
+    run(["scaling", "--n-list", "8,10.0", "--steps", "2"], tmp_path, capsys)
+    _, meta = read_csv(tmp_path / "scaling.csv")
+    assert meta["n_list"] == "[8, 10]"
+
+
+def test_logged_protocol_config_loads_back(tmp_path, capsys):
+    # the JSON's config block holds delta_t = t_end = None (flag defaults);
+    # tool and version describe the program, not a flag, so they are left out
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    run(["protocol", "--n", "8", "--k1", "8", "--k2", "4", "--t1", "5", "--window", "20"], a, capsys)
+    config = json.loads((a / "protocol.json").read_text())["config"]
+    assert config["delta_t"] is None and config["t_end"] is None
+    cfg = tmp_path / "logged.cfg"
+    cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in config.items()
+                           if key not in ("tool", "version")))
+    run(["protocol", "--config", str(cfg)], b, capsys)
+    for name in ("protocol.csv", "protocol.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_config_none_for_a_valued_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n = None\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["protocol", "--config", str(cfg)], tmp_path, capsys)
+    assert exc.value.code == 2
+    assert "invalid int value: 'None'" in capsys.readouterr().err
+
+
 def test_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "spectrum.cfg"
     cfg.write_text("n = 8\nomega-min = 0\nomega-max = 6\nsteps = 4\n")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from barrierchain import protocol
 from barrierchain._csvio import format_csv
 from barrierchain.chain import ChainSpec, FieldProfile, build_hamiltonian
 from barrierchain.protocol import (
@@ -187,3 +189,97 @@ def test_optimize_interval_beats_its_seed():
 def test_protocol_needs_six_sites():
     with pytest.raises(ValueError):
         simulate_protocol(ChainSpec(5), schedule8())
+
+
+def _reference_cf4_step(spec, schedule, psi, t, h):
+    """The per-step CF4 kernel the planned pass replaced: both Gauss-node
+    fields, two eigh_tridiagonal factors, two matvecs each."""
+    omega2, omega_nm1 = protocol.field_at(schedule, t + h * protocol._NODES)
+    d1 = protocol._drive_diagonal(spec, omega2[0], omega_nm1[0])
+    d2 = protocol._drive_diagonal(spec, omega2[1], omega_nm1[1])
+    big, small = protocol._WEIGHT_BIG, protocol._WEIGHT_SMALL
+    off = np.full(spec.n_sites - 1, -(big + small))
+    for da, db in ((big, small), (small, big)):
+        w, v = eigh_tridiagonal(da * d1 + db * d2, off, lapack_driver="stevd")
+        psi = v @ (np.exp(-1j * h * w) * (v.T @ psi))
+    return psi
+
+
+def _reference_integrate_active(spec, schedule, psi, t_start, checkpoints, h0, steps):
+    """The per-step loop the planned pass replaced; appends each step's t to steps."""
+    states = []
+    t = t_start
+    for tc in checkpoints:
+        span = tc - t
+        if span > 0:
+            n_sub = max(1, int(np.ceil(span / h0 - 1e-12)))
+            h = span / n_sub
+            for j in range(n_sub):
+                psi = _reference_cf4_step(spec, schedule, psi, t + j * h, h)
+                steps.append(t + j * h)
+            t = tc
+        states.append(psi)
+    return states
+
+
+def _zero_tails(schedule, t):
+    """The logistic drive with tails below 1e-12 cut to exact zeros."""
+    omega2, omega_nm1 = field_at(schedule, t)
+    return np.where(omega2 < 1e-12, 0.0, omega2), np.where(omega_nm1 < 1e-12, 0.0, omega_nm1)
+
+
+# (spec, schedule, t_end - t2, sample_dt, h0, zero tails); in each case the
+# first switching window ends on a stretch where both fields are exactly K2
+CF4_CASES = {
+    "n8": (N8, schedule8(smoothing_timescale=0.1), 5.0, 0.05, 0.025, False),
+    "n8-zero-tails": (N8, schedule8(smoothing_timescale=0.1), 5.0, 0.05, 0.025, True),
+    "n30-window": (ChainSpec(30), SwitchingSchedule(k1=60.0, k2=30.0, delta_t=5.0, t1=2.5,
+                                                    smoothing_timescale=0.05),
+                   1.0, 0.1, 0.01, True),
+}
+
+
+@pytest.mark.parametrize("case", list(CF4_CASES))
+def test_planned_cf4_pass_is_bit_identical_to_per_step_kernel(case, monkeypatch):
+    spec, sch, tail, sample_dt, h0, zero_tails = CF4_CASES[case]
+    if zero_tails:
+        monkeypatch.setattr(protocol, "field_at", _zero_tails)
+    t_end = sch.t2 + tail
+    times = protocol._sample_grid(sch, t_end, sample_dt)
+
+    solves = []
+
+    def counted_stevd(d, e):
+        solves.append(d[[1, -2]].copy())
+        return stevd(d, e)
+
+    stevd = protocol._stevd
+    monkeypatch.setattr(protocol, "_stevd", counted_stevd)
+    planned = protocol._run_once(spec, sch, t_end, times, h0)
+    steps = []
+    monkeypatch.setattr(protocol, "_integrate_active",
+                        lambda *args: _reference_integrate_active(*args, steps))
+    reference = protocol._run_once(spec, sch, t_end, times, h0)
+
+    for got, want in zip(planned, reference):
+        assert np.array_equal(got, want)
+    assert planned[1].size > 0
+    # the case exercises eigenpair reuse, and with zero tails a factor whose
+    # driven entry is a signed zero built from a zero field
+    assert len(solves) < 2 * len(steps)
+    if zero_tails:
+        assert any(np.any(d == 0.0) for d in solves)
+
+
+@pytest.mark.parametrize("n", [2, 6, 8, 30])
+def test_direct_stevd_matches_eigh_tridiagonal(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        d = rng.normal(scale=30.0, size=n)
+        d[rng.random(n) < 0.3] = -0.0
+        e = rng.normal(size=n - 1)
+        w, v, info = protocol._stevd(d, e)
+        assert info == 0
+        w_ref, v_ref = eigh_tridiagonal(d, e, lapack_driver="stevd")
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(v, v_ref)
