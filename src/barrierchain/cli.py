@@ -4,8 +4,8 @@ Each subcommand maps onto one analysis workflow and writes CSV (curves,
 grids) or JSON (scalar summaries).  Headers embed the tool version and the
 generating configuration, so re-running a config reproduces files
 byte-for-byte.  `--out`, `--config`, and `--threads` are deliberately left
-out of the embedded header: the first two are plumbing and the third never
-affects results.
+out of the embedded header: the first two are plumbing and the third is
+accepted and ignored (ensembles run serially).
 
 A config file uses the same `key = value` format as profile blocks; keys
 mirror flag names with underscores (`T` for `--T`).  Its entries are read
@@ -382,7 +382,7 @@ def _add_ensemble(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-samples", type=int, default=1000)
     sub.add_argument("--seed", type=int, default=2024)
     sub.add_argument("--threads", type=int, default=os.cpu_count(),
-                     help="worker threads; never affects the numbers")
+                     help="accepted and ignored; ensembles run serially")
     sub.add_argument("--metric", choices=[MAX_CONCURRENCE, MAX_FIDELITY],
                      default=MAX_CONCURRENCE)
 

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, FieldProfile, ebit_barrier_profile
-from .metrics import _peak_search
+from .metrics import peak_search
 from .spectral import (
     AmplitudeVector,
     SpectralDecomposition,
     decompose,
     evolve,
-    scan_amplitude,
     transition_amplitude,
 )
 
@@ -128,21 +127,18 @@ def peak_pair_concurrence(
 ) -> tuple[float, float]:
     """(t*, C*) maximizing the receiver-pair concurrence over a window.
 
-    Same scan-plus-golden-section approach as the fidelity peak search, on a
-    grid of step 0.25.
+    ``metrics.peak_search`` over |p_{N-1}| |p_N| on a grid of step 0.25,
+    the same scan-plus-golden-section search as the fidelity peak.
     """
     _check_ebit_profile(spec, profile)
     decomp = decompose(spec, profile)
-    lo, hi = float(window[0]), float(window[1])
-    step = 0.25
     start = decomp.eigenvectors[0, :] * state.alpha + decomp.eigenvectors[1, :] * state.beta
-
-    def scan(grid: np.ndarray) -> np.ndarray:
-        p_nm1 = scan_amplitude(decomp, decomp.eigenvectors[-2, :] * start, lo, step, grid.size)
-        p_n = scan_amplitude(decomp, decomp.eigenvectors[-1, :] * start, lo, step, grid.size)
-        return 2.0 * np.abs(p_nm1) * np.abs(p_n)
+    weights = (decomp.eigenvectors[-2, :] * start, decomp.eigenvectors[-1, :] * start)
 
     def objective(t: float) -> float:
-        return pair_concurrence(evolve_ebit(spec, profile, state, t, decomp))
+        p = evolve_ebit(spec, profile, state, t, decomp)
+        return abs(p[-2]) * abs(p[-1])
 
-    return _peak_search(objective, scan, lo, hi, step)
+    # 2 |p_{N-1}| |p_N|: doubling is exact, so it commutes with the search
+    t_star, product = peak_search(decomp, weights, objective, window[0], window[1], 0.25)
+    return t_star, float(2.0 * product)

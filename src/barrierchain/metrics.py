@@ -12,16 +12,30 @@ pair of eigenstates bi-localized on sender and receiver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .chain import ChainSpec, FieldProfile, barrier_profile
-from .spectral import SpectralDecomposition, decompose, scan_amplitude, transition_amplitude, transition_weights
+from .spectral import (
+    SpectralDecomposition,
+    decompose,
+    scan_amplitude,
+    scan_block_length,
+    scan_rows,
+    transition_amplitude,
+    transition_weights,
+    weighted_amplitude,
+)
 
 _RANGE_SLACK = 1e-9
 # eigenvalues within this of zero count as exact zero modes
 _ZERO_MODE_TOL = 1e-9
+# stride, in grid steps, of the coarse pass that prunes a peak search
+_PRUNE_STRIDE = 16
+_EPS = float(np.finfo(float).eps)
 
 
 def average_fidelity(abs_f):
@@ -146,24 +160,106 @@ def _golden_section(fun, lo: float, hi: float, tol: float = 1e-4) -> float:
     return c if fc >= fd else d
 
 
-def _peak_search(objective, scan, lo: float, hi: float, step: float) -> tuple[float, float]:
-    """Grid scan plus golden-section refinement; returns (t*, objective(t*)).
+def _grid_point(lo: float, step: float, i: int) -> float:
+    """Element i of ``np.arange(lo, stop, step)``, by numpy's own fill
+    arithmetic: lo, lo + step, then lo + i ((lo + step) - lo)."""
+    if i == 0:
+        return lo
+    if i == 1:
+        return lo + step
+    return lo + i * ((lo + step) - lo)
 
-    ``scan`` maps the grid lo, lo + step, ... <= hi to the objective's values
-    there.  The grid argmax (earliest on ties) is refined by golden section
-    over +-1 step clipped to [lo, hi]; if refinement ends below the grid
-    value, the grid point is kept.
+
+def _grid_count(lo: float, hi: float, step: float) -> int:
+    """Length of ``np.arange(lo, hi + step, step)`` once points above hi are
+    dropped (the grid rises, so they form its tail)."""
+    count = math.ceil(((hi + step) - lo) / step)
+    while count > 0 and _grid_point(lo, step, count - 1) > hi:
+        count -= 1
+    return count
+
+
+def _product_rule(per_factor: list[float], ceilings: list[float]) -> float:
+    """Bound on the change of prod_i |a_i| given bounds on the change of each
+    |a_i| and ceilings |a_i| <= u_i: sum_i x_i prod_{j != i} u_j."""
+    return sum(x * math.prod(ceilings[:i] + ceilings[i + 1 :]) for i, x in enumerate(per_factor))
+
+
+def _kept_rows(decomp: SpectralDecomposition, weights, lo: float, step: float, count: int, block: int) -> np.ndarray:
+    """Rows of the blocked scan that can hold the grid maximum.
+
+    A coarse scan at stride _PRUNE_STRIDE steps splits the grid into cells
+    between neighbouring coarse points.  Within a cell the objective exceeds
+    the larger end value by at most ``reach`` (slope bound times half the
+    cell), so a cell whose bound lies below the coarse maximum cannot hold
+    the grid maximum.  ``slack`` covers the round-off of both scans, whose
+    phases err by about eps |lambda_k| t.  Returns every row when no cell
+    could be dropped, and never a single row of several (see ``scan_rows``).
     """
+    n_rows = -(-count // block)
+    every = np.arange(n_rows)
+    magnitudes = [np.abs(w) for w in weights]
+    levels = np.abs(decomp.eigenvalues)
+    ceilings = [float(m.sum()) for m in magnitudes]
+    stride = _PRUNE_STRIDE * step
+    reach = 0.5 * stride * _product_rule([float(m @ levels) for m in magnitudes], ceilings)
+    if n_rows < 2 or reach >= math.prod(ceilings):
+        return every
+    # N for the sums, the largest |t| scanned for the phases
+    horizon = decomp.n_sites + abs(lo) + (count + _PRUNE_STRIDE) * step
+    slack = _product_rule([64.0 * _EPS * horizon * float(m @ (1.0 + levels)) for m in magnitudes], ceilings)
+
+    n_coarse = -(-(count - 1) // _PRUNE_STRIDE) + 1
+    coarse = reduce(np.multiply, (np.abs(scan_amplitude(decomp, w, lo, stride, n_coarse)) for w in weights))
+    # coarse points past the last grid point only bound the final cell
+    floor = coarse[: (count - 1) // _PRUNE_STRIDE + 1].max() - slack
+    cells = np.flatnonzero(np.maximum(coarse[:-1], coarse[1:]) + reach + slack >= floor)
+    first = _PRUNE_STRIDE * cells // block
+    last = np.minimum(_PRUNE_STRIDE * (cells + 1), count - 1) // block
+    cover = np.cumsum(np.bincount(first, minlength=n_rows + 1) - np.bincount(last + 1, minlength=n_rows + 1))
+    rows = np.flatnonzero(cover[:n_rows])
+    if rows.size == 1:
+        rows = every[max(0, rows[0] - 1) :][:2]
+    return rows
+
+
+def peak_search(
+    decomp: SpectralDecomposition, weights, objective, lo: float, hi: float, step: float
+) -> tuple[float, float]:
+    """Maximum over [lo, hi] of prod_i |a_i(t)|, a_i(t) = sum_k w_ik exp(-i lambda_k t).
+
+    ``weights`` holds one weight vector per factor: one for |f|, two for the
+    pair concurrence 2 |p_{N-1}| |p_N| (whose factor 2 the caller applies).
+    ``objective(t)`` is the same product at a single time.  The grid is
+    ``np.arange(lo, hi + step, step)`` without the points above hi; its
+    argmax (earliest on ties) is refined by golden section over +-1 step
+    clipped to [lo, hi], and if refinement ends below the grid value the
+    grid point is kept.  Returns (t*, objective(t*)).
+
+    Only the blocks of ``scan_rows`` that can hold the maximum are scanned.
+    |d|a_i|/dt| <= L_i = sum_k |w_ik lambda_k| (Shubert, SIAM J. Numer. Anal.
+    9 (1972) 379) and |a_i| <= U_i = sum_k |w_ik| bound the product's slope,
+    so a coarse pass certifies which cells lie strictly below the grid
+    maximum (see ``_kept_rows``).  The kept rows are evaluated exactly as
+    the whole table would be, so the argmax and every returned bit are
+    those of the full scan.
+    """
+    lo, hi = float(lo), float(hi)
     if hi <= lo:
         raise ValueError("window must have positive length")
-    grid = np.arange(lo, hi + step, step)
-    grid = grid[grid <= hi]
-    values = scan(grid)
-    best = int(np.argmax(values))
-    t_best = _golden_section(objective, max(lo, grid[best] - step), min(hi, grid[best] + step))
+    count = _grid_count(lo, hi, step)
+    block = scan_block_length(count)
+    rows = _kept_rows(decomp, weights, lo, step, count, block)
+    values = reduce(np.multiply, (np.abs(scan_rows(decomp, w, lo, step, block, rows)) for w in weights)).reshape(-1)
+    index = (rows[:, None] * block + np.arange(block)).reshape(-1)
+    inside = index < count
+    values, index = values[inside], index[inside]
+    at = int(np.argmax(values))
+    t_grid = _grid_point(lo, step, int(index[at]))
+    t_best = _golden_section(objective, max(lo, t_grid - step), min(hi, t_grid + step))
     value = objective(t_best)
-    if value < values[best]:
-        t_best = float(grid[best])
+    if value < values[at]:
+        t_best = t_grid
         value = objective(t_best)
     return float(t_best), value
 
@@ -176,23 +272,20 @@ def max_fidelity(
     """Peak of Fbar(t) over a window: grid scan plus golden-section refinement.
 
     The grid is lo + j step up to hi, with step min(0.25, t_max/200) when the
-    Rabi time is known and 0.25 otherwise; |f| on it comes from the blocked
-    ``scan_amplitude``, and the refinement evaluates ``transition_amplitude``
-    at single times.  Ties on the grid resolve to the earliest time.
-    Returns (t*, Fbar*) for transfer from site 1 to site N.
+    Rabi time is known and 0.25 otherwise; ``peak_search`` scans |f| on the
+    grid cells that can hold the peak, and the refinement evaluates
+    ``transition_amplitude``'s sum at single times.  Ties on the grid
+    resolve to the earliest time.  Returns (t*, Fbar*) for transfer from
+    site 1 to site N.
     """
     lo, hi = (0.0, float(window)) if np.isscalar(window) else (float(window[0]), float(window[1]))
-    receiver = decomp.n_sites
     step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
-    weights = transition_weights(decomp, 1, receiver)
-
-    def scan(grid: np.ndarray) -> np.ndarray:
-        return np.abs(scan_amplitude(decomp, weights, lo, step, grid.size))
+    weights = transition_weights(decomp, 1, decomp.n_sites)
 
     def objective(t: float) -> float:
-        return abs(transition_amplitude(decomp, 1, receiver, t))
+        return abs(weighted_amplitude(decomp, weights, t))
 
-    t_star, abs_f = _peak_search(objective, scan, lo, hi, step)
+    t_star, abs_f = peak_search(decomp, (weights,), objective, lo, hi, step)
     return t_star, average_fidelity(abs_f)
 
 

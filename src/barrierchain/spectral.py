@@ -178,16 +178,47 @@ def transition_weights(decomp: SpectralDecomposition, from_site: int, to_site: i
     return decomp.eigenvectors[to_site - 1, :] * decomp.eigenvectors[from_site - 1, :]
 
 
+def weighted_amplitude(decomp: SpectralDecomposition, weights: np.ndarray, t):
+    """sum_k w_k exp(-i lambda_k t) for given spectral weights.
+
+    ``t`` may be a scalar or an array; the result matches its shape.
+    """
+    t = np.asarray(t, dtype=float)
+    phases = np.exp(-1j * np.multiply.outer(t, decomp.eigenvalues))
+    result = phases @ weights
+    return complex(result) if result.ndim == 0 else result
+
+
 def transition_amplitude(decomp: SpectralDecomposition, from_site: int, to_site: int, t):
     """f_{to,from}(t) = sum_k a_{k,to} a_{k,from} exp(-i lambda_k t).
 
     ``t`` may be a scalar or an array; the result matches its shape.
     """
-    weights = transition_weights(decomp, from_site, to_site)
-    t = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * np.multiply.outer(t, decomp.eigenvalues))
-    result = phases @ weights
-    return complex(result) if result.ndim == 0 else result
+    return weighted_amplitude(decomp, transition_weights(decomp, from_site, to_site), t)
+
+
+def scan_block_length(count: int) -> int:
+    """Block length B = ceil(sqrt(count)) of the blocked scan of ``count`` points."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return math.isqrt(count - 1) + 1
+
+
+def scan_rows(
+    decomp: SpectralDecomposition, weights: np.ndarray, lo: float, step: float, block: int, rows: np.ndarray
+) -> np.ndarray:
+    """Rows of the blocked scan table: entry [r, m] is the amplitude at grid
+    index rows[r] * block + m, i.e. at time lo + (rows[r] block + m) step.
+
+    A subset of rows gives the same bits as those rows of the whole table as
+    long as at least two rows are passed: numpy multiplies a single row by
+    BLAS gemv rather than gemm, which can round the sums differently.
+    """
+    starts = lo + step * (np.asarray(rows) * block)
+    offsets = step * np.arange(block)
+    coarse = np.exp(-1j * np.multiply.outer(starts, decomp.eigenvalues)) * weights
+    fine = np.exp(-1j * np.multiply.outer(offsets, decomp.eigenvalues))
+    return coarse @ fine.T
 
 
 def scan_amplitude(decomp: SpectralDecomposition, weights: np.ndarray, lo: float, step: float, count: int) -> np.ndarray:
@@ -197,11 +228,6 @@ def scan_amplitude(decomp: SpectralDecomposition, weights: np.ndarray, lo: float
     exponential tables hold O(sqrt(count) N) entries; returns a complex
     array of length count.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    block = math.isqrt(count - 1) + 1
-    starts = lo + step * np.arange(0, count, block)
-    offsets = step * np.arange(block)
-    coarse = np.exp(-1j * np.multiply.outer(starts, decomp.eigenvalues)) * weights
-    fine = np.exp(-1j * np.multiply.outer(offsets, decomp.eigenvalues))
-    return (coarse @ fine.T).reshape(-1)[:count]
+    block = scan_block_length(count)
+    rows = np.arange(-(-count // block))
+    return scan_rows(decomp, weights, lo, step, block, rows).reshape(-1)[:count]

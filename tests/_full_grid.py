@@ -1,0 +1,67 @@
+"""Full-grid peak searches kept as references for the pruned ``peak_search``.
+
+These are the searches as they stood before pruning: every grid point is
+scanned, and the refinement objectives go through the public amplitude
+functions.  Tests require the pruned search to return the same bits.
+"""
+
+import numpy as np
+
+from barrierchain.ebit import evolve_ebit, pair_concurrence
+from barrierchain.metrics import _golden_section, average_fidelity
+from barrierchain.spectral import decompose, scan_amplitude, transition_amplitude, transition_weights
+
+
+def full_grid_peak_search(objective, scan, lo: float, hi: float, step: float) -> tuple[float, float]:
+    """Grid scan plus golden-section refinement; returns (t*, objective(t*)).
+
+    ``scan`` maps the grid lo, lo + step, ... <= hi to the objective's values
+    there.  The grid argmax (earliest on ties) is refined by golden section
+    over +-1 step clipped to [lo, hi]; if refinement ends below the grid
+    value, the grid point is kept.
+    """
+    if hi <= lo:
+        raise ValueError("window must have positive length")
+    grid = np.arange(lo, hi + step, step)
+    grid = grid[grid <= hi]
+    values = scan(grid)
+    best = int(np.argmax(values))
+    t_best = _golden_section(objective, max(lo, grid[best] - step), min(hi, grid[best] + step))
+    value = objective(t_best)
+    if value < values[best]:
+        t_best = float(grid[best])
+        value = objective(t_best)
+    return float(t_best), value
+
+
+def full_grid_max_fidelity(decomp, window, t_max=None) -> tuple[float, float]:
+    lo, hi = (0.0, float(window)) if np.isscalar(window) else (float(window[0]), float(window[1]))
+    receiver = decomp.n_sites
+    step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
+    weights = transition_weights(decomp, 1, receiver)
+
+    def scan(grid):
+        return np.abs(scan_amplitude(decomp, weights, lo, step, grid.size))
+
+    def objective(t):
+        return abs(transition_amplitude(decomp, 1, receiver, t))
+
+    t_star, abs_f = full_grid_peak_search(objective, scan, lo, hi, step)
+    return t_star, average_fidelity(abs_f)
+
+
+def full_grid_peak_pair_concurrence(spec, profile, state, window) -> tuple[float, float]:
+    decomp = decompose(spec, profile)
+    lo, hi = float(window[0]), float(window[1])
+    step = 0.25
+    start = decomp.eigenvectors[0, :] * state.alpha + decomp.eigenvectors[1, :] * state.beta
+
+    def scan(grid):
+        p_nm1 = scan_amplitude(decomp, decomp.eigenvectors[-2, :] * start, lo, step, grid.size)
+        p_n = scan_amplitude(decomp, decomp.eigenvectors[-1, :] * start, lo, step, grid.size)
+        return 2.0 * np.abs(p_nm1) * np.abs(p_n)
+
+    def objective(t):
+        return pair_concurrence(evolve_ebit(spec, profile, state, t, decomp))
+
+    return full_grid_peak_search(objective, scan, lo, hi, step)

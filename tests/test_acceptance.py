@@ -2,7 +2,8 @@
 
 Each test evaluates every clause of its criterion, prints a single
 ``ACCEPTANCE <k> PASS|FAIL`` line carrying the measured numbers, and then
-asserts the conjunction.  Every gate must pass.
+asserts the conjunction.  Every gate must pass.  Next to gate 7, one more
+test checks its ensembles' samples against the full-grid peak search.
 """
 
 import time
@@ -23,6 +24,7 @@ from barrierchain.disorder import (
     DisorderModel,
     default_window,
     monte_carlo,
+    sample_profile,
 )
 from barrierchain.ebit import EbitState, evolve_ebit, pair_concurrence
 from barrierchain.metrics import (
@@ -49,12 +51,15 @@ from barrierchain.protocol import (
     storage_fidelity,
 )
 from barrierchain.spectral import (
+    decompose,
     eigendecompose,
     evolve,
     evolve_many,
     site_state,
     transition_amplitude,
 )
+
+from _full_grid import full_grid_max_fidelity
 
 
 def _gate(num: int, label: str, clauses: list[tuple[str, bool]]) -> None:
@@ -279,6 +284,26 @@ def test_criterion_7_disorder_robustness():
         ("thread counts 1 and 3 bit-identical", identical),
         (f"runtime {elapsed:.1f}s < 120s", elapsed < 120.0),
     ])
+
+
+def test_criterion_7_samples_match_the_full_grid_search():
+    """Gate 7's settings: the pruned peak search gives every sample the bits
+    the full-grid scan gives, at each strength whose ensemble the gate
+    compares."""
+    spec = ChainSpec(10)
+    omega = 20.0
+    window = default_window(spec, omega)
+    base = barrier_profile(spec, omega)
+    t_max = rabi_transfer_time(localization_report(decompose(spec, base), base))
+    for b in (0.0, TOLERATED_DISORDER, 2.0):
+        model = DisorderModel(BULK_UNIFORM, b)
+        run = monte_carlo(MAX_CONCURRENCE, model, spec, omega, window, n_samples=100, seed=2024, keep_samples=True)
+        reference = np.empty(100)
+        for i in range(100):
+            decomp = decompose(spec, sample_profile(model, base, i, 2024))
+            t_star, _ = full_grid_max_fidelity(decomp, window, t_max=t_max)
+            reference[i] = abs(transition_amplitude(decomp, 1, 10, t_star))
+        assert np.array_equal(run.per_sample, reference), b
 
 
 def _presend_survival_floor(n: int, k1: float, t1: float) -> float:

@@ -14,6 +14,8 @@ from barrierchain.ebit import (
 from barrierchain.oracle import embed_amplitudes, reduced_state, wootters_concurrence
 from barrierchain.spectral import eigendecompose, transition_amplitude
 
+from _full_grid import full_grid_peak_pair_concurrence
+
 HALF = 2.0 ** -0.5
 
 
@@ -118,6 +120,18 @@ def test_peak_search_beats_its_own_grid():
     assert window[1] / 0.25 > 16384
     with pytest.raises(ValueError):
         peak_pair_concurrence(spec, profile, state, (5.0, 5.0))
+
+
+@pytest.mark.parametrize("n", [9, 12, 21, 33])
+@pytest.mark.parametrize("omega", [2.0, 6.0, 15.0, 45.0])
+def test_pair_peak_search_is_bit_identical_to_full_grid(n, omega):
+    spec = ChainSpec(n)
+    profile = ebit_barrier_profile(spec, omega)
+    window = ebit_window(spec, omega)
+    for state in (EbitState(HALF, HALF), EbitState(HALF, -HALF)):
+        result = peak_pair_concurrence(spec, profile, state, window)
+        assert result == full_grid_peak_pair_concurrence(spec, profile, state, window)
+        assert type(result[1]) is float
 
 
 def test_peak_concurrence_improves_with_barrier_height():

@@ -5,18 +5,32 @@ from barrierchain._csvio import format_csv
 from barrierchain.chain import ChainSpec, FieldProfile, barrier_profile, build_hamiltonian, uniform_profile
 from barrierchain.metrics import (
     _golden_section,
-    _peak_search,
+    _grid_count,
+    _grid_point,
+    _kept_rows,
     average_fidelity,
     bilocalized_pair_by_energy,
     haar_qubits,
     ipr,
     localization_report,
     max_fidelity,
+    peak_search,
     rabi_transfer_time,
     receiver_fidelity,
     transfer_series,
 )
-from barrierchain.spectral import eigendecompose, scan_amplitude, transition_amplitude, transition_weights
+from barrierchain.spectral import (
+    eigendecompose,
+    scan_amplitude,
+    scan_block_length,
+    scan_rows,
+    transition_amplitude,
+    transition_weights,
+    weighted_amplitude,
+)
+
+from _full_grid import full_grid_max_fidelity
+from _full_grid import full_grid_peak_search as _peak_search
 
 
 def decompose(n, omega):
@@ -206,6 +220,126 @@ def test_max_fidelity_matches_direct_scan(hi):
         objective, lambda g: np.abs(transition_amplitude(decomp, 1, 11, g)), 0.0, hi, step
     )
     assert max_fidelity(decomp, (0.0, hi)) == (t_ref, average_fidelity(abs_f_ref))
+
+
+def test_hoisted_objective_is_transition_amplitude_bit_for_bit():
+    # max_fidelity computes the weights once and refines on their sum
+    decomp = decompose(30, 20.0)
+    weights = transition_weights(decomp, 1, 30)
+    for t in (0.0, 0.25, 37.3, 1234.5678, np.float64(61106.055545), 4.0e5):
+        direct = abs(transition_amplitude(decomp, 1, 30, t))
+        inline = abs(complex(np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), decomp.eigenvalues)) @ weights))
+        assert abs(weighted_amplitude(decomp, weights, t)) == direct == inline
+
+
+def _pin_chain():
+    spec = ChainSpec(100)
+    profile = barrier_profile(spec, 100.0)
+    decomp = eigendecompose(build_hamiltonian(spec, profile))
+    return decomp, (0.0, 1.2 * rabi_transfer_time(localization_report(decomp, profile)))
+
+
+def test_pruned_search_reproduces_gate_6_pins():
+    decomp, window = _pin_chain()
+    t_star, peak = max_fidelity(decomp, window)
+    assert (t_star, peak) == full_grid_max_fidelity(decomp, window)
+    assert abs(peak - 0.999886354690617) <= 1e-9
+    assert abs(t_star - 61106.055545) <= 0.5
+    weights = transition_weights(decomp, 1, 100)
+    count = _grid_count(*window, 0.25)
+    assert _kept_rows(decomp, (weights,), window[0], 0.25, count, scan_block_length(count)).size < count ** 0.5 / 2
+
+
+@pytest.mark.parametrize("n", [10, 55, 100])
+@pytest.mark.parametrize("omega", [0.0, 4.0, 20.0])
+def test_pruned_max_fidelity_is_bit_identical_to_full_grid(n, omega):
+    """The maxfid config's chains and window, with and without the Rabi-time step."""
+    decomp = decompose(n, omega)
+    assert max_fidelity(decomp, (0.0, 4000.0)) == full_grid_max_fidelity(decomp, (0.0, 4000.0))
+    if omega > 0.0:
+        t_max = rabi_transfer_time(localization_report(decomp, barrier_profile(ChainSpec(n), omega)))
+        window = (0.5 * t_max, 2.5 * t_max)
+        assert max_fidelity(decomp, window, t_max=t_max) == full_grid_max_fidelity(decomp, window, t_max=t_max)
+
+
+def _slow_pair(coupling):
+    """N = 2, |f| = |sin(J t)|: a slope bound J and no other structure."""
+    spec = ChainSpec(2, coupling=coupling)
+    decomp = eigendecompose(build_hamiltonian(spec, uniform_profile(spec)))
+    return decomp, transition_weights(decomp, 1, 2)
+
+
+def _kept_rows_match_full_scan(decomp, weights, hi):
+    count = _grid_count(0.0, hi, 0.25)
+    block = scan_block_length(count)
+    rows = _kept_rows(decomp, (weights,), 0.0, 0.25, count, block)
+    index = rows[:, None] * block + np.arange(block)
+    inside = index < count
+    kept = scan_rows(decomp, weights, 0.0, 0.25, block, rows)[inside]
+    assert np.array_equal(kept, scan_amplitude(decomp, weights, 0.0, 0.25, count)[index[inside]])
+    return rows, -(-count // block)
+
+
+def test_single_kept_block_is_scanned_with_a_neighbour():
+    """|sin(1e-4 t)| still rises at the window's end, so only the last cells
+    can hold the maximum and they all sit in the last block.  One row would
+    be multiplied by gemv and could round differently from the full table,
+    so its neighbour is scanned too."""
+    decomp, weights = _slow_pair(1e-4)
+    hi = (110 * 110 - 1) * 0.25  # the last of 110 blocks is full
+    rows, n_rows = _kept_rows_match_full_scan(decomp, weights, hi)
+    assert n_rows == 110
+    assert rows.tolist() == [108, 109]
+    t_star, fbar = max_fidelity(decomp, (0.0, hi))
+    assert (t_star, fbar) == full_grid_max_fidelity(decomp, (0.0, hi))
+    assert t_star == hi  # the peak is the last grid point
+
+
+def test_two_near_equal_peaks_in_separate_cells():
+    # |sin(0.01 t)| peaks at 157.08 and 471.24; round-off decides between them
+    decomp, weights = _slow_pair(0.01)
+    rows, n_rows = _kept_rows_match_full_scan(decomp, weights, 600.0)
+    assert np.any(np.diff(rows) > 1) and rows.size < n_rows
+    t_star, fbar = max_fidelity(decomp, (0.0, 600.0))
+    assert (t_star, fbar) == full_grid_max_fidelity(decomp, (0.0, 600.0))
+    assert min(abs(t_star - 50.0 * np.pi), abs(t_star - 150.0 * np.pi)) < 1e-3
+
+
+@pytest.mark.parametrize("window", [(0.0, 100.0), (3.0, 900.0)])
+def test_peak_search_takes_any_weights(window):
+    """The return amplitude |f_11| = |cos(0.01 t)|: its peak is the first
+    grid point over [0, 100], and the window [3, 900] starts off the origin."""
+    decomp, _ = _slow_pair(0.01)
+    weights = transition_weights(decomp, 1, 1)
+    lo, hi = window
+
+    def objective(t):
+        return abs(weighted_amplitude(decomp, weights, t))
+
+    expected = _peak_search(
+        objective, lambda g: np.abs(scan_amplitude(decomp, weights, lo, 0.25, g.size)), lo, hi, 0.25
+    )
+    assert peak_search(decomp, (weights,), objective, lo, hi, 0.25) == expected
+    count = _grid_count(lo, hi, 0.25)
+    block = scan_block_length(count)
+    assert _kept_rows(decomp, (weights,), lo, 0.25, count, block).size < -(-count // block)
+    with pytest.raises(ValueError):
+        peak_search(decomp, (weights,), objective, hi, hi, 0.25)
+
+
+def test_grid_count_and_points_match_arange():
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        lo = float(rng.choice([0.0, rng.uniform(0.0, 1e4), rng.uniform(-100.0, 100.0)]))
+        step = float(rng.choice([0.25, rng.uniform(1e-3, 1.0)]))
+        hi = lo + float(rng.uniform(0.5 * step, 3000.0 * step))
+        grid = np.arange(lo, hi + step, step)
+        grid = grid[grid <= hi]
+        count = _grid_count(lo, hi, step)
+        assert count == grid.size
+        for i in {0, 1, 2, count // 2, count - 1}:
+            if i < count:
+                assert _grid_point(lo, step, i) == grid[i]
 
 
 def test_receiver_fidelity_limits():
