@@ -42,11 +42,12 @@ from .disorder import (
 from .ebit import EbitState, ebit_window, evolve_ebit, pair_concurrence
 from .effective import predicted_vs_exact_gap
 from .metrics import (
+    average_fidelity,
     barrier_report,
     ipr,
     localization_report,
-    max_fidelity,
     rabi_transfer_time,
+    transfer_peaks,
     transfer_series,
 )
 from .oracle import oracle_transition_amplitude
@@ -58,7 +59,7 @@ from .protocol import (
     storage_fidelity,
     two_level_interval,
 )
-from .spectral import decompose, transition_amplitude
+from .spectral import decompose, transition_amplitude, transition_weights
 
 ENV_OUTDIR = "BARRIERCHAIN_OUTDIR"
 
@@ -177,13 +178,15 @@ def _cmd_maxfid(args) -> list[str]:
     rows: dict[str, list] = {"n": [], "omega": [], "t_star": [], "max_avg_fidelity": []}
     for n in range(args.n_min, args.n_max + 1, args.n_step):
         spec = ChainSpec(n)
-        for omega in omegas:
-            decomp = decompose(spec, barrier_profile(spec, omega))
-            t_star, fbar = max_fidelity(decomp, (0.0, args.big_t))
-            rows["n"].append(n)
-            rows["omega"].append(omega)
-            rows["t_star"].append(t_star)
-            rows["max_avg_fidelity"].append(fbar)
+        decomps = [decompose(spec, barrier_profile(spec, omega)) for omega in omegas]
+        levels = np.array([d.eigenvalues for d in decomps]).reshape(-1, n)
+        weights = np.array([transition_weights(d, 1, n) for d in decomps]).reshape(-1, n)
+        # one stacked peak search per chain size
+        t_star, abs_f = transfer_peaks(levels, weights, (0.0, args.big_t))
+        rows["n"].extend([n] * len(omegas))
+        rows["omega"].extend(omegas)
+        rows["t_star"].extend(t_star.tolist())
+        rows["max_avg_fidelity"].extend(average_fidelity(abs_f).tolist())
     return [_emit(args, rows, units_time="1/J")]
 
 

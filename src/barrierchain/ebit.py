@@ -128,17 +128,18 @@ def peak_pair_concurrence(
     """(t*, C*) maximizing the receiver-pair concurrence over a window.
 
     ``metrics.peak_search`` over |p_{N-1}| |p_N| on a grid of step 0.25,
-    the same scan-plus-golden-section search as the fidelity peak.
+    the same scan-plus-golden-section search as the fidelity peak, on a
+    stack of one chain whose refinement evaluates ``evolve_ebit``.
     """
     _check_ebit_profile(spec, profile)
     decomp = decompose(spec, profile)
     start = decomp.eigenvectors[0, :] * state.alpha + decomp.eigenvectors[1, :] * state.beta
-    weights = (decomp.eigenvectors[-2, :] * start, decomp.eigenvectors[-1, :] * start)
+    weights = np.stack([decomp.eigenvectors[-2, :] * start, decomp.eigenvectors[-1, :] * start])
 
-    def objective(t: float) -> float:
-        p = evolve_ebit(spec, profile, state, t, decomp)
-        return abs(p[-2]) * abs(p[-1])
+    def objective(t: np.ndarray) -> np.ndarray:
+        p = evolve_ebit(spec, profile, state, t[0], decomp)
+        return np.array([abs(p[-2]) * abs(p[-1])])
 
     # 2 |p_{N-1}| |p_N|: doubling is exact, so it commutes with the search
-    t_star, product = peak_search(decomp, weights, objective, window[0], window[1], 0.25)
-    return t_star, float(2.0 * product)
+    t_star, product = peak_search(decomp.eigenvalues[None], weights[None], objective, window[0], window[1], 0.25)
+    return float(t_star[0]), float(2.0 * product[0])

@@ -22,12 +22,10 @@ from .chain import ChainSpec, FieldProfile, barrier_profile
 from .spectral import (
     SpectralDecomposition,
     decompose,
-    scan_amplitude,
     scan_block_length,
     scan_rows,
     transition_amplitude,
     transition_weights,
-    weighted_amplitude,
 )
 
 _RANGE_SLACK = 1e-9
@@ -141,23 +139,34 @@ def rabi_transfer_time(report: LocalizationReport) -> float:
     return float(np.pi / report.gap)
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float = 1e-4) -> float:
-    """Deterministic golden-section maximizer of a unimodal function."""
+def golden_section(fun, lo, hi, tol: float = 1e-4):
+    """Deterministic golden-section maximizer of unimodal functions, in lockstep.
+
+    ``lo`` and ``hi`` are scalars or arrays of one shape, one bracket per
+    entry, and ``fun`` maps an array of that shape (the probe points, one
+    per bracket) to the values there.  Each bracket takes its own branch at
+    every iteration and stops once it is at most ``tol`` wide, so every
+    entry gets the bits a search over its bracket alone would.  Returns the
+    maximizer of each bracket, a float when the brackets are scalars.
+    """
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    return c if fc >= fd else d
+    active = b - a > tol
+    while active.any():
+        # left: the maximum lies in [a, d], and c becomes the new d
+        left = active & (fc >= fd)
+        right = active & ~left
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        probe = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        value = fun(probe)
+        c, d = np.where(left, probe, np.where(right, d, c)), np.where(left, c, np.where(right, probe, d))
+        fc, fd = np.where(left, value, np.where(right, fd, fc)), np.where(left, fc, np.where(right, value, fd))
+        active = b - a > tol
+    best = np.where(fc >= fd, c, d)
+    return float(best) if best.ndim == 0 else best
 
 
 def _grid_point(lo: float, step: float, i: int) -> float:
@@ -185,7 +194,7 @@ def _product_rule(per_factor: list[float], ceilings: list[float]) -> float:
     return sum(x * math.prod(ceilings[:i] + ceilings[i + 1 :]) for i, x in enumerate(per_factor))
 
 
-def _kept_rows(decomp: SpectralDecomposition, weights, lo: float, step: float, count: int, block: int) -> np.ndarray:
+def _kept_rows(levels: np.ndarray, weights, lo: float, step: float, count: int, block: int) -> np.ndarray:
     """Rows of the blocked scan that can hold the grid maximum.
 
     A coarse scan at stride _PRUNE_STRIDE steps splits the grid into cells
@@ -199,18 +208,22 @@ def _kept_rows(decomp: SpectralDecomposition, weights, lo: float, step: float, c
     n_rows = -(-count // block)
     every = np.arange(n_rows)
     magnitudes = [np.abs(w) for w in weights]
-    levels = np.abs(decomp.eigenvalues)
+    abs_levels = np.abs(levels)
     ceilings = [float(m.sum()) for m in magnitudes]
     stride = _PRUNE_STRIDE * step
-    reach = 0.5 * stride * _product_rule([float(m @ levels) for m in magnitudes], ceilings)
+    reach = 0.5 * stride * _product_rule([float(m @ abs_levels) for m in magnitudes], ceilings)
     if n_rows < 2 or reach >= math.prod(ceilings):
         return every
     # N for the sums, the largest |t| scanned for the phases
-    horizon = decomp.n_sites + abs(lo) + (count + _PRUNE_STRIDE) * step
-    slack = _product_rule([64.0 * _EPS * horizon * float(m @ (1.0 + levels)) for m in magnitudes], ceilings)
+    horizon = levels.size + abs(lo) + (count + _PRUNE_STRIDE) * step
+    slack = _product_rule([64.0 * _EPS * horizon * float(m @ (1.0 + abs_levels)) for m in magnitudes], ceilings)
 
     n_coarse = -(-(count - 1) // _PRUNE_STRIDE) + 1
-    coarse = reduce(np.multiply, (np.abs(scan_amplitude(decomp, w, lo, stride, n_coarse)) for w in weights))
+    coarse_block = scan_block_length(n_coarse)
+    coarse_rows = np.arange(-(-n_coarse // coarse_block))
+    coarse = reduce(
+        np.multiply, (np.abs(scan_rows(levels, w, lo, stride, coarse_block, coarse_rows)) for w in weights)
+    ).reshape(-1)[:n_coarse]
     # coarse points past the last grid point only bound the final cell
     floor = coarse[: (count - 1) // _PRUNE_STRIDE + 1].max() - slack
     cells = np.flatnonzero(np.maximum(coarse[:-1], coarse[1:]) + reach + slack >= floor)
@@ -223,45 +236,78 @@ def _kept_rows(decomp: SpectralDecomposition, weights, lo: float, step: float, c
     return rows
 
 
-def peak_search(
-    decomp: SpectralDecomposition, weights, objective, lo: float, hi: float, step: float
-) -> tuple[float, float]:
-    """Maximum over [lo, hi] of prod_i |a_i(t)|, a_i(t) = sum_k w_ik exp(-i lambda_k t).
+def _grid_argmax(levels: np.ndarray, weights, lo: float, step: float, count: int) -> tuple[float, float]:
+    """(time, value) of the earliest maximum of prod_i |a_i| on the grid of
+    ``count`` points, scanning only the rows ``_kept_rows`` keeps."""
+    block = scan_block_length(count)
+    rows = _kept_rows(levels, weights, lo, step, count, block)
+    values = reduce(np.multiply, (np.abs(scan_rows(levels, w, lo, step, block, rows)) for w in weights)).reshape(-1)
+    index = (rows[:, None] * block + np.arange(block)).reshape(-1)
+    inside = index < count
+    values, index = values[inside], index[inside]
+    at = int(np.argmax(values))
+    return _grid_point(lo, step, int(index[at])), values[at]
 
-    ``weights`` holds one weight vector per factor: one for |f|, two for the
-    pair concurrence 2 |p_{N-1}| |p_N| (whose factor 2 the caller applies).
-    ``objective(t)`` is the same product at a single time.  The grid is
-    ``np.arange(lo, hi + step, step)`` without the points above hi; its
-    argmax (earliest on ties) is refined by golden section over +-1 step
-    clipped to [lo, hi], and if refinement ends below the grid value the
-    grid point is kept.  Returns (t*, objective(t*)).
 
-    Only the blocks of ``scan_rows`` that can hold the maximum are scanned.
-    |d|a_i|/dt| <= L_i = sum_k |w_ik lambda_k| (Shubert, SIAM J. Numer. Anal.
-    9 (1972) 379) and |a_i| <= U_i = sum_k |w_ik| bound the product's slope,
-    so a coarse pass certifies which cells lie strictly below the grid
-    maximum (see ``_kept_rows``).  The kept rows are evaluated exactly as
-    the whole table would be, so the argmax and every returned bit are
-    those of the full scan.
+def peak_search(levels, weights, objective, lo: float, hi: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maxima over [lo, hi] of prod_i |a_si(t)|, a_si(t) = sum_k w_sik exp(-i lambda_sk t),
+    for a stack of S chains of one size.
+
+    ``levels`` holds each chain's eigenvalues, shape (S, N), and ``weights``
+    each chain's weight vectors, shape (S, F, N): one factor for |f|, two
+    for the pair concurrence 2 |p_{N-1}| |p_N| (whose factor 2 the caller
+    applies).  ``objective(t)`` takes an array of S times, one per chain,
+    and returns each chain's product at its time.  The grid is
+    ``np.arange(lo, hi + step, step)`` without the points above hi.  Each
+    chain's argmax (earliest on ties) is refined by one lockstep
+    ``golden_section`` over +-1 step clipped to [lo, hi], and a chain whose
+    refinement ends below its grid value keeps the grid point.  Returns the
+    arrays (t*, objective(t*)), one entry per chain.
+
+    Each chain scans only the blocks of ``scan_rows`` that can hold its
+    maximum.  |d|a_i|/dt| <= L_i = sum_k |w_ik lambda_k| (Shubert, SIAM J.
+    Numer. Anal. 9 (1972) 379) and |a_i| <= U_i = sum_k |w_ik| bound the
+    product's slope, so a coarse pass certifies which cells lie strictly
+    below the grid maximum (see ``_kept_rows``).  The kept rows are
+    evaluated exactly as the whole table would be, so the argmax and every
+    returned bit are those of the full scan.
     """
     lo, hi = float(lo), float(hi)
     if hi <= lo:
         raise ValueError("window must have positive length")
     count = _grid_count(lo, hi, step)
-    block = scan_block_length(count)
-    rows = _kept_rows(decomp, weights, lo, step, count, block)
-    values = reduce(np.multiply, (np.abs(scan_rows(decomp, w, lo, step, block, rows)) for w in weights)).reshape(-1)
-    index = (rows[:, None] * block + np.arange(block)).reshape(-1)
-    inside = index < count
-    values, index = values[inside], index[inside]
-    at = int(np.argmax(values))
-    t_grid = _grid_point(lo, step, int(index[at]))
-    t_best = _golden_section(objective, max(lo, t_grid - step), min(hi, t_grid + step))
+    grid = [_grid_argmax(chain, w, lo, step, count) for chain, w in zip(levels, weights)]
+    t_grid, grid_value = np.array(grid).reshape(-1, 2).T
+    t_best = golden_section(objective, np.maximum(lo, t_grid - step), np.minimum(hi, t_grid + step))
     value = objective(t_best)
-    if value < values[at]:
-        t_best = t_grid
-        value = objective(t_best)
-    return float(t_best), value
+    fall = value < grid_value
+    if fall.any():
+        t_best = np.where(fall, t_grid, t_best)
+        value = np.where(fall, objective(t_best), value)
+    return t_best, value
+
+
+def transfer_peaks(
+    levels: np.ndarray, weights: np.ndarray, window: tuple[float, float] | float, t_max: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peaks (t*, |f(t*)|) over a window for a stack of chains of one size.
+
+    ``levels`` holds the chains' eigenvalues and ``weights`` their transfer
+    weights a_{k,1} a_{k,N}, both of shape (S, N).  Window and grid step are
+    those of ``max_fidelity``, and one ``peak_search`` serves the stack.
+    """
+    lo, hi = (0.0, float(window)) if np.isscalar(window) else (float(window[0]), float(window[1]))
+    step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
+
+    def objective(t: np.ndarray) -> np.ndarray:
+        # a stacked (S, 1, N) @ (S, N, 1) matmul and np.hypot give each chain
+        # the bits of abs(weighted_amplitude(...)) at its time; np.abs on
+        # complex arrays and einsum round differently
+        phases = np.exp(-1j * (t[:, None] * levels))
+        z = (phases[:, None, :] @ weights[:, :, None])[:, 0, 0]
+        return np.hypot(z.real, z.imag)
+
+    return peak_search(levels, weights[:, None, :], objective, lo, hi, step)
 
 
 def max_fidelity(
@@ -274,19 +320,14 @@ def max_fidelity(
     The grid is lo + j step up to hi, with step min(0.25, t_max/200) when the
     Rabi time is known and 0.25 otherwise; ``peak_search`` scans |f| on the
     grid cells that can hold the peak, and the refinement evaluates
-    ``transition_amplitude``'s sum at single times.  Ties on the grid
-    resolve to the earliest time.  Returns (t*, Fbar*) for transfer from
-    site 1 to site N.
+    ``transition_amplitude``'s sum, bit for bit, at single times.  Ties on
+    the grid resolve to the earliest time.  Returns (t*, Fbar*) for transfer
+    from site 1 to site N.  This is ``transfer_peaks`` on a stack of one
+    chain; ensembles and sweeps call that on whole stacks.
     """
-    lo, hi = (0.0, float(window)) if np.isscalar(window) else (float(window[0]), float(window[1]))
-    step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
     weights = transition_weights(decomp, 1, decomp.n_sites)
-
-    def objective(t: float) -> float:
-        return abs(weighted_amplitude(decomp, weights, t))
-
-    t_star, abs_f = peak_search(decomp, (weights,), objective, lo, hi, step)
-    return t_star, average_fidelity(abs_f)
+    t_star, abs_f = transfer_peaks(decomp.eigenvalues[None], weights[None], window, t_max)
+    return float(t_star[0]), average_fidelity(abs_f[0])
 
 
 def receiver_fidelity(amplitudes: np.ndarray, alpha: complex, beta: complex, receiver: int | None = None) -> float:

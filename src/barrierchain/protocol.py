@@ -41,11 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 from scipy.special import expit
 
 from .chain import ChainSpec, FieldProfile
-from .metrics import average_fidelity
+from .metrics import average_fidelity, golden_section
 from .spectral import (
     AmplitudeVector,
     SpectralDecomposition,
@@ -53,6 +52,7 @@ from .spectral import (
     evolve,
     evolve_many,
     site_state,
+    tridiagonal_eigh,
 )
 
 # Logistic tails below exp(-45) ~ 3e-20 are treated as exactly constant.
@@ -191,10 +191,6 @@ _NODES = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 _WEIGHT_BIG = 0.25 + np.sqrt(3.0) / 6.0
 _WEIGHT_SMALL = 0.25 - np.sqrt(3.0) / 6.0
 
-# the LAPACK routine eigh_tridiagonal selects by default, called directly:
-# same (w, v) bits without the wrapper's per-call input checks and lookup
-_stevd = get_lapack_funcs("stevd", dtype=np.float64)
-
 
 def _switch_regions(schedule: SwitchingSchedule, t_end: float) -> list[tuple[float, float, bool]]:
     """(start, end, is_active) partition of [t0, t_end]; active regions need
@@ -276,9 +272,7 @@ def _integrate_active(
         for _ in range(2 * n_sub):
             if not repeat[k]:
                 diag[1], diag[n - 2] = factors[k]
-                w, v, info = _stevd(diag, off)
-                if info != 0:
-                    raise np.linalg.LinAlgError(f"stevd failed (info = {info})")
+                w, v = tridiagonal_eigh(diag, off)
             psi = v @ (np.exp(-1j * sizes[k // 2] * w) * (v.T @ psi))
             k += 1
         states.append(psi)
@@ -437,8 +431,6 @@ def optimize_interval(
     schedule's interval, then refines by golden section.  Returns
     (delta_t_star, storage mean there).
     """
-    from .metrics import _golden_section
-
     if schedule.smoothing_timescale != 0:
         raise ValueError("interval optimization runs on ideal-step schedules")
     stage1 = _stage_decomposition(spec, schedule.k1, 0.0)
@@ -459,7 +451,7 @@ def optimize_interval(
     best = int(np.argmax(values))
     a = grid[max(0, best - 1)]
     b = grid[min(n_grid - 1, best + 1)]
-    dt_star = _golden_section(objective, a, b, tol=1e-3)
+    dt_star = golden_section(objective, a, b, tol=1e-3)
     value = objective(dt_star)
     if value < values[best]:
         return float(grid[best]), float(values[best])

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import get_lapack_funcs
 
 from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian, build_hamiltonian
 
@@ -42,6 +42,10 @@ from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian, build_h
 # degenerate cluster.  Kept far below any physical Rabi gap (>= 1/(2 omega^2)
 # for the fields studied here) and above the LAPACK eigenvalue jitter.
 _CLUSTER_RTOL = 64.0 * np.finfo(float).eps
+
+# LAPACK stevd, the routine scipy's eigh_tridiagonal selects by default,
+# called without the wrapper's per-call input checks and lookup
+_stevd = get_lapack_funcs("stevd", dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,13 +139,25 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
     return np.where(v[first, np.arange(v.shape[1])] < 0, -v, v)
 
 
+def tridiagonal_eigh(diagonal: np.ndarray, off_diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of a real symmetric tridiagonal matrix by LAPACK stevd.
+
+    The same eigenpairs, bit for bit, as scipy's ``eigh_tridiagonal`` with
+    its default driver; raises LinAlgError when stevd reports failure.
+    """
+    w, v, info = _stevd(diagonal, off_diagonal)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stevd failed (info = {info})")
+    return w, v
+
+
 def eigendecompose(h: SingleExcitationHamiltonian) -> SpectralDecomposition:
     """Full decomposition, eigenvalues ascending, deterministic vector signs.
 
     Mirror-symmetric inputs additionally get definite-parity eigenvectors
     inside degenerate clusters (see _parity_adapt).
     """
-    w, v = eigh_tridiagonal(h.diagonal, h.off_diagonal)
+    w, v = tridiagonal_eigh(h.diagonal, h.off_diagonal)
     if np.array_equal(h.diagonal, h.diagonal[::-1]):
         scale = max(1.0, float(np.abs(w).max()))
         v = _parity_adapt(w, v, _CLUSTER_RTOL * scale)
@@ -205,10 +221,11 @@ def scan_block_length(count: int) -> int:
 
 
 def scan_rows(
-    decomp: SpectralDecomposition, weights: np.ndarray, lo: float, step: float, block: int, rows: np.ndarray
+    levels: np.ndarray, weights: np.ndarray, lo: float, step: float, block: int, rows: np.ndarray
 ) -> np.ndarray:
-    """Rows of the blocked scan table: entry [r, m] is the amplitude at grid
-    index rows[r] * block + m, i.e. at time lo + (rows[r] block + m) step.
+    """Rows of the blocked scan table of sum_k w_k exp(-i lambda_k t) for the
+    eigenvalues ``levels``: entry [r, m] is the amplitude at grid index
+    rows[r] * block + m, i.e. at time lo + (rows[r] block + m) step.
 
     A subset of rows gives the same bits as those rows of the whole table as
     long as at least two rows are passed: numpy multiplies a single row by
@@ -216,8 +233,8 @@ def scan_rows(
     """
     starts = lo + step * (np.asarray(rows) * block)
     offsets = step * np.arange(block)
-    coarse = np.exp(-1j * np.multiply.outer(starts, decomp.eigenvalues)) * weights
-    fine = np.exp(-1j * np.multiply.outer(offsets, decomp.eigenvalues))
+    coarse = np.exp(-1j * np.multiply.outer(starts, levels)) * weights
+    fine = np.exp(-1j * np.multiply.outer(offsets, levels))
     return coarse @ fine.T
 
 
@@ -230,4 +247,4 @@ def scan_amplitude(decomp: SpectralDecomposition, weights: np.ndarray, lo: float
     """
     block = scan_block_length(count)
     rows = np.arange(-(-count // block))
-    return scan_rows(decomp, weights, lo, step, block, rows).reshape(-1)[:count]
+    return scan_rows(decomp.eigenvalues, weights, lo, step, block, rows).reshape(-1)[:count]

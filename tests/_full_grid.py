@@ -1,15 +1,36 @@
 """Full-grid peak searches kept as references for the pruned ``peak_search``.
 
-These are the searches as they stood before pruning: every grid point is
-scanned, and the refinement objectives go through the public amplitude
-functions.  Tests require the pruned search to return the same bits.
+These are the searches as they stood before pruning and before the
+lockstep refinement: every grid point is scanned, each peak is refined by
+the scalar golden section below, and the refinement objectives go through
+the public amplitude functions.  Tests require the pruned, stacked search
+to return the same bits.
 """
 
 import numpy as np
 
 from barrierchain.ebit import evolve_ebit, pair_concurrence
-from barrierchain.metrics import _golden_section, average_fidelity
+from barrierchain.metrics import average_fidelity
 from barrierchain.spectral import decompose, scan_amplitude, transition_amplitude, transition_weights
+
+
+def _golden_section(fun, lo: float, hi: float, tol: float = 1e-4) -> float:
+    """Deterministic golden-section maximizer of a unimodal function."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fun(d)
+    return c if fc >= fd else d
 
 
 def full_grid_peak_search(objective, scan, lo: float, hi: float, step: float) -> tuple[float, float]:

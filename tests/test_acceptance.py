@@ -2,8 +2,9 @@
 
 Each test evaluates every clause of its criterion, prints a single
 ``ACCEPTANCE <k> PASS|FAIL`` line carrying the measured numbers, and then
-asserts the conjunction.  Every gate must pass.  Next to gate 7, one more
-test checks its ensembles' samples against the full-grid peak search.
+asserts the conjunction.  Every gate must pass.  Next to gate 7, two more
+tests check its ensembles' samples against the full-grid peak search and
+against ensembles of other sizes and one search per sample.
 """
 
 import time
@@ -304,6 +305,32 @@ def test_criterion_7_samples_match_the_full_grid_search():
             t_star, _ = full_grid_max_fidelity(decomp, window, t_max=t_max)
             reference[i] = abs(transition_amplitude(decomp, 1, 10, t_star))
         assert np.array_equal(run.per_sample, reference), b
+
+
+def test_criterion_7_samples_do_not_depend_on_batch_size():
+    """Gate 7's b = 2 ensemble: its 1000 samples share one stacked peak
+    search, yet ensembles of 1, 7 and 100 samples give the matching prefix
+    bit for bit, and so does one ``max_fidelity`` search per sample."""
+    spec = ChainSpec(10)
+    omega = 20.0
+    window = default_window(spec, omega)
+    model = DisorderModel(BULK_UNIFORM, 2.0)
+
+    def per_sample(n_samples):
+        run = monte_carlo(MAX_CONCURRENCE, model, spec, omega, window, n_samples=n_samples, seed=2024, keep_samples=True)
+        return run.per_sample
+
+    whole = per_sample(1000)
+    for size in (1, 7, 100):
+        assert np.array_equal(per_sample(size), whole[:size]), size
+    base = barrier_profile(spec, omega)
+    t_max = rabi_transfer_time(localization_report(decompose(spec, base), base))
+    one_by_one = np.empty(1000)
+    for i in range(1000):
+        decomp = decompose(spec, sample_profile(model, base, i, 2024))
+        t_star, _ = max_fidelity(decomp, window, t_max=t_max)
+        one_by_one[i] = abs(transition_amplitude(decomp, 1, 10, t_star))
+    assert np.array_equal(whole, one_by_one)
 
 
 def _presend_survival_floor(n: int, k1: float, t1: float) -> float:

@@ -6,6 +6,7 @@ from barrierchain.disorder import (
     BARRIER_LEAKAGE,
     BULK_UNIFORM,
     DisorderModel,
+    _ensemble_fields,
     default_window,
     monte_carlo,
     sample_profile,
@@ -52,6 +53,26 @@ def test_sample_profile_is_deterministic_and_local():
     low, high = model.bounds(N10)
     draws = a.local_fields[2:8] - base.local_fields[2:8]
     assert np.all(draws >= low) and np.all(draws <= high)
+
+
+@pytest.mark.parametrize(
+    "n, model",
+    [
+        (10, DisorderModel(BULK_UNIFORM, 2.0)),
+        (10, DisorderModel(BULK_UNIFORM, 0.2)),
+        (10, DisorderModel(BARRIER_LEAKAGE, 40.0)),
+        (30, DisorderModel(BARRIER_LEAKAGE, 7.5)),
+    ],
+    ids=["bulk2-n10", "bulk0.2-n10", "leakage40-n10", "leakage7.5-n30"],
+)
+def test_ensemble_fields_are_sample_profile_bit_for_bit(n, model):
+    # an ensemble draws every sample's fields at once, from the same
+    # per-sample Philox streams as sample_profile
+    base = barrier_profile(ChainSpec(n), 40.0)
+    fields = _ensemble_fields(model, base, 64, seed=2024)
+    assert fields.shape == (64, n)
+    for index in range(64):
+        assert np.array_equal(fields[index], sample_profile(model, base, index, 2024).local_fields)
 
 
 def test_leakage_draws_are_one_sided():

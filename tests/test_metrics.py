@@ -4,12 +4,12 @@ import pytest
 from barrierchain._csvio import format_csv
 from barrierchain.chain import ChainSpec, FieldProfile, barrier_profile, build_hamiltonian, uniform_profile
 from barrierchain.metrics import (
-    _golden_section,
     _grid_count,
     _grid_point,
     _kept_rows,
     average_fidelity,
     bilocalized_pair_by_energy,
+    golden_section,
     haar_qubits,
     ipr,
     localization_report,
@@ -29,7 +29,7 @@ from barrierchain.spectral import (
     weighted_amplitude,
 )
 
-from _full_grid import full_grid_max_fidelity
+from _full_grid import _golden_section, full_grid_max_fidelity
 from _full_grid import full_grid_peak_search as _peak_search
 
 
@@ -163,8 +163,38 @@ def test_rabi_transfer_time():
 
 
 def test_golden_section_finds_quadratic_peak():
-    peak = _golden_section(lambda x: -((x - 1.7) ** 2), 0.0, 3.0, tol=1e-6)
+    def parabola(x):
+        return -((x - 1.7) ** 2)
+
+    peak = golden_section(parabola, 0.0, 3.0, tol=1e-6)
+    assert isinstance(peak, float)
     assert peak == pytest.approx(1.7, abs=1e-5)
+    assert peak == _golden_section(parabola, 0.0, 3.0, tol=1e-6)
+
+
+def test_golden_section_brackets_run_in_lockstep():
+    """A stack of brackets gives each entry the scalar search's bits: full
+    brackets 2 steps wide, one clipped to the window (1 step wide, so it
+    stops iterating earlier), and widths that finish on different
+    iterations."""
+    centres = np.array([1.7, 0.1, 2.95, 1.0, 1.3, 0.4])
+
+    def stacked(x):
+        return -((x - centres) ** 2) + np.sin(3.0 * x)
+
+    def scalar(k):
+        return lambda x: -((x - centres[k]) ** 2) + np.sin(3.0 * x)
+
+    grid = np.array([1.75, 0.0, 3.0, 1.0, 1.25, 0.5])
+    lo = np.maximum(0.0, grid - 0.25)
+    hi = np.minimum(3.0, grid + 0.25)
+    lo[3], hi[3] = 0.0, 2.0  # a wide bracket takes more iterations
+    lo[5], hi[5] = 0.45, 0.45005  # already within the tolerance
+    peaks = golden_section(stacked, lo, hi)
+    expected = [_golden_section(scalar(k), lo[k], hi[k]) for k in range(centres.size)]
+    assert peaks.tolist() == expected
+    widths = hi - lo
+    assert widths[1] < widths[0] < widths[3]  # clipped, full and wide brackets
 
 
 def test_max_fidelity_two_site_chain():
@@ -247,7 +277,7 @@ def test_pruned_search_reproduces_gate_6_pins():
     assert abs(t_star - 61106.055545) <= 0.5
     weights = transition_weights(decomp, 1, 100)
     count = _grid_count(*window, 0.25)
-    assert _kept_rows(decomp, (weights,), window[0], 0.25, count, scan_block_length(count)).size < count ** 0.5 / 2
+    assert _kept_rows(decomp.eigenvalues, (weights,), window[0], 0.25, count, scan_block_length(count)).size < count ** 0.5 / 2
 
 
 @pytest.mark.parametrize("n", [10, 55, 100])
@@ -272,10 +302,10 @@ def _slow_pair(coupling):
 def _kept_rows_match_full_scan(decomp, weights, hi):
     count = _grid_count(0.0, hi, 0.25)
     block = scan_block_length(count)
-    rows = _kept_rows(decomp, (weights,), 0.0, 0.25, count, block)
+    rows = _kept_rows(decomp.eigenvalues, (weights,), 0.0, 0.25, count, block)
     index = rows[:, None] * block + np.arange(block)
     inside = index < count
-    kept = scan_rows(decomp, weights, 0.0, 0.25, block, rows)[inside]
+    kept = scan_rows(decomp.eigenvalues, weights, 0.0, 0.25, block, rows)[inside]
     assert np.array_equal(kept, scan_amplitude(decomp, weights, 0.0, 0.25, count)[index[inside]])
     return rows, -(-count // block)
 
@@ -319,12 +349,18 @@ def test_peak_search_takes_any_weights(window):
     expected = _peak_search(
         objective, lambda g: np.abs(scan_amplitude(decomp, weights, lo, 0.25, g.size)), lo, hi, 0.25
     )
-    assert peak_search(decomp, (weights,), objective, lo, hi, 0.25) == expected
+
+    def stacked(t):
+        return np.array([objective(t[0])])
+
+    levels, stack = decomp.eigenvalues[None], weights[None, None]
+    t_star, value = peak_search(levels, stack, stacked, lo, hi, 0.25)
+    assert (t_star.tolist(), value.tolist()) == ([expected[0]], [expected[1]])
     count = _grid_count(lo, hi, 0.25)
     block = scan_block_length(count)
-    assert _kept_rows(decomp, (weights,), lo, 0.25, count, block).size < -(-count // block)
+    assert _kept_rows(decomp.eigenvalues, (weights,), lo, 0.25, count, block).size < -(-count // block)
     with pytest.raises(ValueError):
-        peak_search(decomp, (weights,), objective, hi, hi, 0.25)
+        peak_search(levels, stack, stacked, hi, hi, 0.25)
 
 
 def test_grid_count_and_points_match_arange():

@@ -253,8 +253,8 @@ def test_planned_cf4_pass_is_bit_identical_to_per_step_kernel(case, monkeypatch)
         solves.append(d[[1, -2]].copy())
         return stevd(d, e)
 
-    stevd = protocol._stevd
-    monkeypatch.setattr(protocol, "_stevd", counted_stevd)
+    stevd = protocol.tridiagonal_eigh
+    monkeypatch.setattr(protocol, "tridiagonal_eigh", counted_stevd)
     planned = protocol._run_once(spec, sch, t_end, times, h0)
     steps = []
     monkeypatch.setattr(protocol, "_integrate_active",
@@ -278,8 +278,7 @@ def test_direct_stevd_matches_eigh_tridiagonal(n):
         d = rng.normal(scale=30.0, size=n)
         d[rng.random(n) < 0.3] = -0.0
         e = rng.normal(size=n - 1)
-        w, v, info = protocol._stevd(d, e)
-        assert info == 0
+        w, v = protocol.tridiagonal_eigh(d, e)
         w_ref, v_ref = eigh_tridiagonal(d, e, lapack_driver="stevd")
         assert np.array_equal(w, w_ref)
         assert np.array_equal(v, v_ref)

@@ -17,6 +17,7 @@ from barrierchain.spectral import (
     site_state,
     transition_amplitude,
     transition_weights,
+    tridiagonal_eigh,
 )
 
 
@@ -253,6 +254,37 @@ def test_fix_signs_threshold_skips_round_off_entries():
     fixed = _fix_signs(v)
     assert _first_significant(fixed)[-1] == 3
     assert fixed[3, -1] > 0 > fixed[0, -1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 55, 100])
+def test_eigendecompose_matches_eigh_tridiagonal_bit_for_bit(n):
+    """``eigendecompose`` calls LAPACK stevd directly.  On random and
+    barrier chains, mirror-symmetric ones included, w and v before the sign
+    rule are scipy's ``eigh_tridiagonal`` bits, and so is the decomposition
+    built from them."""
+    spec = ChainSpec(n)
+    rng = np.random.default_rng(n)
+    profiles = [random_profile(n, seed) for seed in range(4)]
+    halves = rng.uniform(-3.0, 3.0, n)
+    profiles.append(FieldProfile(halves + halves[::-1]))
+    profiles.append(FieldProfile(np.zeros(n)))
+    if n >= 4:
+        profiles += [barrier_profile(spec, omega) for omega in (0.5, 20.0, 100.0)]
+    for profile in profiles:
+        h = build_hamiltonian(spec, profile)
+        w, v = tridiagonal_eigh(h.diagonal, h.off_diagonal)
+        w_ref, v_ref = eigh_tridiagonal(h.diagonal, h.off_diagonal)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+        _, w_pre, v_pre = _presign_vectors(spec, profile)
+        decomp = eigendecompose(h)
+        assert np.array_equal(decomp.eigenvalues, w_pre)
+        assert np.array_equal(decomp.eigenvectors, _fix_signs(v_pre))
+    assert sum(p.is_mirror_symmetric() for p in profiles) >= 2
+
+
+def test_tridiagonal_eigh_raises_on_lapack_failure():
+    with pytest.raises(np.linalg.LinAlgError):
+        tridiagonal_eigh(np.array([0.0, np.nan, 1.0]), np.array([-1.0, -1.0]))
 
 
 def test_site_state_validation():
