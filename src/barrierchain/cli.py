@@ -217,7 +217,7 @@ def _cmd_disorder(args) -> list[str]:
             model = DisorderModel(BULK_UNIFORM, b)
             result = monte_carlo(
                 args.metric, model, spec, omega, window,
-                n_samples=args.n_samples, seed=args.seed, threads=args.threads,
+                n_samples=args.n_samples, seed=args.seed,
             )
             rows["b"].append(b)
             rows["omega"].append(omega)
@@ -241,7 +241,7 @@ def _cmd_leakage(args) -> list[str]:
             model = DisorderModel(BARRIER_LEAKAGE, omega)
             result = monte_carlo(
                 args.metric, model, spec, omega, window,
-                n_samples=args.n_samples, seed=args.seed, threads=args.threads,
+                n_samples=args.n_samples, seed=args.seed,
             )
             rows["omega"].append(omega)
             rows["mean"].append(result.mean_metric)

@@ -25,8 +25,6 @@ from .chain import ChainSpec, barrier_profile, FieldProfile
 from .metrics import average_fidelity, barrier_report, rabi_transfer_time, transfer_peaks
 from .spectral import decompose, transition_weights
 
-RNG_KIND = "philox 2x64 key=(seed, sample_index)"
-
 BULK_UNIFORM = "bulk-uniform"
 BARRIER_LEAKAGE = "barrier-leakage"
 

@@ -67,10 +67,6 @@ class SpectralDecomposition:
     def n_sites(self) -> int:
         return self.eigenvalues.size
 
-    def amplitude(self, k: int, site: int) -> float:
-        """Component a_{k,site} of eigenvector k (0-based k, 1-based site)."""
-        return float(self.eigenvectors[site - 1, k])
-
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeVector:

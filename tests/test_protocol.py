@@ -17,7 +17,7 @@ from barrierchain.protocol import (
     storage_fidelity,
     two_level_interval,
 )
-from barrierchain.spectral import eigendecompose, evolve, site_state
+from barrierchain.spectral import AmplitudeVector, eigendecompose, evolve, site_state
 
 N8 = ChainSpec(8)
 DT8 = optimal_interval(8, 4.0)  # 8 pi
@@ -282,3 +282,23 @@ def test_direct_stevd_matches_eigh_tridiagonal(n):
         w_ref, v_ref = eigh_tridiagonal(d, e, lapack_driver="stevd")
         assert np.array_equal(w, w_ref)
         assert np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("coupling", [1.0, 2.0])
+def test_cf4_window_on_a_constant_drive_matches_the_exact_stage(coupling):
+    # mid-stage, past the t1 switching window: both fields are K2 to double
+    # precision, so the CF4 steps must reproduce the spectral propagation of
+    # the same chain, coupling J included
+    spec = ChainSpec(8, coupling=coupling)
+    sch = schedule8(smoothing_timescale=0.1)
+    t_start, checkpoints = 12.0, np.array([13.0, 14.5, 16.0])
+    assert np.all(np.array(field_at(sch, np.linspace(t_start, checkpoints[-1], 101))) == 4.0)
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi /= np.linalg.norm(psi)
+
+    states = protocol._integrate_active(spec, sch, psi, t_start, checkpoints, 0.025)
+    stage = _stage_decomposition(spec, 4.0, 4.0)
+    for tc, state in zip(checkpoints, states):
+        exact = evolve(stage, AmplitudeVector(psi), tc - t_start).amplitudes
+        assert np.max(np.abs(state - exact)) <= 1e-12
