@@ -144,17 +144,14 @@ def build_hamiltonian(spec: ChainSpec, profile: FieldProfile) -> SingleExcitatio
 
 # --- plain-text config blocks -------------------------------------------------
 #
-# A profile round-trips through a small key = value block, e.g.
+# The CLI's --config files are key = value blocks, one flag per line with
+# dashes or underscores in its name, e.g.
 #
-#     n_sites = 18
-#     coupling = 1.0
-#     omega = 50.0
-#     barrier_sites = [2, 17]
+#     n = 10
+#     omega_list = [10.0, 20.0, 40.0]
+#     metric = max-concurrence
 #
-# or, for arbitrary fields,
-#
-#     n_sites = 5
-#     fields = [0.0, 1.5, 0.0, 1.5, 0.0]
+# Values are Python literals; any other value (max-concurrence) stays a string.
 
 
 def parse_config_block(text: str) -> dict:
@@ -174,46 +171,3 @@ def parse_config_block(text: str) -> dict:
         except (ValueError, SyntaxError):
             out[key] = value
     return out
-
-
-def profile_from_config(text: str) -> tuple[ChainSpec, FieldProfile]:
-    """Build (ChainSpec, FieldProfile) from a config block.
-
-    Recognized keys: n_sites (required), coupling, and either an explicit
-    ``fields`` array or ``omega`` with optional ``barrier_sites`` (default
-    [2, N-1]).
-    """
-    cfg = parse_config_block(text)
-    if "n_sites" not in cfg:
-        raise ValueError("config block must set n_sites")
-    spec = ChainSpec(int(cfg["n_sites"]), float(cfg.get("coupling", 1.0)))
-    if "fields" in cfg:
-        fields = np.asarray(cfg["fields"], dtype=float)
-        if fields.size != spec.n_sites:
-            raise ValueError("fields length does not match n_sites")
-        return spec, FieldProfile(fields)
-    omega = float(cfg.get("omega", 0.0))
-    sites = cfg.get("barrier_sites", [2, spec.n_sites - 1])
-    fields = np.zeros(spec.n_sites)
-    for site in sites:
-        if not 1 <= int(site) <= spec.n_sites:
-            raise ValueError(f"barrier site {site} outside 1..{spec.n_sites}")
-        fields[int(site) - 1] = omega
-    return spec, FieldProfile(fields)
-
-
-def profile_to_config(spec: ChainSpec, profile: FieldProfile) -> str:
-    """Serialize a profile to the config-block form accepted by profile_from_config."""
-    if len(profile) != spec.n_sites:
-        raise ValueError("profile length does not match n_sites")
-    lines = [f"n_sites = {spec.n_sites}", f"coupling = {spec.coupling!r}"]
-    sites = profile.nonzero_sites()
-    values = {profile.field(s) for s in sites}
-    if sites and len(values) == 1:
-        lines.append(f"omega = {values.pop()!r}")
-        lines.append(f"barrier_sites = [{', '.join(str(s) for s in sites)}]")
-    elif not sites:
-        lines.append("omega = 0.0")
-    else:
-        lines.append(f"fields = [{', '.join(repr(float(k)) for k in profile.local_fields)}]")
-    return "\n".join(lines) + "\n"

@@ -5,9 +5,12 @@ grids) or JSON (scalar summaries).  Headers embed the tool version and the
 generating configuration, so re-running a config reproduces files
 byte-for-byte.  `--out`, `--config`, and `--threads` are deliberately left
 out of the embedded header: the first two are plumbing and the third is
-accepted and ignored (ensembles run serially).
+accepted and ignored.  Ensembles run serially and no library function takes
+a thread count; `--threads` stays only because the benchmark's `ensemble`
+workload (`perfbench/workloads.py`) passes it, which
+`tests/test_perfbench_guard.py` checks.
 
-A config file uses the same `key = value` format as profile blocks; keys
+A config file is a `key = value` block (`chain.parse_config_block`); keys
 mirror flag names with underscores (`T` for `--T`).  Its entries are read
 as flags placed before the command line's own, so flags given on the
 command line win, and each value is parsed and validated like its flag.

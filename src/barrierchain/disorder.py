@@ -12,7 +12,8 @@ index.  An ensemble decomposes its samples one by one in index order, then
 searches all their peaks at once: one ``metrics.transfer_peaks`` call, whose
 lockstep refinement gives each sample the bits a search of that sample
 alone would.  The mean is reduced with numpy's pairwise summation over the
-index-ordered sample array.
+index-ordered sample array.  Nothing here takes a thread count; the CLI's
+``--threads`` flag is parsed and ignored.
 """
 
 from __future__ import annotations
@@ -137,7 +138,6 @@ def monte_carlo(
     window: tuple[float, float],
     n_samples: int,
     seed: int,
-    threads: int | None = None,
     keep_samples: bool = False,
 ) -> EnsembleResult:
     """Average the peak transfer metric over disorder realizations.
@@ -147,7 +147,6 @@ def monte_carlo(
     then serves the whole ensemble, with a grid step fixed by the clean
     chain's Rabi time so all samples see identical scan parameters.  Each
     sample's peak has the bits a search of that sample alone gives.
-    ``threads`` is accepted for compatibility and ignored.
     """
     if metric not in (MAX_CONCURRENCE, MAX_FIDELITY):
         raise ValueError(f"unknown metric {metric!r}")

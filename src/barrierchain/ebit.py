@@ -18,13 +18,7 @@ import numpy as np
 
 from .chain import ChainSpec, FieldProfile, ebit_barrier_profile
 from .metrics import peak_search
-from .spectral import (
-    AmplitudeVector,
-    SpectralDecomposition,
-    decompose,
-    evolve,
-    transition_amplitude,
-)
+from .spectral import SpectralDecomposition, decompose, evolve
 
 
 @dataclass(frozen=True)
@@ -62,18 +56,13 @@ def evolve_ebit(
     initial = np.zeros(spec.n_sites, dtype=complex)
     initial[0] = state.alpha
     initial[1] = state.beta
-    return evolve(decomp, AmplitudeVector(initial), t).amplitudes
+    return evolve(decomp, initial, t)
 
 
 def pair_concurrence(p: np.ndarray) -> float:
     """Concurrence of the receiver pair, 2 |p_{N-1} p_N|."""
     p = np.asarray(p, dtype=complex)
     return float(2.0 * abs(p[-2]) * abs(p[-1]))
-
-
-def singlet_transfer_concurrence(decomp: SpectralDecomposition, t):
-    """External-qubit scenario: the transported concurrence is |f_{N1}(t)|."""
-    return np.abs(transition_amplitude(decomp, 1, decomp.n_sites, t))
 
 
 def dominant_pair_gap(

@@ -28,11 +28,6 @@ from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian
 _MAX_FULL_SITES = 12
 
 
-def _check_size(n_sites: int) -> None:
-    if n_sites > _MAX_FULL_SITES:
-        raise ValueError(f"full-space oracle is capped at N = {_MAX_FULL_SITES}, got {n_sites}")
-
-
 def site_index(n_sites: int, site: int) -> int:
     """Basis index of the state with the excitation on one 1-based site."""
     if not 1 <= site <= n_sites:
@@ -77,8 +72,9 @@ def extract_amplitudes(n_sites: int, state: np.ndarray) -> tuple[np.ndarray, flo
 
 def full_hamiltonian(spec: ChainSpec, profile: FieldProfile) -> np.ndarray:
     """Dense 2^N matrix of -J [ 1/2 sum (sx sx + sy sy) + sum K_n sz ]."""
-    _check_size(spec.n_sites)
     n = spec.n_sites
+    if n > _MAX_FULL_SITES:
+        raise ValueError(f"full-space oracle is capped at N = {_MAX_FULL_SITES}, got {n}")
     j = spec.coupling
     dim = 2**n
     states = np.arange(dim)
@@ -106,7 +102,6 @@ class FullDecomposition:
     """Full Hamiltonian, evolved on the invariant blocks a state reaches."""
 
     def __init__(self, spec: ChainSpec, profile: FieldProfile):
-        _check_size(spec.n_sites)
         self.spec = spec
         self.profile = profile
         self.hamiltonian = full_hamiltonian(spec, profile)

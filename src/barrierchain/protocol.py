@@ -46,7 +46,6 @@ from scipy.special import expit
 from .chain import ChainSpec, FieldProfile
 from .metrics import average_fidelity, golden_section
 from .spectral import (
-    AmplitudeVector,
     SpectralDecomposition,
     decompose,
     evolve,
@@ -158,15 +157,15 @@ def _stage_decomposition(spec: ChainSpec, omega2: float, omega_nm1: float) -> Sp
 
 @dataclass(frozen=True, eq=False)
 class ProtocolTrajectory:
-    """Sampled protocol run plus the exactly propagated final state."""
+    """Sampled protocol run plus the exactly propagated final state, the
+    site amplitudes at times[-1]."""
 
     times: np.ndarray
     omega2: np.ndarray
     omega_nm1: np.ndarray
     abs_f: np.ndarray
     avg_fidelity: np.ndarray
-    survival: np.ndarray
-    final_state: AmplitudeVector
+    final_state: np.ndarray
     schedule: SwitchingSchedule
     survival_min_presend: float
 
@@ -300,7 +299,7 @@ def _run_once(
     each of sample_times as rows, the site-1 survival probabilities sampled
     before t1, and the state vector at t_end."""
     n = spec.n_sites
-    psi = site_state(n, 1).amplitudes.copy()
+    psi = site_state(n, 1)
     samples = np.empty((sample_times.size, n), dtype=complex)
     presend: list[np.ndarray] = []
     for lo, hi, active in _switch_regions(schedule, t_end):
@@ -311,9 +310,8 @@ def _run_once(
         if not active:
             mid = 0.5 * (lo + hi)
             decomp = _stage_decomposition(spec, *field_at(schedule, mid))
-            start = AmplitudeVector(psi)
             if inside.size:
-                samples[mask] = evolve_many(decomp, start, inside - lo)
+                samples[mask] = evolve_many(decomp, psi, inside - lo)
             # pre-send survival carries a fast ripple at the dressed Rabi rate
             # sqrt(K1^2 + 4), only 4/(K1^2 + 4) deep, on top of the slow
             # second-order exchange (J13 = 1/K1) with site 3 and the bulk
@@ -323,9 +321,9 @@ def _run_once(
                 fine_hi = min(hi, schedule.t1)
                 dt_fine = 2.0 * np.pi / np.sqrt(schedule.k1**2 + 4.0) / 40.0
                 fine = np.arange(lo, fine_hi, dt_fine)
-                amps = evolve_many(decomp, start, fine - lo)
+                amps = evolve_many(decomp, psi, fine - lo)
                 presend.append(np.abs(amps[:, 0]) ** 2)
-            psi = evolve(decomp, start, hi - lo).amplitudes
+            psi = evolve(decomp, psi, hi - lo)
         else:
             checkpoints = np.unique(np.concatenate([inside, [hi]]))
             states = _integrate_active(spec, schedule, psi, lo, checkpoints, h0)
@@ -396,8 +394,7 @@ def simulate_protocol(
         omega_nm1=omega_nm1,
         abs_f=abs_f,
         avg_fidelity=average_fidelity(abs_f),
-        survival=np.abs(samples[:, 0]) ** 2,
-        final_state=AmplitudeVector(psi, time_stamp=t_end),
+        final_state=psi,
         schedule=schedule,
         survival_min_presend=float(presend.min()) if presend.size else 1.0,
     )

@@ -68,33 +68,13 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeVector:
-    """Site amplitudes beta_j (1-based sites) tagged with the time they refer to."""
-
-    amplitudes: np.ndarray
-    time_stamp: float = 0.0
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex)
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def n_sites(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def site_state(n_sites: int, site: int, time_stamp: float = 0.0) -> AmplitudeVector:
-    """Basis state with the excitation on one 1-based site."""
+def site_state(n_sites: int, site: int) -> np.ndarray:
+    """Complex site amplitudes with the excitation on one 1-based site."""
     if not 1 <= site <= n_sites:
         raise ValueError(f"site {site} outside 1..{n_sites}")
     amplitudes = np.zeros(n_sites, dtype=complex)
     amplitudes[site - 1] = 1.0
-    return AmplitudeVector(amplitudes, time_stamp)
+    return amplitudes
 
 
 def _parity_adapt(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
@@ -165,18 +145,21 @@ def decompose(spec: ChainSpec, profile: FieldProfile) -> SpectralDecomposition:
     return eigendecompose(build_hamiltonian(spec, profile))
 
 
-def evolve(decomp: SpectralDecomposition, initial: AmplitudeVector, t: float) -> AmplitudeVector:
-    """Propagate amplitudes by exp(-i H t) through the spectral expansion."""
-    coeffs = decomp.eigenvectors.T @ initial.amplitudes
+def evolve(decomp: SpectralDecomposition, initial: np.ndarray, t: float) -> np.ndarray:
+    """Site amplitudes exp(-i H t) @ initial through the spectral expansion.
+
+    ``initial`` is cast to complex first: a real vector would take a real
+    matmul for the coefficients and round differently.
+    """
+    coeffs = decomp.eigenvectors.T @ np.asarray(initial, dtype=complex)
     phases = np.exp(-1j * decomp.eigenvalues * t)
-    amplitudes = decomp.eigenvectors @ (phases * coeffs)
-    return AmplitudeVector(amplitudes, initial.time_stamp + t)
+    return decomp.eigenvectors @ (phases * coeffs)
 
 
-def evolve_many(decomp: SpectralDecomposition, initial: AmplitudeVector, times: np.ndarray) -> np.ndarray:
+def evolve_many(decomp: SpectralDecomposition, initial: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Amplitudes on a whole time grid; returns an (n_times, N) array."""
     times = np.asarray(times, dtype=float)
-    coeffs = decomp.eigenvectors.T @ initial.amplitudes
+    coeffs = decomp.eigenvectors.T @ np.asarray(initial, dtype=complex)
     phases = np.exp(-1j * np.outer(times, decomp.eigenvalues))
     return (phases * coeffs) @ decomp.eigenvectors.T
 

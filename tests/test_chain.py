@@ -9,8 +9,6 @@ from barrierchain.chain import (
     build_hamiltonian,
     ebit_barrier_profile,
     parse_config_block,
-    profile_from_config,
-    profile_to_config,
     uniform_profile,
 )
 
@@ -123,31 +121,3 @@ def test_parse_config_block():
         "barrier_sites": [2, 5],
         "label": "max-concurrence",
     }
-
-
-def test_profile_from_config_barrier_form():
-    spec, profile = profile_from_config("n_sites = 8\nomega = 3.0")
-    assert spec.n_sites == 8
-    assert profile.nonzero_sites() == (2, 7)
-    assert profile.field(2) == 3.0
-
-
-def test_profile_from_config_explicit_fields():
-    spec, profile = profile_from_config("n_sites = 4\nfields = [0.0, 1.0, 2.0, 0.0]")
-    assert spec.n_sites == 4
-    assert np.array_equal(profile.local_fields, [0.0, 1.0, 2.0, 0.0])
-
-
-def test_profile_from_config_errors():
-    with pytest.raises(ValueError):
-        profile_from_config("omega = 3.0")
-    with pytest.raises(ValueError):
-        profile_from_config("n_sites = 4\nfields = [0.0, 1.0]")
-
-
-def test_profile_config_round_trip():
-    spec = ChainSpec(7, coupling=1.25)
-    profile = FieldProfile(np.array([0.0, 2.5, 0.0, -1.0, 0.0, 2.5, 0.0]))
-    spec2, profile2 = profile_from_config(profile_to_config(spec, profile))
-    assert spec2 == spec
-    assert np.allclose(profile2.local_fields, profile.local_fields)

@@ -113,14 +113,6 @@ def test_monte_carlo_summary_matches_samples():
     )
 
 
-def test_thread_count_never_changes_the_numbers():
-    kwargs = dict(n_samples=10, seed=9, keep_samples=True)
-    model = DisorderModel(BULK_UNIFORM, 2.0)
-    seq = monte_carlo("max-concurrence", model, N10, 20.0, WINDOW10, threads=1, **kwargs)
-    pooled = monte_carlo("max-concurrence", model, N10, 20.0, WINDOW10, threads=3, **kwargs)
-    assert np.array_equal(seq.per_sample, pooled.per_sample)
-
-
 def test_metric_pair_is_consistent():
     # max-fidelity is the fidelity at the same peak the concurrence metric finds
     shared = dict(n_samples=5, seed=13, keep_samples=True)

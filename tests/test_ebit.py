@@ -9,7 +9,6 @@ from barrierchain.ebit import (
     evolve_ebit,
     pair_concurrence,
     peak_pair_concurrence,
-    singlet_transfer_concurrence,
 )
 from barrierchain.oracle import embed_amplitudes, reduced_state, wootters_concurrence
 from barrierchain.spectral import eigendecompose, transition_amplitude
@@ -76,14 +75,6 @@ def test_receiver_pair_concurrence_matches_wootters():
         p = evolve_ebit(spec, profile, state, float(t))
         rho = reduced_state(embed_amplitudes(8, p), (7, 8))
         assert wootters_concurrence(rho) == pytest.approx(pair_concurrence(p), abs=1e-10)
-
-
-def test_singlet_transfer_concurrence_is_abs_f():
-    spec = ChainSpec(7)
-    decomp = eigendecompose(build_hamiltonian(spec, barrier_profile(spec, 4.0)))
-    times = np.array([0.0, 3.1, 12.0])
-    c = singlet_transfer_concurrence(decomp, times)
-    assert np.allclose(c, np.abs(transition_amplitude(decomp, 1, 7, times)))
 
 
 def test_dominant_pair_gap_shrinks_with_barrier_height():

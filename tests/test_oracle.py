@@ -75,8 +75,9 @@ def test_full_hamiltonian_is_hermitian_and_size_capped():
     spec = ChainSpec(5)
     h = full_hamiltonian(spec, random_profile(5, seed=0))
     assert np.allclose(h, h.conj().T)
-    with pytest.raises(ValueError):
-        full_hamiltonian(ChainSpec(13), FieldProfile(np.zeros(13)))
+    for build in (full_hamiltonian, FullDecomposition):
+        with pytest.raises(ValueError):
+            build(ChainSpec(13), FieldProfile(np.zeros(13)))
 
 
 def test_magnetization_is_conserved():
@@ -170,14 +171,14 @@ def test_rk4_against_spectral():
     h = build_hamiltonian(spec, profile)
     start = site_state(6, 1)
     target = evolve(eigendecompose(h), start, 7.0)
-    numeric = rk4_evolve(h, start.amplitudes, 7.0)
-    assert np.max(np.abs(numeric - target.amplitudes)) < 1e-8
+    numeric = rk4_evolve(h, start, 7.0)
+    assert np.max(np.abs(numeric - target)) < 1e-8
 
 
 def test_rk4_driven_reduces_to_static():
     spec = ChainSpec(5)
     h = build_hamiltonian(spec, random_profile(5, seed=6, scale=2.0))
-    start = site_state(5, 2).amplitudes
+    start = site_state(5, 2)
     static = rk4_evolve(h, start, 3.0, n_steps=2048)
     driven = rk4_evolve_driven(lambda t: h.diagonal, h.off_diagonal, start, 0.0, 3.0, 2048)
     assert np.array_equal(static, driven)

@@ -1,7 +1,9 @@
 """The benchmark tracer (perfbench/spans.py) wraps barrierchain functions by
 module and attribute name, and its counter hooks read some of their
 arguments by position or keyword.  A rename would only surface as an error
-in a traced benchmark run, so check here that every such name resolves."""
+in a traced benchmark run, so check here that every such name resolves.
+Likewise each workload (perfbench/workloads.py) is a CLI argument list, so
+check that the CLI still accepts every one of them."""
 
 import importlib
 import inspect
@@ -9,8 +11,10 @@ import runpy
 from pathlib import Path
 
 import barrierchain.oracle
+from barrierchain.cli import build_parser
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 # (module, attribute, position, parameter) read by the tracer's counter hooks
 HOOK_ARGUMENTS = (
@@ -37,3 +41,12 @@ def test_traced_names_resolve():
         assert _parameter(getattr(importlib.import_module(module), attr), position) == name
     # args[0] of the wrapped __init__ is self
     assert _parameter(barrierchain.oracle.FullDecomposition.__init__, 1) == "spec"
+
+
+def test_workload_arguments_parse(tmp_path):
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    parser = build_parser()
+    for seed in (workloads["DEFAULT_SEED"], 1):
+        for name in workloads["WORKLOADS"]:
+            argv = workloads["argv"](name, seed, str(tmp_path))
+            assert parser.parse_args(argv).experiment == argv[0]

@@ -7,7 +7,6 @@ from barrierchain.chain import ChainSpec, FieldProfile, barrier_profile, build_h
 from barrierchain.metrics import ipr
 from barrierchain.spectral import (
     _CLUSTER_RTOL,
-    AmplitudeVector,
     _fix_signs,
     _parity_adapt,
     eigendecompose,
@@ -56,23 +55,34 @@ def test_evolution_is_unitary_and_composes():
     decomp = eigendecompose(build_hamiltonian(ChainSpec(8), random_profile(8, seed=3)))
     psi0 = site_state(8, 1)
     one_shot = evolve(decomp, psi0, 11.5)
-    assert abs(one_shot.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(one_shot) - 1.0) < 1e-12
     two_step = evolve(decomp, evolve(decomp, psi0, 4.25), 7.25)
-    assert np.allclose(one_shot.amplitudes, two_step.amplitudes, atol=1e-12)
+    assert np.allclose(one_shot, two_step, atol=1e-12)
     # reversibility
     back = evolve(decomp, one_shot, -11.5)
-    assert np.allclose(back.amplitudes, psi0.amplitudes, atol=1e-12)
-    assert one_shot.time_stamp == pytest.approx(11.5)
+    assert np.allclose(back, psi0, atol=1e-12)
 
 
 def test_evolve_many_matches_single_shots():
     decomp = eigendecompose(build_hamiltonian(ChainSpec(6), random_profile(6, seed=4)))
-    start = AmplitudeVector(np.array([0.6, 0.0, 0.8j, 0.0, 0.0, 0.0]))
+    start = np.array([0.6, 0.0, 0.8j, 0.0, 0.0, 0.0])
     times = np.array([0.0, 1.0, 2.5, 17.0])
     grid = evolve_many(decomp, start, times)
     assert grid.shape == (4, 6)
     for row, t in zip(grid, times):
-        assert np.allclose(row, evolve(decomp, start, t).amplitudes, atol=1e-12)
+        assert np.allclose(row, evolve(decomp, start, t), atol=1e-12)
+
+
+def test_evolution_casts_a_real_initial_vector_to_complex():
+    # a real vector left uncast would take a real matmul and round differently
+    times = np.array([0.0, 0.7, 13.0, 250.0])
+    for n in (6, 37, 100):
+        decomp = eigendecompose(build_hamiltonian(ChainSpec(n), random_profile(n, seed=n)))
+        real = np.random.default_rng(n).standard_normal(n)
+        cast = real.astype(complex)
+        for t in times:
+            assert np.array_equal(evolve(decomp, real, t), evolve(decomp, cast, t))
+        assert np.array_equal(evolve_many(decomp, real, times), evolve_many(decomp, cast, times))
 
 
 def test_transition_amplitude_matches_expm():
@@ -289,8 +299,8 @@ def test_tridiagonal_eigh_raises_on_lapack_failure():
 
 def test_site_state_validation():
     state = site_state(5, 3)
-    assert state.amplitudes[2] == 1.0
-    assert state.norm() == pytest.approx(1.0)
+    assert state[2] == 1.0
+    assert np.linalg.norm(state) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         site_state(5, 6)
     with pytest.raises(ValueError):
