@@ -1,18 +1,21 @@
 """Brute-force validators independent of the spectral fast path.
 
-Everything here works in the full 2^N Hilbert space built directly from the
-Pauli terms of the chain Hamiltonian (dense matrix, N <= 12), or integrates
-the one-excitation ODE system step by step.  None of it shares code with the
-tridiagonal spectral engine, which is the point: agreement between the two
-paths validates the sector reduction, Eq.-of-motion signs, and the
-concurrence formulas.
+Everything here works in the full 2^N Hilbert space, built directly from the
+Pauli terms of the chain Hamiltonian, or integrates the one-excitation ODE
+system step by step.  None of it shares code with the tridiagonal spectral
+engine, which is the point: agreement between the two paths validates the
+sector reduction, Eq.-of-motion signs, and the concurrence formulas.
 
-A state is evolved on the invariant blocks of the full matrix that it
-reaches: the closure of its support under the nonzero pattern of H, split
-into connected blocks, each diagonalized densely.  The split is read from
-the matrix, not from magnetization, so a term that broke conservation would
-merge blocks instead of being dropped.  A site excitation touches one
-N-state block, not all 2^N states.
+A state is evolved on the invariant blocks of H that it reaches, without
+building the 2^N matrix: a breadth-first search from each basis state in
+the state's support applies the terms' bit flips, and only the block it
+reaches is assembled from the terms and diagonalized densely.  The split is
+read from the terms, not from magnetization, so a term that broke
+conservation would merge blocks instead of being dropped.  A site
+excitation touches one N-state block, so any N works; a block larger than
+4096 states (the 2^12 states of the old dense cap) is refused.  The dense
+matrix ``full_hamiltonian`` (N <= 12) is kept as the reference that tests
+compare the blocks against.
 
 Basis convention: site n maps to bit (N - n), so site 1 is the most
 significant bit and the all-up state is index 0.
@@ -25,7 +28,8 @@ import scipy.linalg
 
 from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian
 
-_MAX_FULL_SITES = 12
+_MAX_FULL_SITES = 12   # the dense reference matrix, 2^12 x 2^12 = 128 MiB
+_MAX_BLOCK_STATES = 4096  # largest block the oracle diagonalizes, the old 2^12
 
 
 def site_index(n_sites: int, site: int) -> int:
@@ -70,63 +74,130 @@ def extract_amplitudes(n_sites: int, state: np.ndarray) -> tuple[np.ndarray, flo
     return amplitudes, float(np.sqrt(max(outside, 0.0)))
 
 
+def _terms(spec: ChainSpec, profile: FieldProfile) -> tuple[list[float], list[tuple[int, int, float]]]:
+    """The chain's terms, read by both the dense builder and the block oracle.
+
+    Returns (fields, moves).  ``fields[n - 1]`` is J K_n, so basis state s
+    has energy -sum_n fields[n - 1] * sz_n(s).  Each move (mask, source, c)
+    adds c (|s ^ mask><s| + h.c.) for every basis state s with
+    s & mask == source; the hop 1/2 (sx sx + sy sy) = s+ s- + s- s+ between
+    sites n and n + 1 is the move from (1, 0) to (0, 1) on their bit pair.
+    """
+    n = spec.n_sites
+    j = spec.coupling
+    fields = [j * profile.field(site) for site in range(1, n + 1)]
+    moves = []
+    for site in range(1, n):
+        mask_hi = 1 << (n - site)
+        mask_lo = 1 << (n - site - 1)
+        moves.append((mask_hi | mask_lo, mask_hi, -j))
+    return fields, moves
+
+
 def full_hamiltonian(spec: ChainSpec, profile: FieldProfile) -> np.ndarray:
     """Dense 2^N matrix of -J [ 1/2 sum (sx sx + sy sy) + sum K_n sz ]."""
     n = spec.n_sites
     if n > _MAX_FULL_SITES:
-        raise ValueError(f"full-space oracle is capped at N = {_MAX_FULL_SITES}, got {n}")
-    j = spec.coupling
+        raise ValueError(f"dense Hamiltonian is capped at N = {_MAX_FULL_SITES}, got {n}")
+    fields, moves = _terms(spec, profile)
     dim = 2**n
     states = np.arange(dim)
     h = np.zeros((dim, dim))
     # sz eigenvalue is +1 for bit 0 (spin up), -1 for bit 1.
     diag = np.zeros(dim)
-    for site in range(1, n + 1):
+    for site, field in enumerate(fields, start=1):
         bit = (states >> (n - site)) & 1
-        diag -= j * profile.field(site) * (1.0 - 2.0 * bit)
+        diag -= field * (1.0 - 2.0 * bit)
     h[states, states] = diag
-    # 1/2 (sx sx + sy sy) = s+ s- + s- s+ flips adjacent (1,0) <-> (0,1) pairs.
-    for site in range(1, n):
-        hi = n - site
-        lo = n - site - 1
-        mask_hi = 1 << hi
-        mask_lo = 1 << lo
-        movable = states[((states >> hi) & 1).astype(bool) & ~((states >> lo) & 1).astype(bool)]
-        partner = movable - mask_hi + mask_lo
-        h[partner, movable] -= j
-        h[movable, partner] -= j
+    for mask, source, coefficient in moves:
+        movable = states[(states & mask) == source]
+        partner = movable ^ mask
+        h[partner, movable] += coefficient
+        h[movable, partner] += coefficient
     return h
 
 
 class FullDecomposition:
-    """Full Hamiltonian, evolved on the invariant blocks a state reaches."""
+    """The full Hamiltonian, evolved on the invariant blocks a state reaches.
+
+    Nothing here builds the 2^N matrix: each block is found from its seed
+    state by a breadth-first search over the chain's moves and assembled
+    from the terms alone, bit for bit as ``full_hamiltonian`` holds it.
+    Basis states are Python ints, so any N works.  The search refuses a
+    block past ``_MAX_BLOCK_STATES`` (4096) states as it grows, so no
+    eigensolve is larger than 4096 x 4096.
+    """
 
     def __init__(self, spec: ChainSpec, profile: FieldProfile):
         self.spec = spec
         self.profile = profile
-        self.hamiltonian = full_hamiltonian(spec, profile)
+        self._fields, self._moves = _terms(spec, profile)
 
-    def _block(self, seed: int) -> np.ndarray:
-        """Sorted basis indices H connects to ``seed``, in any number of steps."""
-        reached = np.zeros(self.hamiltonian.shape[0], dtype=bool)
-        reached[seed] = True
-        frontier = np.array([seed])
-        while frontier.size:
-            coupled = np.any(self.hamiltonian[frontier] != 0.0, axis=0) & ~reached
-            reached |= coupled
-            frontier = np.flatnonzero(coupled)
-        return np.flatnonzero(reached)
+    def _block(self, seed: int) -> tuple[list[int], np.ndarray]:
+        """Sorted basis states the moves connect to ``seed``, and H on them."""
+        reached = {seed}
+        frontier = [seed]
+        couplings = []  # (row state, column state, c), moves in order per column
+        while frontier:
+            grown = []
+            for state in frontier:
+                for mask, source, coefficient in self._moves:
+                    if (state & mask) in (source, source ^ mask):
+                        other = state ^ mask
+                        couplings.append((other, state, coefficient))
+                        if other not in reached:
+                            reached.add(other)
+                            grown.append(other)
+                if len(reached) > _MAX_BLOCK_STATES:
+                    raise ValueError(
+                        f"block of state {seed} exceeds {_MAX_BLOCK_STATES} states"
+                    )
+            frontier = grown
+        block = sorted(reached)
+        position = {state: k for k, state in enumerate(block)}
+        n = self.spec.n_sites
+        width = (n + 7) // 8
+        packed = b"".join(state.to_bytes(width, "big") for state in block)
+        packed = np.frombuffer(packed, dtype=np.uint8).reshape(len(block), width)
+        bits = np.unpackbits(packed, axis=1)[:, -n:]  # column k: the bit of site k + 1
+        # the same sum, in the same site order, as full_hamiltonian's diagonal
+        diag = np.zeros(len(block))
+        for column, field in enumerate(self._fields):
+            diag -= field * (1.0 - 2.0 * bits[:, column])
+        h = np.diag(diag)
+        for row, column, coefficient in couplings:
+            h[position[row], position[column]] += coefficient
+        return block, h
+
+    @staticmethod
+    def _propagate(h: np.ndarray, local: np.ndarray, t: float) -> np.ndarray:
+        w, v = scipy.linalg.eigh(h)
+        return v @ (np.exp(-1j * w * t) * (v.conj().T @ local))
+
+    def _amplitude(self, source: int, target: int, t: float) -> np.complex128:
+        """<target| exp(-i H t) |source> for two basis states on one block."""
+        block, h = self._block(source)
+        local = np.zeros(len(block), dtype=complex)
+        local[block.index(source)] = 1.0
+        return self._propagate(h, local, t)[block.index(target)]
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) @ state, one eigensolve per block the state touches."""
+        """exp(-i H t) @ state for a dense 2^N vector, one eigensolve per block.
+
+        Every block the state touches is found, and its size checked,
+        before the first eigensolve.
+        """
         state = np.asarray(state, dtype=complex)
-        evolved = np.zeros_like(state)
         pending = state != 0
+        blocks = []
         while pending.any():
-            block = self._block(int(np.argmax(pending)))
-            w, v = scipy.linalg.eigh(self.hamiltonian[np.ix_(block, block)])
-            evolved[block] = v @ (np.exp(-1j * w * t) * (v.conj().T @ state[block]))
+            block, h = self._block(int(np.argmax(pending)))
+            block = np.array(block)
+            blocks.append((block, h))
             pending[block] = False
+        evolved = np.zeros_like(state)
+        for block, h in blocks:
+            evolved[block] = self._propagate(h, state[block], t)
         return evolved
 
 
@@ -260,6 +331,6 @@ def oracle_transition_amplitude(spec: ChainSpec, profile: FieldProfile, from_sit
     complex numbers, not just in magnitude.
     """
     decomp = FullDecomposition(spec, profile)
-    evolved = decomp.evolve(single_excitation_state(spec, from_site), t)
-    vacuum_phase = decomp.evolve(all_up_state(spec), t)[0]
-    return complex(evolved[site_index(spec.n_sites, to_site)] / vacuum_phase)
+    n = spec.n_sites
+    amplitude = decomp._amplitude(site_index(n, from_site), site_index(n, to_site), t)
+    return complex(amplitude / decomp._amplitude(0, 0, t))

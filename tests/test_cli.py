@@ -196,6 +196,14 @@ def test_oracle_check_passes_and_fails(tmp_path, capsys):
     assert json.loads((tmp_path / "strict.json").read_text())["pass"] is False
 
 
+def test_oracle_check_runs_past_the_dense_size_cap(tmp_path, capsys):
+    # the oracle assembles only the blocks a state reaches, so N > 12 runs
+    run(["oracle-check", "--n-min", "13", "--n-max", "16", "--pairs", "2"], tmp_path, capsys)
+    body = json.loads((tmp_path / "oracle-check.json").read_text())
+    assert body["pass"] is True
+    assert body["checks"] == 8
+
+
 # (config text, equivalent flags, files written); one case per kind of value:
 # ints and floats, a switch, int and float lists, strings, negatives, exponents
 CONFIG_CASES = {

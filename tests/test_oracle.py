@@ -75,9 +75,15 @@ def test_full_hamiltonian_is_hermitian_and_size_capped():
     spec = ChainSpec(5)
     h = full_hamiltonian(spec, random_profile(5, seed=0))
     assert np.allclose(h, h.conj().T)
-    for build in (full_hamiltonian, FullDecomposition):
-        with pytest.raises(ValueError):
-            build(ChainSpec(13), FieldProfile(np.zeros(13)))
+    with pytest.raises(ValueError):
+        full_hamiltonian(ChainSpec(13), FieldProfile(np.zeros(13)))
+    # the block oracle has no cap on N, only on the size of a reached block
+    FullDecomposition(ChainSpec(13), FieldProfile(np.zeros(13)))
+    # a dense N = 15 state reaches the half-filling block, C(15, 7) = 6435 states
+    spec = ChainSpec(15)
+    decomp = FullDecomposition(spec, random_profile(15, seed=0))
+    with pytest.raises(ValueError):
+        decomp.evolve(np.ones(2**15, dtype=complex), 1.0)
 
 
 def test_magnetization_is_conserved():
@@ -215,21 +221,23 @@ def test_block_evolve_matches_dense_propagator(n):
 
 def test_block_split_is_read_from_the_matrix(monkeypatch):
     # a transverse sx term on one site breaks magnetization conservation;
-    # the oracle must follow the matrix, not the excitation number
+    # the oracle must follow the terms, not the excitation number
     n, site, strength, t = 5, 3, 0.7, 3.1
     spec = ChainSpec(n)
     profile = barrier_profile(spec, 2.0)
-    builder = barrierchain.oracle.full_hamiltonian
+    h = full_hamiltonian(spec, profile)
+    states = np.arange(2**n)
+    h[states ^ (1 << (n - site)), states] += strength
+    terms = barrierchain.oracle._terms
 
     def with_transverse_field(spec, profile):
-        h = builder(spec, profile)
-        states = np.arange(2**spec.n_sites)
-        h[states ^ (1 << (spec.n_sites - site)), states] += strength
-        return h
+        fields, moves = terms(spec, profile)
+        mask = 1 << (spec.n_sites - site)
+        return fields, moves + [(mask, mask, strength)]
 
-    monkeypatch.setattr(barrierchain.oracle, "full_hamiltonian", with_transverse_field)
-    h = with_transverse_field(spec, profile)
+    monkeypatch.setattr(barrierchain.oracle, "_terms", with_transverse_field)
     assert np.allclose(h, h.T)
+    assert np.array_equal(full_hamiltonian(spec, profile), h)
     state = single_excitation_state(spec, 1)
     evolved = FullDecomposition(spec, profile).evolve(state, t)
     assert np.max(np.abs(evolved - scipy.linalg.expm(-1j * t * h) @ state)) <= 1e-12
@@ -246,3 +254,50 @@ def test_oracle_matches_spectral_path_at_its_size_cap(n):
         profile = barrier_profile(spec, omega)
         fast = transition_amplitude(eigendecompose(build_hamiltonian(spec, profile)), 1, n, t)
         assert abs(fast - oracle_transition_amplitude(spec, profile, 1, n, t)) <= 1e-10
+
+
+@pytest.mark.parametrize("coupling", [1.0, 0.7])
+def test_blocks_equal_the_dense_slice_bit_for_bit(monkeypatch, coupling):
+    # every block the oracle assembles, from a seed or while evolving, holds
+    # exactly the bits of the dense matrix's slice; this keeps oracle-check's
+    # output bytes independent of which of the two builds the block
+    assembled = []
+    block_of = FullDecomposition._block
+
+    def recording(self, seed):
+        block, h = block_of(self, seed)
+        assembled.append((block, h))
+        return block, h
+
+    monkeypatch.setattr(FullDecomposition, "_block", recording)
+    for n in range(4, 11):
+        spec = ChainSpec(n, coupling)
+        profile = random_profile(n, seed=200 + n)
+        dense = full_hamiltonian(spec, profile)
+        decomp = FullDecomposition(spec, profile)
+        assembled.clear()
+        seeds = [0, site_index(n, 1), site_index(n, n), site_index(n, 2) | site_index(n, n - 1) | 1]
+        for seed in seeds:
+            decomp._block(seed)
+        oracle_transition_amplitude(spec, profile, 1, n, 1.3)
+        decomp.evolve(single_excitation_state(spec, 2) + all_up_state(spec), 0.4)
+        assert len(assembled) == len(seeds) + 4
+        for block, h in assembled:
+            assert block == sorted(block)
+            assert np.array_equal(h, dense[np.ix_(block, block)])
+
+
+def test_oracle_reaches_gate_6_pin_chain():
+    # N = 100 is far past the dense builder's cap; the one-excitation block
+    # has 100 states.  Both paths round each eigenvalue to about eps * |lambda|,
+    # so each phase exp(-i lambda t) is off by up to about eps * max|lambda| * t
+    # (2.7e-9 here).  |f| sums |a_1k a_Nk| <= 1 of those phases, so each path
+    # is off by at most that scale times the eigensolver's small constant;
+    # allow 2 per path.
+    n, omega, t = 100, 100.0, 61106.056
+    spec = ChainSpec(n)
+    profile = barrier_profile(spec, omega)
+    decomp = eigendecompose(build_hamiltonian(spec, profile))
+    scale = np.finfo(float).eps * np.max(np.abs(decomp.eigenvalues)) * t
+    fast = transition_amplitude(decomp, 1, n, t)
+    assert abs(fast - oracle_transition_amplitude(spec, profile, 1, n, t)) <= 4.0 * scale
