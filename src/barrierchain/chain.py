@@ -5,10 +5,12 @@ and site-local z fields K_n,
 
     H = -J [ 1/2 sum_n (sx_n sx_{n+1} + sy_n sy_{n+1}) + sum_n K_n sz_n ].
 
-Total magnetization is conserved, so the one-excitation block is an N x N
-symmetric tridiagonal matrix with diagonal 2*K_n and constant off-diagonal
--J (energies in units of J, times in 1/J).  Sites are numbered 1..N in every
-public interface.
+J is the unit of energy and 1/J the unit of time, and no interface takes
+it as a parameter: with the fields K_n in units of J, H(J) = J H(1), so a
+chain at any J is the J = 1 chain on a rescaled clock.  Total magnetization
+is conserved, so the one-excitation block is an N x N symmetric tridiagonal
+matrix with diagonal 2*K_n and constant off-diagonal -1.  Sites are
+numbered 1..N in every public interface.
 """
 
 from __future__ import annotations
@@ -27,16 +29,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Chain size and energy unit."""
+    """Chain size.  The exchange J is the energy unit, not a field: H(J) = J H(1)."""
 
     n_sites: int
-    coupling: float = 1.0
 
     def __post_init__(self) -> None:
         if int(self.n_sites) != self.n_sites or self.n_sites < 2:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
-        if not (self.coupling > 0):
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
         object.__setattr__(self, "n_sites", int(self.n_sites))
 
 
@@ -80,33 +79,31 @@ def uniform_profile(spec: ChainSpec) -> FieldProfile:
     return FieldProfile(np.zeros(spec.n_sites))
 
 
-def barrier_profile(spec: ChainSpec, omega: float) -> FieldProfile:
-    """Fields K_n = omega on the barrier sites 2 and N-1, zero elsewhere."""
-    if spec.n_sites < 4:
-        raise ValueError("barrier sites 2 and N-1 need N >= 4")
+def _mirror_pair_profile(spec: ChainSpec, omega: float, site: int) -> FieldProfile:
+    """Fields K_n = omega on sites ``site`` and N+1-site, zero elsewhere."""
+    if spec.n_sites < 2 * site:
+        raise ValueError(f"barrier sites {site} and N-{site - 1} need N >= {2 * site}")
     if omega < 0:
         raise ValueError(f"omega must be >= 0, got {omega}")
     fields = np.zeros(spec.n_sites)
-    fields[1] = omega
-    fields[spec.n_sites - 2] = omega
+    fields[site - 1] = omega
+    fields[spec.n_sites - site] = omega
     return FieldProfile(fields)
+
+
+def barrier_profile(spec: ChainSpec, omega: float) -> FieldProfile:
+    """Fields K_n = omega on the barrier sites 2 and N-1, zero elsewhere."""
+    return _mirror_pair_profile(spec, omega, 2)
 
 
 def ebit_barrier_profile(spec: ChainSpec, omega: float) -> FieldProfile:
     """Fields K_n = omega on sites 3 and N-2, used for entangled-pair transfer."""
-    if spec.n_sites < 6:
-        raise ValueError("barrier sites 3 and N-2 need N >= 6")
-    if omega < 0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    fields = np.zeros(spec.n_sites)
-    fields[2] = omega
-    fields[spec.n_sites - 3] = omega
-    return FieldProfile(fields)
+    return _mirror_pair_profile(spec, omega, 3)
 
 
 @dataclass(frozen=True, eq=False)
 class SingleExcitationHamiltonian:
-    """One-excitation block: diagonal 2*K_n, constant off-diagonal -J."""
+    """One-excitation block; ``build_hamiltonian`` writes diagonal 2*K_n and off-diagonal -1."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
@@ -137,8 +134,8 @@ def build_hamiltonian(spec: ChainSpec, profile: FieldProfile) -> SingleExcitatio
         raise ValueError(
             f"profile length {len(profile)} does not match n_sites {spec.n_sites}"
         )
-    diagonal = 2.0 * spec.coupling * profile.local_fields
-    off_diagonal = np.full(spec.n_sites - 1, -spec.coupling)
+    diagonal = 2.0 * profile.local_fields
+    off_diagonal = np.full(spec.n_sites - 1, -1.0)
     return SingleExcitationHamiltonian(diagonal, off_diagonal)
 
 

@@ -209,6 +209,17 @@ def _cmd_scaling(args) -> list[str]:
     return [_emit(args, rows, units_time="1/J", units_energy="J")]
 
 
+def _ensemble_row(args, rows: dict, spec: ChainSpec, omega: float, window, model: DisorderModel) -> None:
+    """Run one ensemble and append its omega, mean, stderr, n_samples and
+    seed to ``rows``.  The caller works out the window, once per omega."""
+    result = monte_carlo(args.metric, model, spec, omega, window, n_samples=args.n_samples, seed=args.seed)
+    rows["omega"].append(omega)
+    rows["mean"].append(result.mean_metric)
+    rows["stderr"].append(result.std_error)
+    rows["n_samples"].append(result.n_samples)
+    rows["seed"].append(result.seed)
+
+
 def _cmd_disorder(args) -> list[str]:
     spec = ChainSpec(args.n)
     rows: dict[str, list] = {
@@ -217,17 +228,8 @@ def _cmd_disorder(args) -> list[str]:
     for omega in args.omega_list:
         window = default_window(spec, omega, args.window_factor)
         for b in args.b_list:
-            model = DisorderModel(BULK_UNIFORM, b)
-            result = monte_carlo(
-                args.metric, model, spec, omega, window,
-                n_samples=args.n_samples, seed=args.seed,
-            )
             rows["b"].append(b)
-            rows["omega"].append(omega)
-            rows["mean"].append(result.mean_metric)
-            rows["stderr"].append(result.std_error)
-            rows["n_samples"].append(result.n_samples)
-            rows["seed"].append(result.seed)
+            _ensemble_row(args, rows, spec, omega, window, DisorderModel(BULK_UNIFORM, b))
     return [_emit(args, rows)]
 
 
@@ -241,16 +243,7 @@ def _cmd_leakage(args) -> list[str]:
         }
         for omega in omegas:
             window = default_window(spec, omega, args.window_factor)
-            model = DisorderModel(BARRIER_LEAKAGE, omega)
-            result = monte_carlo(
-                args.metric, model, spec, omega, window,
-                n_samples=args.n_samples, seed=args.seed,
-            )
-            rows["omega"].append(omega)
-            rows["mean"].append(result.mean_metric)
-            rows["stderr"].append(result.std_error)
-            rows["n_samples"].append(result.n_samples)
-            rows["seed"].append(result.seed)
+            _ensemble_row(args, rows, spec, omega, window, DisorderModel(BARRIER_LEAKAGE, omega))
         written.append(_emit(args, rows, _suffixed_out(args, f"n{n}"), n=n))
     return written
 
@@ -351,13 +344,11 @@ def _cmd_oracle_check(args) -> list[str]:
             f_oracle = oracle_transition_amplitude(spec, profile, 1, n, t)
             worst = max(worst, abs(f_spectral - f_oracle))
             checks += 1
+    # a NaN tolerance or error fails: worst <= tol is then False
+    passed = bool(worst <= args.tol)
     path = _resolve_out(args, ".json")
-    _write_json(
-        path,
-        args,
-        {"max_abs_error": worst, "checks": checks, "tolerance": args.tol, "pass": bool(worst <= args.tol)},
-    )
-    if worst > args.tol:
+    _write_json(path, args, {"max_abs_error": worst, "checks": checks, "tolerance": args.tol, "pass": passed})
+    if not passed:
         raise ValueError(
             f"oracle mismatch: max |f_spectral - f_oracle| = {worst:.3e} exceeds {args.tol:g}"
         )

@@ -111,13 +111,14 @@ def _ensemble_fields(model: DisorderModel, base: FieldProfile, n_samples: int, s
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Monte Carlo summary; std_error = sample std / sqrt(n_samples)."""
+    """Monte Carlo summary; std_error = sample std / sqrt(n_samples), and
+    per_sample holds each sample's metric in sample-index order."""
 
     n_samples: int
     seed: int
     mean_metric: float
     std_error: float
-    per_sample: np.ndarray | None = None
+    per_sample: np.ndarray
 
 
 MAX_CONCURRENCE = "max-concurrence"
@@ -138,7 +139,6 @@ def monte_carlo(
     window: tuple[float, float],
     n_samples: int,
     seed: int,
-    keep_samples: bool = False,
 ) -> EnsembleResult:
     """Average the peak transfer metric over disorder realizations.
 
@@ -170,5 +170,5 @@ def monte_carlo(
         seed=seed,
         mean_metric=mean,
         std_error=std_error,
-        per_sample=values if keep_samples else None,
+        per_sample=values,
     )

@@ -65,12 +65,11 @@ def ipr(vector: np.ndarray) -> float:
     return float(total**2 / np.sum(weights**2))
 
 
-def transfer_series(decomp: SpectralDecomposition, times: np.ndarray, sender: int = 1, receiver: int | None = None) -> dict[str, np.ndarray]:
-    """|f|, Fbar and C on a time grid, as the columns t, abs_f, avg_fidelity,
-    concurrence (C = |f|) ready for ``format_csv``."""
-    receiver = decomp.n_sites if receiver is None else receiver
+def transfer_series(decomp: SpectralDecomposition, times: np.ndarray) -> dict[str, np.ndarray]:
+    """|f_{N1}|, Fbar and C on a time grid, as the columns t, abs_f,
+    avg_fidelity, concurrence (C = |f|) ready for ``format_csv``."""
     times = np.asarray(times, dtype=float)
-    abs_f = np.abs(transition_amplitude(decomp, sender, receiver, times))
+    abs_f = np.abs(transition_amplitude(decomp, 1, decomp.n_sites, times))
     return {"t": times, "abs_f": abs_f, "avg_fidelity": average_fidelity(abs_f), "concurrence": abs_f}
 
 
@@ -288,15 +287,15 @@ def peak_search(levels, weights, objective, lo: float, hi: float, step: float) -
 
 
 def transfer_peaks(
-    levels: np.ndarray, weights: np.ndarray, window: tuple[float, float] | float, t_max: float | None = None
+    levels: np.ndarray, weights: np.ndarray, window: tuple[float, float], t_max: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Peaks (t*, |f(t*)|) over a window for a stack of chains of one size.
+    """Peaks (t*, |f(t*)|) over a window (lo, hi) for a stack of chains of one size.
 
     ``levels`` holds the chains' eigenvalues and ``weights`` their transfer
     weights a_{k,1} a_{k,N}, both of shape (S, N).  Window and grid step are
     those of ``max_fidelity``, and one ``peak_search`` serves the stack.
     """
-    lo, hi = (0.0, float(window)) if np.isscalar(window) else (float(window[0]), float(window[1]))
+    lo, hi = window
     step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
 
     def objective(t: np.ndarray) -> np.ndarray:
@@ -312,10 +311,10 @@ def transfer_peaks(
 
 def max_fidelity(
     decomp: SpectralDecomposition,
-    window: tuple[float, float] | float,
+    window: tuple[float, float],
     t_max: float | None = None,
 ) -> tuple[float, float]:
-    """Peak of Fbar(t) over a window: grid scan plus golden-section refinement.
+    """Peak of Fbar(t) over a window (lo, hi): grid scan plus golden-section refinement.
 
     The grid is lo + j step up to hi, with step min(0.25, t_max/200) when the
     Rabi time is known and 0.25 otherwise; ``peak_search`` scans |f| on the
@@ -330,17 +329,16 @@ def max_fidelity(
     return float(t_star[0]), average_fidelity(abs_f[0])
 
 
-def receiver_fidelity(amplitudes: np.ndarray, alpha: complex, beta: complex, receiver: int | None = None) -> float:
+def receiver_fidelity(amplitudes: np.ndarray, alpha: complex, beta: complex) -> float:
     """F = <psi_in| rho_N |psi_in> from evolved site amplitudes.
 
     The chain is prepared in alpha|vac> + beta|sender>; after evolution the
     receiver qubit's reduced state is assembled from the amplitude arriving
-    at the receiver site, with the standard compensating z-rotation applied
+    at the receiver site N, with the standard compensating z-rotation applied
     there (the phase of f is known, so the receiver can always undo it).
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    receiver_amp = amplitudes[-1 if receiver is None else receiver - 1]
-    a = abs(receiver_amp)
+    a = abs(amplitudes[-1])
     rho = np.array(
         [
             [abs(alpha) ** 2 + abs(beta) ** 2 * (1.0 - a**2), alpha * np.conj(beta) * a],

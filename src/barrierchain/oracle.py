@@ -77,20 +77,19 @@ def extract_amplitudes(n_sites: int, state: np.ndarray) -> tuple[np.ndarray, flo
 def _terms(spec: ChainSpec, profile: FieldProfile) -> tuple[list[float], list[tuple[int, int, float]]]:
     """The chain's terms, read by both the dense builder and the block oracle.
 
-    Returns (fields, moves).  ``fields[n - 1]`` is J K_n, so basis state s
+    Returns (fields, moves).  ``fields[n - 1]`` is K_n, so basis state s
     has energy -sum_n fields[n - 1] * sz_n(s).  Each move (mask, source, c)
     adds c (|s ^ mask><s| + h.c.) for every basis state s with
     s & mask == source; the hop 1/2 (sx sx + sy sy) = s+ s- + s- s+ between
     sites n and n + 1 is the move from (1, 0) to (0, 1) on their bit pair.
     """
     n = spec.n_sites
-    j = spec.coupling
-    fields = [j * profile.field(site) for site in range(1, n + 1)]
+    fields = [profile.field(site) for site in range(1, n + 1)]
     moves = []
     for site in range(1, n):
         mask_hi = 1 << (n - site)
         mask_lo = 1 << (n - site - 1)
-        moves.append((mask_hi | mask_lo, mask_hi, -j))
+        moves.append((mask_hi | mask_lo, mask_hi, -1.0))
     return fields, moves
 
 

@@ -256,10 +256,6 @@ def _integrate_active(
     factors = np.stack(
         [da * d[:, 0] + db * d[:, 1] for da, db in weights for d in (-omega2, -omega_nm1)], axis=1
     ).reshape(-1, 2)
-    # The factors are those of the listed system; the chain's Hamiltonian is
-    # J times it, so J scales the exponent's step, never the node times.
-    # At J = 1 the product is exact.
-    phase_steps = sizes * spec.coupling
     # a factor whose entries match the previous factor's bit for bit (flat
     # logistic tails) reuses its eigenpair
     bits = factors.view(np.int64)
@@ -276,7 +272,7 @@ def _integrate_active(
             if not repeat[k]:
                 diag[1], diag[n - 2] = factors[k]
                 w, v = tridiagonal_eigh(diag, off)
-            psi = v @ (np.exp(-1j * phase_steps[k // 2] * w) * (v.T @ psi))
+            psi = v @ (np.exp(-1j * sizes[k // 2] * w) * (v.T @ psi))
             k += 1
         states.append(psi)
     return states

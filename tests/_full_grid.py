@@ -56,7 +56,7 @@ def full_grid_peak_search(objective, scan, lo: float, hi: float, step: float) ->
 
 
 def full_grid_max_fidelity(decomp, window, t_max=None) -> tuple[float, float]:
-    lo, hi = (0.0, float(window)) if np.isscalar(window) else (float(window[0]), float(window[1]))
+    lo, hi = float(window[0]), float(window[1])
     receiver = decomp.n_sites
     step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
     weights = transition_weights(decomp, 1, receiver)

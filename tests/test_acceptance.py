@@ -264,11 +264,11 @@ def test_criterion_7_disorder_robustness():
     for b in strengths:
         runs[b] = monte_carlo(
             MAX_CONCURRENCE, DisorderModel(BULK_UNIFORM, b), spec, omega, window,
-            n_samples=1000, seed=2024, keep_samples=True,
+            n_samples=1000, seed=2024,
         )
     rerun = monte_carlo(
         MAX_CONCURRENCE, DisorderModel(BULK_UNIFORM, 2.0), spec, omega, window,
-        n_samples=1000, seed=2024, keep_samples=True,
+        n_samples=1000, seed=2024,
     )
     means = {b: runs[b].mean_metric for b in runs}
     closeness = abs(means[TOLERATED_DISORDER] - means[0.0])
@@ -298,7 +298,7 @@ def test_criterion_7_samples_match_the_full_grid_search():
     t_max = rabi_transfer_time(localization_report(decompose(spec, base), base))
     for b in (0.0, TOLERATED_DISORDER, 2.0):
         model = DisorderModel(BULK_UNIFORM, b)
-        run = monte_carlo(MAX_CONCURRENCE, model, spec, omega, window, n_samples=100, seed=2024, keep_samples=True)
+        run = monte_carlo(MAX_CONCURRENCE, model, spec, omega, window, n_samples=100, seed=2024)
         reference = np.empty(100)
         for i in range(100):
             decomp = decompose(spec, sample_profile(model, base, i, 2024))
@@ -317,7 +317,7 @@ def test_criterion_7_samples_do_not_depend_on_batch_size():
     model = DisorderModel(BULK_UNIFORM, 2.0)
 
     def per_sample(n_samples):
-        run = monte_carlo(MAX_CONCURRENCE, model, spec, omega, window, n_samples=n_samples, seed=2024, keep_samples=True)
+        run = monte_carlo(MAX_CONCURRENCE, model, spec, omega, window, n_samples=n_samples, seed=2024)
         return run.per_sample
 
     whole = per_sample(1000)

@@ -20,10 +20,6 @@ def test_chain_spec_validation():
         ChainSpec(1)
     with pytest.raises(ValueError):
         ChainSpec(4.5)
-    with pytest.raises(ValueError):
-        ChainSpec(4, coupling=0.0)
-    with pytest.raises(ValueError):
-        ChainSpec(4, coupling=-1.0)
 
 
 def test_field_profile_lookup_is_one_based():
@@ -87,12 +83,12 @@ def test_ebit_barrier_profile_needs_six_sites():
 
 
 def test_hamiltonian_assembly():
-    # diagonal is 2 K_n, off-diagonal a constant -J
-    spec = ChainSpec(5, coupling=2.0)
+    # diagonal is 2 K_n, off-diagonal a constant -1 (energies in units of J)
+    spec = ChainSpec(5)
     profile = FieldProfile(np.array([1.0, 0.0, -3.0, 0.0, 0.5]))
     h = build_hamiltonian(spec, profile)
-    assert np.array_equal(h.diagonal, np.array([4.0, 0.0, -12.0, 0.0, 2.0]))
-    assert np.array_equal(h.off_diagonal, np.full(4, -2.0))
+    assert np.array_equal(h.diagonal, np.array([2.0, 0.0, -6.0, 0.0, 1.0]))
+    assert np.array_equal(h.off_diagonal, np.full(4, -1.0))
     dense = h.dense()
     assert np.array_equal(dense, dense.T)
     assert dense[0, 2] == 0.0

@@ -187,13 +187,15 @@ def test_oracle_check_passes_and_fails(tmp_path, capsys):
     assert body["checks"] == 4
     assert body["max_abs_error"] <= 1e-10
 
-    captured = run(["oracle-check", "--n-min", "4", "--n-max", "4", "--pairs", "2",
-                    "--tol", "1e-18", "--out", str(tmp_path / "strict.json")],
-                   tmp_path, capsys, expect=1)
-    error = json.loads(captured.err.strip().splitlines()[-1])
-    assert error["error"] == "ValueError"
-    # the report is still written so the failure can be inspected
-    assert json.loads((tmp_path / "strict.json").read_text())["pass"] is False
+    # a NaN tolerance passes nothing: the report and the exit code agree
+    for tol in ("1e-18", "nan"):
+        captured = run(["oracle-check", "--n-min", "4", "--n-max", "4", "--pairs", "2",
+                        "--tol", tol, "--out", str(tmp_path / "strict.json")],
+                       tmp_path, capsys, expect=1)
+        error = json.loads(captured.err.strip().splitlines()[-1])
+        assert error["error"] == "ValueError"
+        # the report is still written so the failure can be inspected
+        assert json.loads((tmp_path / "strict.json").read_text())["pass"] is False
 
 
 def test_oracle_check_runs_past_the_dense_size_cap(tmp_path, capsys):

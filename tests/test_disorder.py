@@ -104,7 +104,7 @@ def test_zero_strength_ensemble_reproduces_clean_peak():
 def test_monte_carlo_summary_matches_samples():
     result = monte_carlo(
         "max-concurrence", DisorderModel(BULK_UNIFORM, 1.0), N10, 20.0, WINDOW10,
-        n_samples=12, seed=5, keep_samples=True,
+        n_samples=12, seed=5,
     )
     assert result.per_sample.shape == (12,)
     assert result.mean_metric == pytest.approx(np.mean(result.per_sample))
@@ -115,7 +115,7 @@ def test_monte_carlo_summary_matches_samples():
 
 def test_metric_pair_is_consistent():
     # max-fidelity is the fidelity at the same peak the concurrence metric finds
-    shared = dict(n_samples=5, seed=13, keep_samples=True)
+    shared = dict(n_samples=5, seed=13)
     model = DisorderModel(BULK_UNIFORM, 1.0)
     conc = monte_carlo("max-concurrence", model, N10, 20.0, WINDOW10, **shared)
     fid = monte_carlo("max-fidelity", model, N10, 20.0, WINDOW10, **shared)

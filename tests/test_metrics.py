@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from barrierchain._csvio import format_csv
-from barrierchain.chain import ChainSpec, FieldProfile, barrier_profile, build_hamiltonian, uniform_profile
+from barrierchain.chain import (
+    ChainSpec,
+    FieldProfile,
+    SingleExcitationHamiltonian,
+    barrier_profile,
+    build_hamiltonian,
+    uniform_profile,
+)
 from barrierchain.metrics import (
     _grid_count,
     _grid_point,
@@ -97,8 +104,6 @@ def test_transfer_series_columns():
     # each row is the single-time amplitude, up to the summation order
     for t, abs_f in zip(series["t"].tolist(), series["abs_f"].tolist()):
         assert abs_f == pytest.approx(abs(transition_amplitude(decomp, 1, 6, t)), abs=1e-12)
-    inner = transfer_series(decomp, times, sender=2, receiver=4)
-    assert np.array_equal(inner["abs_f"], np.abs(transition_amplitude(decomp, 2, 4, times)))
 
 
 def test_transfer_record_concurrence_equals_abs_f():
@@ -222,11 +227,8 @@ def test_max_fidelity_two_equal_peaks_resolve_deterministically():
     assert max_fidelity(decomp, (0.0, 6.0)) == (t_star, fbar)
 
 
-def test_max_fidelity_scalar_window_and_errors():
+def test_max_fidelity_rejects_an_empty_window():
     decomp = decompose(6, 4.0)
-    t_a, f_a = max_fidelity(decomp, 30.0)
-    t_b, f_b = max_fidelity(decomp, (0.0, 30.0))
-    assert (t_a, f_a) == (t_b, f_b)
     with pytest.raises(ValueError):
         max_fidelity(decomp, (5.0, 5.0))
 
@@ -292,10 +294,9 @@ def test_pruned_max_fidelity_is_bit_identical_to_full_grid(n, omega):
         assert max_fidelity(decomp, window, t_max=t_max) == full_grid_max_fidelity(decomp, window, t_max=t_max)
 
 
-def _slow_pair(coupling):
-    """N = 2, |f| = |sin(J t)|: a slope bound J and no other structure."""
-    spec = ChainSpec(2, coupling=coupling)
-    decomp = eigendecompose(build_hamiltonian(spec, uniform_profile(spec)))
+def _slow_pair(j):
+    """N = 2 with hop -J, |f| = |sin(J t)|: a slope bound J and no other structure."""
+    decomp = eigendecompose(SingleExcitationHamiltonian(np.zeros(2), [-j]))
     return decomp, transition_weights(decomp, 1, 2)
 
 

@@ -256,8 +256,7 @@ def test_oracle_matches_spectral_path_at_its_size_cap(n):
         assert abs(fast - oracle_transition_amplitude(spec, profile, 1, n, t)) <= 1e-10
 
 
-@pytest.mark.parametrize("coupling", [1.0, 0.7])
-def test_blocks_equal_the_dense_slice_bit_for_bit(monkeypatch, coupling):
+def test_blocks_equal_the_dense_slice_bit_for_bit(monkeypatch):
     # every block the oracle assembles, from a seed or while evolving, holds
     # exactly the bits of the dense matrix's slice; this keeps oracle-check's
     # output bytes independent of which of the two builds the block
@@ -271,7 +270,7 @@ def test_blocks_equal_the_dense_slice_bit_for_bit(monkeypatch, coupling):
 
     monkeypatch.setattr(FullDecomposition, "_block", recording)
     for n in range(4, 11):
-        spec = ChainSpec(n, coupling)
+        spec = ChainSpec(n)
         profile = random_profile(n, seed=200 + n)
         dense = full_hamiltonian(spec, profile)
         decomp = FullDecomposition(spec, profile)
