@@ -12,13 +12,16 @@ index.  An ensemble decomposes its samples one by one in index order, then
 searches all their peaks at once: one ``metrics.transfer_peaks`` call, whose
 lockstep refinement gives each sample the bits a search of that sample
 alone would.  The mean is reduced with numpy's pairwise summation over the
-index-ordered sample array.  Nothing here takes a thread count; the CLI's
-``--threads`` flag is parsed and ignored.
+index-ordered sample array.  The clean chain's Rabi time, which sets both
+``default_window`` and an ensemble's scan step, is worked out once per
+(chain, omega) and shared by every ensemble at that omega.  Nothing here
+takes a thread count; the CLI's ``--threads`` flag is parsed and ignored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,10 +128,18 @@ MAX_CONCURRENCE = "max-concurrence"
 MAX_FIDELITY = "max-fidelity"
 
 
+@lru_cache
+def _clean_rabi_time(spec: ChainSpec, omega: float) -> float:
+    """t_MAX of the clean barrier chain, reported once per (chain, omega):
+    a caller's ``default_window`` and the ``monte_carlo`` runs in that
+    window share one ``barrier_report``."""
+    return rabi_transfer_time(barrier_report(spec, omega))
+
+
 def default_window(spec: ChainSpec, omega: float, factor: float = 3.0) -> tuple[float, float]:
     """[0, factor t_MAX] of the clean barrier chain; the default 3 is
     generous enough that a disorder-shifted Rabi peak still falls inside."""
-    return (0.0, factor * rabi_transfer_time(barrier_report(spec, omega)))
+    return (0.0, factor * _clean_rabi_time(spec, omega))
 
 
 def monte_carlo(
@@ -153,7 +164,7 @@ def monte_carlo(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     base = barrier_profile(chain, omega)
-    t_max = rabi_transfer_time(barrier_report(chain, omega))
+    t_max = _clean_rabi_time(chain, omega)
     levels = np.empty((n_samples, chain.n_sites))
     weights = np.empty((n_samples, chain.n_sites))
     for i, fields in enumerate(_ensemble_fields(model, base, n_samples, seed)):

@@ -34,6 +34,21 @@ bit for bit.
 A factor whose diagonal equals the previous factor's bit for bit, as on
 flat logistic tails, reuses that eigenpair.  Eigenpairs are used as they
 are computed and never stored for a whole pass, so memory stays flat.
+
+Smoothed runs halve the step until the final fidelity settles, and every
+pass but the accepted one is a probe: it only propagates, keeping each
+constant region's decomposition and start state and each switching
+window's checkpoint states.  A probe's final fidelity comes from
+evolve_many over the last region's last two sample times, which gemm
+rounds as it rounds those rows of the whole table (one row only when the
+region holds one sample), or from the last checkpoint state when t_end lies
+in a switching window.  The accepted pass is sampled once, storing only
+the site-N amplitudes and the site-1 pre-send survival, through
+evolve_many in chunks of _CHUNK_ROWS rows.  numpy multiplies a single row
+by gemv, which can round differently, so no chunk holds one row unless its
+whole input does (a last chunk of one row joins the chunk before); every
+sample then has the bits of the full table, and the sampling's memory is
+bounded by the chunk, not by the number of samples.
 """
 
 from __future__ import annotations
@@ -282,32 +297,82 @@ class StepControlError(RuntimeError):
     """Raised when halving the integrator step fails to converge."""
 
 
-def _run_once(
+# Sample rows per evolve_many call when a pass is sampled: the tables of
+# amplitudes then hold at most this many rows, however long the run.
+_CHUNK_ROWS = 2048
+
+
+def _column(decomp: SpectralDecomposition, psi: np.ndarray, times: np.ndarray, site: int) -> np.ndarray:
+    """``evolve_many(decomp, psi, times)[:, site]`` bit for bit, evaluated in
+    chunks of _CHUNK_ROWS rows.
+
+    gemm rounds each row alike whichever rows share the call, but numpy
+    multiplies a single row by gemv (see ``spectral.scan_rows``), so a last
+    chunk of one row is folded into the chunk before it.
+    """
+    column = np.empty(times.size, dtype=complex)
+    bounds = [0, *range(_CHUNK_ROWS, times.size - 1, _CHUNK_ROWS), times.size]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        column[a:b] = evolve_many(decomp, psi, times[a:b])[:, site]
+    return column
+
+
+def _checkpoints(inside: np.ndarray, hi: float) -> np.ndarray:
+    """A switching window's checkpoints: its sample times and its end."""
+    return np.unique(np.concatenate([inside, [hi]]))
+
+
+def _propagate(
     spec: ChainSpec,
     schedule: SwitchingSchedule,
     t_end: float,
     sample_times: np.ndarray,
     h0: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One full pass at base step h0.
+) -> tuple[list[tuple], np.ndarray]:
+    """One pass at base step h0 that propagates without sampling.
 
-    Returns (samples, presend_survival, final_psi): the site amplitudes at
-    each of sample_times as rows, the site-1 survival probabilities sampled
-    before t1, and the state vector at t_end."""
-    n = spec.n_sites
-    psi = site_state(n, 1)
-    samples = np.empty((sample_times.size, n), dtype=complex)
-    presend: list[np.ndarray] = []
+    Returns (regions, final_psi).  Each region is a tuple
+    (lo, hi, inside, decomp, states) with ``inside`` the sample times in
+    it.  A constant region keeps its stage decomposition and, as
+    ``states``, its state at lo; a switching window has decomp None and
+    keeps the list of states at its checkpoints."""
+    psi = site_state(spec.n_sites, 1)
+    regions = []
     for lo, hi, active in _switch_regions(schedule, t_end):
         mask = (sample_times >= lo) & (sample_times < hi)
         if hi == t_end:
             mask = (sample_times >= lo) & (sample_times <= hi)
         inside = sample_times[mask]
         if not active:
-            mid = 0.5 * (lo + hi)
-            decomp = _stage_decomposition(spec, *field_at(schedule, mid))
-            if inside.size:
-                samples[mask] = evolve_many(decomp, psi, inside - lo)
+            decomp = _stage_decomposition(spec, *field_at(schedule, 0.5 * (lo + hi)))
+            regions.append((lo, hi, inside, decomp, psi))
+            psi = evolve(decomp, psi, hi - lo)
+        else:
+            states = _integrate_active(spec, schedule, psi, lo, _checkpoints(inside, hi), h0)
+            regions.append((lo, hi, inside, None, states))
+            psi = states[-1]
+    return regions, psi
+
+
+def _final_fidelity(regions: list[tuple]) -> float:
+    """Average fidelity at t_end of a propagated pass, bit for bit the value
+    sampling it gives: the last two rows of the last region's table round
+    like the whole table (see ``_column``), and in a switching window t_end
+    is the last checkpoint."""
+    lo, _, inside, decomp, states = regions[-1]
+    if decomp is None:
+        return average_fidelity(abs(states[-1][-1]))
+    return average_fidelity(abs(evolve_many(decomp, states, inside[-2:] - lo)[-1, -1]))
+
+
+def _sample(schedule: SwitchingSchedule, regions: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """(site-N amplitudes at every sample time, site-1 survival probabilities
+    sampled before t1) of a propagated pass."""
+    site_n: list[np.ndarray] = []
+    presend: list[np.ndarray] = []
+    for lo, hi, inside, decomp, states in regions:
+        if decomp is not None:
+            site_n.append(_column(decomp, states, inside - lo, -1))
             # pre-send survival carries a fast ripple at the dressed Rabi rate
             # sqrt(K1^2 + 4), only 4/(K1^2 + 4) deep, on top of the slow
             # second-order exchange (J13 = 1/K1) with site 3 and the bulk
@@ -317,21 +382,31 @@ def _run_once(
                 fine_hi = min(hi, schedule.t1)
                 dt_fine = 2.0 * np.pi / np.sqrt(schedule.k1**2 + 4.0) / 40.0
                 fine = np.arange(lo, fine_hi, dt_fine)
-                amps = evolve_many(decomp, psi, fine - lo)
-                presend.append(np.abs(amps[:, 0]) ** 2)
-            psi = evolve(decomp, psi, hi - lo)
+                presend.append(np.abs(_column(decomp, states, fine - lo, 0)) ** 2)
         else:
-            checkpoints = np.unique(np.concatenate([inside, [hi]]))
-            states = _integrate_active(spec, schedule, psi, lo, checkpoints, h0)
+            checkpoints = _checkpoints(inside, hi)
             for tc, state in zip(checkpoints, states):
                 if tc < schedule.t1:
                     presend.append(np.array([np.abs(state[0]) ** 2]))
-            hit = np.isin(checkpoints, inside)
-            if inside.size:
-                samples[mask] = np.array(states)[hit]
-            psi = states[-1]
+            site_n.append(np.array(states)[np.isin(checkpoints, inside), -1])
     survival = np.concatenate(presend) if presend else np.empty(0)
-    return samples, survival, psi
+    return np.concatenate(site_n), survival
+
+
+def _run_once(
+    spec: ChainSpec,
+    schedule: SwitchingSchedule,
+    t_end: float,
+    sample_times: np.ndarray,
+    h0: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One full pass at base step h0: propagated, then sampled.
+
+    Returns (site_n, presend_survival, final_psi): the site-N amplitude at
+    each of sample_times, the site-1 survival probabilities sampled before
+    t1, and the state vector at t_end."""
+    regions, psi = _propagate(spec, schedule, t_end, sample_times, h0)
+    return (*_sample(schedule, regions), psi)
 
 
 def simulate_protocol(
@@ -346,7 +421,14 @@ def simulate_protocol(
 
     Ideal steps are exact.  Smoothed schedules start the integrator at
     step_hint (default tau_s / 8) and halve it until the final average
-    fidelity moves by less than step_tolerance between passes.
+    fidelity moves by less than step_tolerance between passes.  Those
+    passes are probes: each only propagates, and its final fidelity comes
+    from the last two sample rows alone (or from the last checkpoint state
+    when t_end lies in a switching window).  Only the accepted pass is
+    sampled, once, in row chunks that hold at least two rows unless the
+    region holds one sample, so every sample keeps the bits of the whole
+    table and memory is bounded by the chunk, not by the number of samples
+    (see the module docstring).
     """
     if spec.n_sites < 6:
         raise ValueError("protocol needs at least 6 sites")
@@ -359,7 +441,7 @@ def simulate_protocol(
     sample_times = _sample_grid(schedule, t_end, sample_dt)
 
     if schedule.smoothing_timescale == 0:
-        samples, presend, psi = _run_once(spec, schedule, t_end, sample_times, np.inf)
+        regions, psi = _propagate(spec, schedule, t_end, sample_times, np.inf)
     else:
         h = step_hint if step_hint is not None else schedule.smoothing_timescale / 8.0
         if h <= 0:
@@ -367,12 +449,12 @@ def simulate_protocol(
         # Sampling already caps the effective step at sample_dt; start at or
         # below it so each halving genuinely refines the integration.
         h = min(h, sample_dt)
-        samples, presend, psi = _run_once(spec, schedule, t_end, sample_times, h)
-        previous = average_fidelity(abs(samples[-1, -1]))
+        regions, psi = _propagate(spec, schedule, t_end, sample_times, h)
+        previous = _final_fidelity(regions)
         for _ in range(14):
             h /= 2.0
-            samples, presend, psi = _run_once(spec, schedule, t_end, sample_times, h)
-            current = average_fidelity(abs(samples[-1, -1]))
+            regions, psi = _propagate(spec, schedule, t_end, sample_times, h)
+            current = _final_fidelity(regions)
             if abs(current - previous) < step_tolerance:
                 break
             previous = current
@@ -382,7 +464,8 @@ def simulate_protocol(
                 f"(last step {h:g})"
             )
 
-    abs_f = np.abs(samples[:, -1])
+    site_n, presend = _sample(schedule, regions)
+    abs_f = np.abs(site_n)
     omega2, omega_nm1 = field_at(schedule, sample_times)
     return ProtocolTrajectory(
         times=sample_times,

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from barrierchain import disorder
 from barrierchain._csvio import read_csv
 from barrierchain.chain import ChainSpec, barrier_profile, build_hamiltonian
 from barrierchain.cli import ENV_OUTDIR, main
@@ -74,6 +75,23 @@ def test_disorder_column_layout(tmp_path, capsys):
     assert list(cols) == ["b", "omega", "mean", "stderr", "n_samples", "seed"]
     assert np.array_equal(cols["b"], [0.0, 0.5])
     assert cols["stderr"][0] <= 1e-12  # b = 0 ensemble is deterministic
+
+
+def test_disorder_reports_each_clean_chain_once(tmp_path, capsys, monkeypatch):
+    # the window and every ensemble at one omega share the clean chain's report
+    reports = []
+    report = disorder.barrier_report
+
+    def counted(spec, omega):
+        reports.append((spec.n_sites, omega))
+        return report(spec, omega)
+
+    monkeypatch.setattr(disorder, "barrier_report", counted)
+    disorder._clean_rabi_time.cache_clear()
+    run(["disorder", "--n", "8", "--omega-list", "10,20,40", "--b-list", "0,1,2",
+         "--n-samples", "2", "--seed", "4"], tmp_path, capsys)
+    disorder._clean_rabi_time.cache_clear()
+    assert reports == [(8, 10.0), (8, 20.0), (8, 40.0)]
 
 
 def test_leakage_writes_one_file_per_length(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -17,7 +19,9 @@ from barrierchain.protocol import (
     storage_fidelity,
     two_level_interval,
 )
-from barrierchain.spectral import evolve, site_state
+from barrierchain.spectral import evolve, evolve_many, site_state
+
+_CHUNK = protocol._CHUNK_ROWS
 
 N8 = ChainSpec(8)
 DT8 = optimal_interval(8, 4.0)  # 8 pi
@@ -301,3 +305,128 @@ def test_cf4_window_on_a_constant_drive_matches_the_exact_stage():
     for tc, state in zip(checkpoints, states):
         exact = evolve(stage, psi, tc - t_start)
         assert np.max(np.abs(state - exact)) <= 1e-12
+
+
+def _reference_run_once(spec, schedule, t_end, sample_times, h0):
+    """The full-table pass the propagate-then-sample pass replaced: every
+    sample row of every site, on every pass."""
+    n = spec.n_sites
+    psi = site_state(n, 1)
+    samples = np.empty((sample_times.size, n), dtype=complex)
+    presend = []
+    for lo, hi, active in protocol._switch_regions(schedule, t_end):
+        mask = (sample_times >= lo) & (sample_times < hi)
+        if hi == t_end:
+            mask = (sample_times >= lo) & (sample_times <= hi)
+        inside = sample_times[mask]
+        if not active:
+            decomp = _stage_decomposition(spec, *field_at(schedule, 0.5 * (lo + hi)))
+            if inside.size:
+                samples[mask] = evolve_many(decomp, psi, inside - lo)
+            if lo < schedule.t1:
+                dt_fine = 2.0 * np.pi / np.sqrt(schedule.k1**2 + 4.0) / 40.0
+                fine = np.arange(lo, min(hi, schedule.t1), dt_fine)
+                presend.append(np.abs(evolve_many(decomp, psi, fine - lo)[:, 0]) ** 2)
+            psi = evolve(decomp, psi, hi - lo)
+        else:
+            checkpoints = np.unique(np.concatenate([inside, [hi]]))
+            states = protocol._integrate_active(spec, schedule, psi, lo, checkpoints, h0)
+            for tc, state in zip(checkpoints, states):
+                if tc < schedule.t1:
+                    presend.append(np.array([np.abs(state[0]) ** 2]))
+            if inside.size:
+                samples[mask] = np.array(states)[np.isin(checkpoints, inside)]
+            psi = states[-1]
+    return samples, np.concatenate(presend), psi
+
+
+def _reference_simulate(spec, schedule, t_end, sample_dt, step_hint):
+    """The step-halving loop over full-table passes; returns the sample
+    times, the last pass and its step."""
+    times = protocol._sample_grid(schedule, t_end, sample_dt)
+    if schedule.smoothing_timescale == 0:
+        return times, _reference_run_once(spec, schedule, t_end, times, np.inf)
+    h = min(step_hint, sample_dt)
+    run = _reference_run_once(spec, schedule, t_end, times, h)
+    previous = protocol.average_fidelity(abs(run[0][-1, -1]))
+    while True:
+        h /= 2.0
+        run = _reference_run_once(spec, schedule, t_end, times, h)
+        current = protocol.average_fidelity(abs(run[0][-1, -1]))
+        if abs(current - previous) < 1e-8:
+            return times, run
+        previous = current
+
+
+# (schedule, t_end - t2, sample_dt, step_hint, passes): the smoothed cases
+# end in a constant region and inside a switching window
+PROBE_CASES = {
+    "step": (schedule8(), 20.0, 0.05, None, 0),
+    "smoothed-constant-end": (schedule8(smoothing_timescale=0.2), 10.0, 0.2, 0.2, 4),
+    "smoothed-window-end": (schedule8(smoothing_timescale=2.0), 20.0, 0.2, 0.25, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(PROBE_CASES))
+def test_probe_passes_keep_every_bit_of_the_full_table_passes(case, monkeypatch):
+    sch, tail, sample_dt, step_hint, passes = PROBE_CASES[case]
+    t_end = sch.t2 + tail
+    steps = []
+    integrate = protocol._integrate_active
+
+    def counted(*args):
+        steps.append(args[-1])
+        return integrate(*args)
+
+    monkeypatch.setattr(protocol, "_integrate_active", counted)
+    traj = simulate_protocol(N8, sch, t_end=t_end, sample_dt=sample_dt, step_hint=step_hint)
+    probed = list(steps)
+    steps.clear()
+    times, (samples, presend, psi) = _reference_simulate(N8, sch, t_end, sample_dt, step_hint)
+
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.abs_f, np.abs(samples[:, -1]))
+    assert np.array_equal(traj.avg_fidelity, protocol.average_fidelity(np.abs(samples[:, -1])))
+    assert traj.survival_min_presend == presend.min()
+    assert np.array_equal(traj.final_state, psi)
+    # the same passes at the same steps, and sampling integrates nothing
+    assert probed == steps
+    assert len(set(steps)) == passes
+
+
+@pytest.mark.parametrize("size", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_chunked_column_is_bit_identical_to_the_whole_table(size, monkeypatch):
+    rng = np.random.default_rng(size)
+    decomp = _stage_decomposition(N8, 8.0, 0.0)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    times = np.sort(rng.uniform(0.0, 500.0, size))
+    whole = evolve_many(decomp, psi, times)
+
+    rows = []
+
+    def counted(decomp, psi, times):
+        rows.append(times.size)
+        return evolve_many(decomp, psi, times)
+
+    monkeypatch.setattr(protocol, "evolve_many", counted)
+    for site in (0, -1):
+        assert np.array_equal(protocol._column(decomp, psi, times, site), whole[:, site])
+    # every row once per site, and no chunk of one row unless the input is one
+    assert sum(rows) == 2 * size
+    assert max(rows) <= _CHUNK + 1
+    assert min(rows) >= min(size, 2)
+
+
+def test_sampling_memory_is_bounded_by_the_chunk():
+    # 39,276 sample rows; one rows x N complex table is 18 MiB
+    spec = ChainSpec(30)
+    sch = SwitchingSchedule(k1=60.0, k2=30.0, delta_t=optimal_interval(30, 30.0), t1=50.0)
+    tracemalloc.start()
+    try:
+        traj = simulate_protocol(spec, sch, t_end=sch.t2 + 500.0, sample_dt=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = traj.times.size * spec.n_sites * np.dtype(complex).itemsize
+    assert traj.times.size == 39276
+    assert peak < table / 2

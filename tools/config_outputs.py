@@ -3,10 +3,12 @@
 Usage: python tools/config_outputs.py OUTDIR
 
 Runs each ``configs/*.cfg``, plus the protocol config with smoothed switching
-(``--tau-s 0.5``), in a fresh process with BLAS pinned to one thread, writes
-the outputs under OUTDIR (new or empty) and prints ``sha256  name`` for every file written,
-sorted by name.  Two checkouts produce byte-identical outputs when this
-script prints the same lines on both, so compare them with ``diff``.
+at ``--tau-s 0.5`` and at ``--tau-s 0.05`` (step halving stops after three
+passes at the first and after two at the second), in a fresh process with
+BLAS pinned to one thread, writes the outputs under OUTDIR (new or empty)
+and prints ``sha256  name`` for every file written, sorted by name.  Two
+checkouts produce byte-identical outputs when this script prints the same
+lines on both, so compare them with ``diff``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ def runs(outdir: Path) -> list[list[str]]:
     argvs = []
     for cfg in sorted((ROOT / "configs").glob("*.cfg")):
         argvs.append([cfg.stem, "--config", str(cfg)])
-    argvs.append([
-        "protocol", "--config", str(ROOT / "configs" / "protocol.cfg"),
-        "--tau-s", "0.5", "--out", str(outdir / "protocol_tau0.5.csv"),
-    ])
+    for tau_s in ("0.5", "0.05"):
+        argvs.append([
+            "protocol", "--config", str(ROOT / "configs" / "protocol.cfg"),
+            "--tau-s", tau_s, "--out", str(outdir / f"protocol_tau{tau_s}.csv"),
+        ])
     return argvs
 
 
