@@ -49,8 +49,8 @@ from .metrics import (
     barrier_report,
     ipr,
     localization_report,
+    peak_search,
     rabi_transfer_time,
-    transfer_peaks,
     transfer_series,
 )
 from .oracle import oracle_transition_amplitude
@@ -94,11 +94,16 @@ def _resolve_out(args, suffix: str = ".csv") -> str:
     return os.path.join(_outdir(), args.experiment + suffix)
 
 
-def _suffixed_out(args, tag: str) -> str:
+def _sweep_outs(args, tags: list[str]) -> list[str]:
     """Variant of _resolve_out for subcommands that write one file per sweep
-    value; the tag lands before the extension."""
+    value; each tag lands before the extension.  Two values with one tag
+    would overwrite one file, so they raise before anything runs."""
     stem, ext = os.path.splitext(_resolve_out(args))
-    return f"{stem}_{tag}{ext or '.csv'}"
+    paths = [f"{stem}_{tag}{ext or '.csv'}" for tag in tags]
+    for i, path in enumerate(paths):
+        if path in paths[:i]:
+            raise ValueError(f"two sweep values write {path}")
+    return paths
 
 
 def _metadata(args) -> dict:
@@ -183,9 +188,9 @@ def _cmd_maxfid(args) -> list[str]:
         spec = ChainSpec(n)
         decomps = [decompose(spec, barrier_profile(spec, omega)) for omega in omegas]
         levels = np.array([d.eigenvalues for d in decomps]).reshape(-1, n)
-        weights = np.array([transition_weights(d, 1, n) for d in decomps]).reshape(-1, n)
+        weights = np.array([transition_weights(d, 1, n) for d in decomps]).reshape(-1, 1, n)
         # one stacked peak search per chain size
-        t_star, abs_f = transfer_peaks(levels, weights, (0.0, args.big_t))
+        t_star, abs_f = peak_search(levels, weights, (0.0, args.big_t))
         rows["n"].extend([n] * len(omegas))
         rows["omega"].extend(omegas)
         rows["t_star"].extend(t_star.tolist())
@@ -235,8 +240,9 @@ def _cmd_disorder(args) -> list[str]:
 
 def _cmd_leakage(args) -> list[str]:
     omegas = np.linspace(args.omega_min, args.omega_max, args.steps)
+    paths = _sweep_outs(args, [f"n{n}" for n in args.n_list])
     written = []
-    for n in args.n_list:
+    for n, path in zip(args.n_list, paths):
         spec = ChainSpec(n)
         rows: dict[str, list] = {
             "omega": [], "mean": [], "stderr": [], "n_samples": [], "seed": [],
@@ -244,15 +250,16 @@ def _cmd_leakage(args) -> list[str]:
         for omega in omegas:
             window = default_window(spec, omega, args.window_factor)
             _ensemble_row(args, rows, spec, omega, window, DisorderModel(BARRIER_LEAKAGE, omega))
-        written.append(_emit(args, rows, _suffixed_out(args, f"n{n}"), n=n))
+        written.append(_emit(args, rows, path, n=n))
     return written
 
 
 def _cmd_ebit(args) -> list[str]:
     spec = ChainSpec(args.n)
     state = EbitState(args.alpha, args.beta)
+    paths = _sweep_outs(args, [f"omega{omega:g}" for omega in args.omega_list])
     written = []
-    for omega in args.omega_list:
+    for omega, path in zip(args.omega_list, paths):
         profile = ebit_barrier_profile(spec, omega)
         decomp = decompose(spec, profile)
         lo, hi = ebit_window(spec, omega, state)
@@ -265,7 +272,6 @@ def _cmd_ebit(args) -> list[str]:
             rows["abs_p_Nm1"].append(abs(p[-2]))
             rows["abs_p_N"].append(abs(p[-1]))
             rows["concurrence"].append(pair_concurrence(p))
-        path = _suffixed_out(args, f"omega{omega:g}")
         written.append(_emit(args, rows, path, units_time="1/J", omega=omega, window_lo=lo, window_hi=hi))
     return written
 
@@ -331,8 +337,7 @@ def _cmd_effective(args) -> list[str]:
 
 def _cmd_oracle_check(args) -> list[str]:
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    checks = 0
+    errors = []
     for n in range(args.n_min, args.n_max + 1):
         spec = ChainSpec(n)
         for _ in range(args.pairs):
@@ -342,9 +347,11 @@ def _cmd_oracle_check(args) -> list[str]:
             decomp = decompose(spec, profile)
             f_spectral = transition_amplitude(decomp, 1, n, t)
             f_oracle = oracle_transition_amplitude(spec, profile, 1, n, t)
-            worst = max(worst, abs(f_spectral - f_oracle))
-            checks += 1
-    # a NaN tolerance or error fails: worst <= tol is then False
+            errors.append(abs(f_spectral - f_oracle))
+    # np.max keeps a NaN error, where the builtin max may drop it; a NaN
+    # tolerance or error fails, since worst <= tol is then False
+    worst = float(np.max(errors, initial=0.0))
+    checks = len(errors)
     passed = bool(worst <= args.tol)
     path = _resolve_out(args, ".json")
     _write_json(path, args, {"max_abs_error": worst, "checks": checks, "tolerance": args.tol, "pass": passed})

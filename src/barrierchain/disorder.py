@@ -9,7 +9,7 @@ bleed onto their neighbors.
 Each sample's fields come from a counter-based Philox stream keyed by
 (seed, sample_index), so a sample's value depends on nothing but its own
 index.  An ensemble decomposes its samples one by one in index order, then
-searches all their peaks at once: one ``metrics.transfer_peaks`` call, whose
+searches all their peaks at once: one ``metrics.peak_search`` call, whose
 lockstep refinement gives each sample the bits a search of that sample
 alone would.  The mean is reduced with numpy's pairwise summation over the
 index-ordered sample array.  The clean chain's Rabi time, which sets both
@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import ChainSpec, barrier_profile, FieldProfile
-from .metrics import average_fidelity, barrier_report, rabi_transfer_time, transfer_peaks
+from .metrics import average_fidelity, barrier_report, peak_search, rabi_transfer_time
 from .spectral import decompose, transition_weights
 
 BULK_UNIFORM = "bulk-uniform"
@@ -154,7 +154,7 @@ def monte_carlo(
     """Average the peak transfer metric over disorder realizations.
 
     Every sample rebuilds and re-diagonalizes its own chain, keeping only
-    its eigenvalues and transfer weights; one ``transfer_peaks`` search
+    its eigenvalues and transfer weights; one ``peak_search`` call
     then serves the whole ensemble, with a grid step fixed by the clean
     chain's Rabi time so all samples see identical scan parameters.  Each
     sample's peak has the bits a search of that sample alone gives.
@@ -166,13 +166,13 @@ def monte_carlo(
     base = barrier_profile(chain, omega)
     t_max = _clean_rabi_time(chain, omega)
     levels = np.empty((n_samples, chain.n_sites))
-    weights = np.empty((n_samples, chain.n_sites))
+    weights = np.empty((n_samples, 1, chain.n_sites))
     for i, fields in enumerate(_ensemble_fields(model, base, n_samples, seed)):
         decomp = decompose(chain, FieldProfile(fields))
         levels[i] = decomp.eigenvalues
-        weights[i] = transition_weights(decomp, 1, chain.n_sites)
+        weights[i, 0] = transition_weights(decomp, 1, chain.n_sites)
     # peak concurrence is |f| at the peak (Fbar is monotone in |f|)
-    _, abs_f = transfer_peaks(levels, weights, window, t_max=t_max)
+    _, abs_f = peak_search(levels, weights, window, t_max=t_max)
     values = abs_f if metric == MAX_CONCURRENCE else average_fidelity(abs_f)
     mean = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0

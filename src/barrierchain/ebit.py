@@ -118,17 +118,13 @@ def peak_pair_concurrence(
 
     ``metrics.peak_search`` over |p_{N-1}| |p_N| on a grid of step 0.25,
     the same scan-plus-golden-section search as the fidelity peak, on a
-    stack of one chain whose refinement evaluates ``evolve_ebit``.
+    stack of one chain with two factors, the spectral weights of p_{N-1}
+    and p_N.  ``evolve_ebit`` gives the same amplitudes to round-off.
     """
     _check_ebit_profile(spec, profile)
     decomp = decompose(spec, profile)
     start = decomp.eigenvectors[0, :] * state.alpha + decomp.eigenvectors[1, :] * state.beta
     weights = np.stack([decomp.eigenvectors[-2, :] * start, decomp.eigenvectors[-1, :] * start])
-
-    def objective(t: np.ndarray) -> np.ndarray:
-        p = evolve_ebit(spec, profile, state, t[0], decomp)
-        return np.array([abs(p[-2]) * abs(p[-1])])
-
+    t_star, product = peak_search(decomp.eigenvalues[None], weights[None], window)
     # 2 |p_{N-1}| |p_N|: doubling is exact, so it commutes with the search
-    t_star, product = peak_search(decomp.eigenvalues[None], weights[None], objective, window[0], window[1], 0.25)
     return float(t_star[0]), float(2.0 * product[0])

@@ -248,65 +248,53 @@ def _grid_argmax(levels: np.ndarray, weights, lo: float, step: float, count: int
     return _grid_point(lo, step, int(index[at])), values[at]
 
 
-def peak_search(levels, weights, objective, lo: float, hi: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Maxima over [lo, hi] of prod_i |a_si(t)|, a_si(t) = sum_k w_sik exp(-i lambda_sk t),
+def peak_search(levels, weights, window: tuple[float, float], t_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Maxima over a window (lo, hi) of prod_f |a_sf(t)|, a_sf(t) = sum_k w_sfk exp(-i lambda_sk t),
     for a stack of S chains of one size.
 
     ``levels`` holds each chain's eigenvalues, shape (S, N), and ``weights``
     each chain's weight vectors, shape (S, F, N): one factor for |f|, two
     for the pair concurrence 2 |p_{N-1}| |p_N| (whose factor 2 the caller
-    applies).  ``objective(t)`` takes an array of S times, one per chain,
-    and returns each chain's product at its time.  The grid is
-    ``np.arange(lo, hi + step, step)`` without the points above hi.  Each
-    chain's argmax (earliest on ties) is refined by one lockstep
-    ``golden_section`` over +-1 step clipped to [lo, hi], and a chain whose
-    refinement ends below its grid value keeps the grid point.  Returns the
-    arrays (t*, objective(t*)), one entry per chain.
+    applies).  The grid is ``np.arange(lo, hi + step, step)`` without the
+    points above hi, with step min(0.25, t_max/200) when the Rabi time
+    ``t_max`` is known and 0.25 otherwise.  Each chain's argmax (earliest on
+    ties) is refined by one lockstep ``golden_section`` over +-1 step
+    clipped to [lo, hi], which evaluates the same weighted sums the scan
+    does, and a chain whose refinement ends below its grid value keeps the
+    grid point.  Returns the arrays (t*, product at t*), one entry per
+    chain; each product has the bits of prod_f |``weighted_amplitude``|.
 
     Each chain scans only the blocks of ``scan_rows`` that can hold its
-    maximum.  |d|a_i|/dt| <= L_i = sum_k |w_ik lambda_k| (Shubert, SIAM J.
-    Numer. Anal. 9 (1972) 379) and |a_i| <= U_i = sum_k |w_ik| bound the
+    maximum.  |d|a_f|/dt| <= L_f = sum_k |w_fk lambda_k| (Shubert, SIAM J.
+    Numer. Anal. 9 (1972) 379) and |a_f| <= U_f = sum_k |w_fk| bound the
     product's slope, so a coarse pass certifies which cells lie strictly
     below the grid maximum (see ``_kept_rows``).  The kept rows are
     evaluated exactly as the whole table would be, so the argmax and every
     returned bit are those of the full scan.
     """
-    lo, hi = float(lo), float(hi)
+    lo, hi = float(window[0]), float(window[1])
     if hi <= lo:
         raise ValueError("window must have positive length")
+    step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
     count = _grid_count(lo, hi, step)
     grid = [_grid_argmax(chain, w, lo, step, count) for chain, w in zip(levels, weights)]
     t_grid, grid_value = np.array(grid).reshape(-1, 2).T
-    t_best = golden_section(objective, np.maximum(lo, t_grid - step), np.minimum(hi, t_grid + step))
-    value = objective(t_best)
+
+    def product(t: np.ndarray) -> np.ndarray:
+        # per factor, a stacked (S, 1, N) @ (S, N, 1) matmul and np.hypot give
+        # each chain the bits of abs(weighted_amplitude(...)) at its time;
+        # np.abs on complex arrays and einsum round differently
+        phases = np.exp(-1j * (t[:, None] * levels))[:, None, :]
+        sums = ((phases @ weights[:, f, :, None])[:, 0, 0] for f in range(weights.shape[1]))
+        return reduce(np.multiply, (np.hypot(z.real, z.imag) for z in sums))
+
+    t_best = golden_section(product, np.maximum(lo, t_grid - step), np.minimum(hi, t_grid + step))
+    value = product(t_best)
     fall = value < grid_value
     if fall.any():
         t_best = np.where(fall, t_grid, t_best)
-        value = np.where(fall, objective(t_best), value)
+        value = np.where(fall, product(t_best), value)
     return t_best, value
-
-
-def transfer_peaks(
-    levels: np.ndarray, weights: np.ndarray, window: tuple[float, float], t_max: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Peaks (t*, |f(t*)|) over a window (lo, hi) for a stack of chains of one size.
-
-    ``levels`` holds the chains' eigenvalues and ``weights`` their transfer
-    weights a_{k,1} a_{k,N}, both of shape (S, N).  Window and grid step are
-    those of ``max_fidelity``, and one ``peak_search`` serves the stack.
-    """
-    lo, hi = window
-    step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
-
-    def objective(t: np.ndarray) -> np.ndarray:
-        # a stacked (S, 1, N) @ (S, N, 1) matmul and np.hypot give each chain
-        # the bits of abs(weighted_amplitude(...)) at its time; np.abs on
-        # complex arrays and einsum round differently
-        phases = np.exp(-1j * (t[:, None] * levels))
-        z = (phases[:, None, :] @ weights[:, :, None])[:, 0, 0]
-        return np.hypot(z.real, z.imag)
-
-    return peak_search(levels, weights[:, None, :], objective, lo, hi, step)
 
 
 def max_fidelity(
@@ -316,16 +304,15 @@ def max_fidelity(
 ) -> tuple[float, float]:
     """Peak of Fbar(t) over a window (lo, hi): grid scan plus golden-section refinement.
 
-    The grid is lo + j step up to hi, with step min(0.25, t_max/200) when the
-    Rabi time is known and 0.25 otherwise; ``peak_search`` scans |f| on the
-    grid cells that can hold the peak, and the refinement evaluates
-    ``transition_amplitude``'s sum, bit for bit, at single times.  Ties on
-    the grid resolve to the earliest time.  Returns (t*, Fbar*) for transfer
-    from site 1 to site N.  This is ``transfer_peaks`` on a stack of one
-    chain; ensembles and sweeps call that on whole stacks.
+    ``peak_search`` on a stack of one chain, with the transfer weights of
+    site 1 to site N as its one factor: it scans |f| on the grid cells that
+    can hold the peak, and the refinement evaluates ``transition_amplitude``'s
+    sum, bit for bit, at single times.  Ties on the grid resolve to the
+    earliest time.  Returns (t*, Fbar*).  Ensembles and sweeps call
+    ``peak_search`` on whole stacks.
     """
     weights = transition_weights(decomp, 1, decomp.n_sites)
-    t_star, abs_f = transfer_peaks(decomp.eigenvalues[None], weights[None], window, t_max)
+    t_star, abs_f = peak_search(decomp.eigenvalues[None], weights[None, None], window, t_max)
     return float(t_star[0]), average_fidelity(abs_f[0])
 
 

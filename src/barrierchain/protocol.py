@@ -393,22 +393,6 @@ def _sample(schedule: SwitchingSchedule, regions: list[tuple]) -> tuple[np.ndarr
     return np.concatenate(site_n), survival
 
 
-def _run_once(
-    spec: ChainSpec,
-    schedule: SwitchingSchedule,
-    t_end: float,
-    sample_times: np.ndarray,
-    h0: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One full pass at base step h0: propagated, then sampled.
-
-    Returns (site_n, presend_survival, final_psi): the site-N amplitude at
-    each of sample_times, the site-1 survival probabilities sampled before
-    t1, and the state vector at t_end."""
-    regions, psi = _propagate(spec, schedule, t_end, sample_times, h0)
-    return (*_sample(schedule, regions), psi)
-
-
 def simulate_protocol(
     spec: ChainSpec,
     schedule: SwitchingSchedule,

@@ -3,15 +3,21 @@
 These are the searches as they stood before pruning and before the
 lockstep refinement: every grid point is scanned, each peak is refined by
 the scalar golden section below, and the refinement objectives go through
-the public amplitude functions.  Tests require the pruned, stacked search
-to return the same bits.
+the public amplitude functions (the pair concurrence through
+``weighted_amplitude`` on the weights of p_{N-1} and p_N that its scan
+uses).  Tests require the pruned, stacked search to return the same bits.
 """
 
 import numpy as np
 
-from barrierchain.ebit import evolve_ebit, pair_concurrence
 from barrierchain.metrics import average_fidelity
-from barrierchain.spectral import decompose, scan_amplitude, transition_amplitude, transition_weights
+from barrierchain.spectral import (
+    decompose,
+    scan_amplitude,
+    transition_amplitude,
+    transition_weights,
+    weighted_amplitude,
+)
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float = 1e-4) -> float:
@@ -77,12 +83,14 @@ def full_grid_peak_pair_concurrence(spec, profile, state, window) -> tuple[float
     step = 0.25
     start = decomp.eigenvectors[0, :] * state.alpha + decomp.eigenvectors[1, :] * state.beta
 
+    w_nm1, w_n = decomp.eigenvectors[-2, :] * start, decomp.eigenvectors[-1, :] * start
+
     def scan(grid):
-        p_nm1 = scan_amplitude(decomp, decomp.eigenvectors[-2, :] * start, lo, step, grid.size)
-        p_n = scan_amplitude(decomp, decomp.eigenvectors[-1, :] * start, lo, step, grid.size)
+        p_nm1 = scan_amplitude(decomp, w_nm1, lo, step, grid.size)
+        p_n = scan_amplitude(decomp, w_n, lo, step, grid.size)
         return 2.0 * np.abs(p_nm1) * np.abs(p_n)
 
     def objective(t):
-        return pair_concurrence(evolve_ebit(spec, profile, state, t, decomp))
+        return 2.0 * abs(weighted_amplitude(decomp, w_nm1, t)) * abs(weighted_amplitude(decomp, w_n, t))
 
     return full_grid_peak_search(objective, scan, lo, hi, step)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from barrierchain import disorder
+from barrierchain import cli, disorder
 from barrierchain._csvio import read_csv
 from barrierchain.chain import ChainSpec, barrier_profile, build_hamiltonian
 from barrierchain.cli import ENV_OUTDIR, main
@@ -103,6 +103,18 @@ def test_leakage_writes_one_file_per_length(tmp_path, capsys):
         cols, meta = read_csv(tmp_path / f"leakage_n{n}.csv")
         assert list(cols) == ["omega", "mean", "stderr", "n_samples", "seed"]
         assert int(meta["n"]) == n
+
+
+@pytest.mark.parametrize("argv, clash", [
+    (["ebit", "--n", "9", "--omega-list", "5.0000001,5", "--points", "5"], "ebit_omega5.csv"),
+    (["leakage", "--n-list", "8,10,8", "--steps", "2", "--n-samples", "5"], "leakage_n8.csv"),
+])
+def test_sweep_values_that_share_a_file_fail_before_any_run(argv, clash, tmp_path, capsys):
+    captured = run(argv, tmp_path, capsys, expect=1)
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "ValueError"
+    assert clash in error["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ebit_writes_one_file_per_omega_with_window(tmp_path, capsys):
@@ -214,6 +226,22 @@ def test_oracle_check_passes_and_fails(tmp_path, capsys):
         assert error["error"] == "ValueError"
         # the report is still written so the failure can be inspected
         assert json.loads((tmp_path / "strict.json").read_text())["pass"] is False
+
+
+def test_oracle_check_fails_on_a_nan_error(tmp_path, capsys, monkeypatch):
+    # one NaN among finite errors: the report shows it and the run fails
+    real, calls = cli.oracle_transition_amplitude, []
+
+    def oracle(*args):
+        calls.append(args)
+        return complex("nan") if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(cli, "oracle_transition_amplitude", oracle)
+    run(["oracle-check", "--n-min", "4", "--n-max", "5", "--pairs", "2"], tmp_path, capsys, expect=1)
+    body = json.loads((tmp_path / "oracle-check.json").read_text())
+    assert len(calls) == 4
+    assert body["pass"] is False
+    assert np.isnan(body["max_abs_error"])
 
 
 def test_oracle_check_runs_past_the_dense_size_cap(tmp_path, capsys):

@@ -10,8 +10,9 @@ from barrierchain.ebit import (
     pair_concurrence,
     peak_pair_concurrence,
 )
+from barrierchain.metrics import peak_search
 from barrierchain.oracle import embed_amplitudes, reduced_state, wootters_concurrence
-from barrierchain.spectral import eigendecompose, transition_amplitude
+from barrierchain.spectral import decompose, eigendecompose, transition_amplitude, weighted_amplitude
 
 from _full_grid import full_grid_peak_pair_concurrence
 
@@ -123,6 +124,36 @@ def test_pair_peak_search_is_bit_identical_to_full_grid(n, omega):
         result = peak_pair_concurrence(spec, profile, state, window)
         assert result == full_grid_peak_pair_concurrence(spec, profile, state, window)
         assert type(result[1]) is float
+        # the site-basis evolution agrees to round-off
+        assert abs(result[1] - pair_concurrence(evolve_ebit(spec, profile, state, result[0]))) <= 1e-15
+
+
+def _pair_chain(spec, omega, state):
+    """Eigendecomposition and the (2, N) weights of p_{N-1} and p_N."""
+    decomp = decompose(spec, ebit_barrier_profile(spec, omega))
+    start = decomp.eigenvectors[0] * state.alpha + decomp.eigenvectors[1] * state.beta
+    return decomp, np.stack([decomp.eigenvectors[-2] * start, decomp.eigenvectors[-1] * start])
+
+
+def test_stacked_pair_search_gives_each_chain_its_own_bits():
+    """Three two-factor chains of one size in one search: each gets the bits
+    of its own one-chain search, and each value is the product of its two
+    weighted sums at its t*, bit for bit."""
+    spec = ChainSpec(12)
+    cases = [(2.0, EbitState(HALF, HALF)), (6.0, EbitState(HALF, -HALF)), (15.0, EbitState(0.6, 0.8j))]
+    window = ebit_window(spec, 6.0)
+    chains = [_pair_chain(spec, omega, state) for omega, state in cases]
+    levels = np.array([decomp.eigenvalues for decomp, _ in chains])
+    weights = np.array([w for _, w in chains])
+    t_star, value = peak_search(levels, weights, window)
+    assert len(set(t_star.tolist())) == 3
+    for s, ((omega, state), (decomp, w)) in enumerate(zip(cases, chains)):
+        alone_t, alone_value = peak_search(levels[s : s + 1], weights[s : s + 1], window)
+        assert (t_star[s], value[s]) == (alone_t[0], alone_value[0])
+        profile = ebit_barrier_profile(spec, omega)
+        assert peak_pair_concurrence(spec, profile, state, window) == (t_star[s], 2.0 * value[s])
+        amplitudes = [abs(weighted_amplitude(decomp, w_f, t_star[s])) for w_f in w]
+        assert value[s] == amplitudes[0] * amplitudes[1]
 
 
 def test_peak_concurrence_improves_with_barrier_height():

@@ -351,17 +351,26 @@ def test_peak_search_takes_any_weights(window):
         objective, lambda g: np.abs(scan_amplitude(decomp, weights, lo, 0.25, g.size)), lo, hi, 0.25
     )
 
-    def stacked(t):
-        return np.array([objective(t[0])])
-
     levels, stack = decomp.eigenvalues[None], weights[None, None]
-    t_star, value = peak_search(levels, stack, stacked, lo, hi, 0.25)
+    t_star, value = peak_search(levels, stack, window)
     assert (t_star.tolist(), value.tolist()) == ([expected[0]], [expected[1]])
     count = _grid_count(lo, hi, 0.25)
     block = scan_block_length(count)
     assert _kept_rows(decomp.eigenvalues, (weights,), lo, 0.25, count, block).size < -(-count // block)
     with pytest.raises(ValueError):
-        peak_search(levels, stack, stacked, hi, hi, 0.25)
+        peak_search(levels, stack, (hi, hi))
+
+
+def test_peak_values_are_the_weighted_sums_at_t_star():
+    """A stack of F = 1 chains: each returned value is |weighted_amplitude|
+    at its own t*, bit for bit, with and without the Rabi-time step."""
+    decomps = [decompose(10, omega) for omega in (0.0, 4.0, 20.0)]
+    levels = np.array([d.eigenvalues for d in decomps])
+    weights = np.array([transition_weights(d, 1, 10) for d in decomps])[:, None, :]
+    for t_max in (None, 30.0):
+        t_star, value = peak_search(levels, weights, (0.0, 400.0), t_max)
+        for decomp, w, t, v in zip(decomps, weights, t_star, value):
+            assert v == abs(weighted_amplitude(decomp, w[0], t))
 
 
 def test_grid_count_and_points_match_arange():

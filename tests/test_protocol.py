@@ -243,6 +243,12 @@ CF4_CASES = {
 }
 
 
+def _propagate_then_sample(spec, schedule, t_end, sample_times, h0):
+    """One full pass at base step h0: (site_n, presend_survival, final_psi)."""
+    regions, psi = protocol._propagate(spec, schedule, t_end, sample_times, h0)
+    return (*protocol._sample(schedule, regions), psi)
+
+
 @pytest.mark.parametrize("case", list(CF4_CASES))
 def test_planned_cf4_pass_is_bit_identical_to_per_step_kernel(case, monkeypatch):
     spec, sch, tail, sample_dt, h0, zero_tails = CF4_CASES[case]
@@ -259,11 +265,11 @@ def test_planned_cf4_pass_is_bit_identical_to_per_step_kernel(case, monkeypatch)
 
     stevd = protocol.tridiagonal_eigh
     monkeypatch.setattr(protocol, "tridiagonal_eigh", counted_stevd)
-    planned = protocol._run_once(spec, sch, t_end, times, h0)
+    planned = _propagate_then_sample(spec, sch, t_end, times, h0)
     steps = []
     monkeypatch.setattr(protocol, "_integrate_active",
                         lambda *args: _reference_integrate_active(*args, steps))
-    reference = protocol._run_once(spec, sch, t_end, times, h0)
+    reference = _propagate_then_sample(spec, sch, t_end, times, h0)
 
     for got, want in zip(planned, reference):
         assert np.array_equal(got, want)
