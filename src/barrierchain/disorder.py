@@ -8,11 +8,14 @@ bleed onto their neighbors.
 
 Each sample's fields come from a counter-based Philox stream keyed by
 (seed, sample_index), so a sample's value depends on nothing but its own
-index.  An ensemble decomposes its samples one by one in index order, then
-searches all their peaks at once: one ``metrics.peak_search`` call, whose
-lockstep refinement gives each sample the bits a search of that sample
-alone would.  The mean is reduced with numpy's pairwise summation over the
-index-ordered sample array.  The clean chain's Rabi time, which sets both
+index.  An ensemble decomposes each distinct sample once: samples whose
+fields are equal byte for byte (every sample at b = 0, where each is the
+clean chain) share one decomposition and one search.  It then searches all
+their peaks at once, in one ``metrics.peak_search`` call whose lockstep
+refinement gives each sample the bits a search of that sample alone
+would, and maps the peaks back to sample-index order.  The mean is
+reduced with numpy's pairwise summation over the index-ordered sample
+array.  The clean chain's Rabi time, which sets both
 ``default_window`` and an ensemble's scan step, is worked out once per
 (chain, omega) and shared by every ensemble at that omega.  Nothing here
 takes a thread count; the CLI's ``--threads`` flag is parsed and ignored.
@@ -153,11 +156,13 @@ def monte_carlo(
 ) -> EnsembleResult:
     """Average the peak transfer metric over disorder realizations.
 
-    Every sample rebuilds and re-diagonalizes its own chain, keeping only
-    its eigenvalues and transfer weights; one ``peak_search`` call
-    then serves the whole ensemble, with a grid step fixed by the clean
-    chain's Rabi time so all samples see identical scan parameters.  Each
-    sample's peak has the bits a search of that sample alone gives.
+    Every distinct sample (by the bytes of its fields) builds and
+    diagonalizes its chain once, keeping only its eigenvalues and transfer
+    weights; one ``peak_search`` call then serves the whole ensemble, with
+    a grid step fixed by the clean chain's Rabi time so all samples see
+    identical scan parameters.  Repeated samples take their peak from the
+    one search of their fields, and each sample's peak has the bits a
+    search of that sample alone gives.
     """
     if metric not in (MAX_CONCURRENCE, MAX_FIDELITY):
         raise ValueError(f"unknown metric {metric!r}")
@@ -165,14 +170,19 @@ def monte_carlo(
         raise ValueError("n_samples must be >= 1")
     base = barrier_profile(chain, omega)
     t_max = _clean_rabi_time(chain, omega)
-    levels = np.empty((n_samples, chain.n_sites))
-    weights = np.empty((n_samples, 1, chain.n_sites))
-    for i, fields in enumerate(_ensemble_fields(model, base, n_samples, seed)):
-        decomp = decompose(chain, FieldProfile(fields))
+    fields = _ensemble_fields(model, base, n_samples, seed)
+    # rows equal byte for byte (so -0.0 and 0.0 stay apart) are one chain
+    keys = fields.view(np.dtype((np.void, fields.itemsize * chain.n_sites)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    levels = np.empty((first.size, chain.n_sites))
+    weights = np.empty((first.size, 1, chain.n_sites))
+    for i, row in enumerate(first):
+        decomp = decompose(chain, FieldProfile(fields[row]))
         levels[i] = decomp.eigenvalues
         weights[i, 0] = transition_weights(decomp, 1, chain.n_sites)
     # peak concurrence is |f| at the peak (Fbar is monotone in |f|)
     _, abs_f = peak_search(levels, weights, window, t_max=t_max)
+    abs_f = abs_f[inverse]
     values = abs_f if metric == MAX_CONCURRENCE else average_fidelity(abs_f)
     mean = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0

@@ -33,6 +33,8 @@ _RANGE_SLACK = 1e-9
 _ZERO_MODE_TOL = 1e-9
 # stride, in grid steps, of the coarse pass that prunes a peak search
 _PRUNE_STRIDE = 16
+# complex entries the tables of one batched coarse pass hold at most, together
+_COARSE_ENTRIES = 1 << 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -187,65 +189,105 @@ def _grid_count(lo: float, hi: float, step: float) -> int:
     return count
 
 
-def _product_rule(per_factor: list[float], ceilings: list[float]) -> float:
-    """Bound on the change of prod_i |a_i| given bounds on the change of each
-    |a_i| and ceilings |a_i| <= u_i: sum_i x_i prod_{j != i} u_j."""
-    return sum(x * math.prod(ceilings[:i] + ceilings[i + 1 :]) for i, x in enumerate(per_factor))
+def _product_rule(per_factor: np.ndarray, ceilings: np.ndarray) -> np.ndarray:
+    """Bounds on the change of prod_f |a_f|, one per chain, given (S, F)
+    bounds on the change of each |a_f| and ceilings |a_f| <= u_f:
+    sum_f x_f prod_{g != f} u_g."""
+    n_factors = ceilings.shape[1]
+    return sum(per_factor[:, f] * np.prod(np.delete(ceilings, f, axis=1), axis=1) for f in range(n_factors))
 
 
-def _kept_rows(levels: np.ndarray, weights, lo: float, step: float, count: int, block: int) -> np.ndarray:
-    """Rows of the blocked scan that can hold the grid maximum.
+def _median_levels(levels: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
+    """The |w_f|-weighted median level of each chain and factor, shape (S, F):
+    the c that minimizes sum_k |w_fk| |lambda_k - c|."""
+    order = np.argsort(levels, axis=1)
+    ranked = np.take_along_axis(levels, order, axis=1)
+    mass = np.cumsum(np.take_along_axis(magnitudes, order[:, None, :], axis=2), axis=2)
+    middle = np.argmax(mass >= 0.5 * mass[:, :, -1:], axis=2)
+    return np.take_along_axis(ranked, middle, axis=1)
+
+
+def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, count: int, block: int) -> list[np.ndarray]:
+    """Rows of each chain's blocked scan that can hold its grid maximum, for
+    a stack of chains (``levels`` (S, N), ``weights`` (S, F, N)) that share
+    the grid; one array of row indices per chain.
 
     A coarse scan at stride _PRUNE_STRIDE steps splits the grid into cells
     between neighbouring coarse points.  Within a cell the objective exceeds
     the larger end value by at most ``reach`` (slope bound times half the
     cell), so a cell whose bound lies below the coarse maximum cannot hold
-    the grid maximum.  ``slack`` covers the round-off of both scans, whose
-    phases err by about eps |lambda_k| t.  Returns every row when no cell
-    could be dropped, and never a single row of several (see ``scan_rows``).
+    the grid maximum.  |a_f| does not change under a global phase, so each
+    factor's slope bound sum_k |w_fk| |lambda_k - c_f| is taken about its
+    weighted median level c_f.  ``slack`` covers the round-off of both
+    scans, whose phases (unshifted) err by about eps |lambda_k| t.  A chain
+    keeps every row when no cell could be dropped, and never a single row
+    of several (see ``scan_rows``).
+
+    Ceilings, reach, slack and the choice to prune are worked out for the
+    whole stack at once.  The coarse pass of the pruning chains is one
+    batched (chains, F x rows, N) @ (chains, N, B) product on ``scan_rows``'
+    starts and offsets, taken over slices of the stack whose tables hold at
+    most _COARSE_ENTRIES entries.  Every step is per chain, so a chain's
+    rows do not depend on the stack it is in.
     """
+    n_chains, n_levels = levels.shape
+    n_factors = weights.shape[1]
     n_rows = -(-count // block)
     every = np.arange(n_rows)
-    magnitudes = [np.abs(w) for w in weights]
-    abs_levels = np.abs(levels)
-    ceilings = [float(m.sum()) for m in magnitudes]
+    kept = [every] * n_chains
+    magnitudes = np.abs(weights)
+    ceilings = magnitudes.sum(axis=2)
+    offset = np.abs(levels[:, None, :] - _median_levels(levels, magnitudes)[:, :, None])
     stride = _PRUNE_STRIDE * step
-    reach = 0.5 * stride * _product_rule([float(m @ abs_levels) for m in magnitudes], ceilings)
-    if n_rows < 2 or reach >= math.prod(ceilings):
-        return every
+    reach = 0.5 * stride * _product_rule((magnitudes * offset).sum(axis=2), ceilings)
+    pruning = np.flatnonzero(reach < np.prod(ceilings, axis=1))
+    if n_rows < 2 or pruning.size == 0:
+        return kept
     # N for the sums, the largest |t| scanned for the phases
-    horizon = levels.size + abs(lo) + (count + _PRUNE_STRIDE) * step
-    slack = _product_rule([64.0 * _EPS * horizon * float(m @ (1.0 + abs_levels)) for m in magnitudes], ceilings)
+    horizon = n_levels + abs(lo) + (count + _PRUNE_STRIDE) * step
+    spread = (magnitudes * (1.0 + np.abs(levels))[:, None, :]).sum(axis=2)
+    slack = _product_rule(64.0 * _EPS * horizon * spread, ceilings)
 
     n_coarse = -(-(count - 1) // _PRUNE_STRIDE) + 1
     coarse_block = scan_block_length(n_coarse)
-    coarse_rows = np.arange(-(-n_coarse // coarse_block))
-    coarse = reduce(
-        np.multiply, (np.abs(scan_rows(levels, w, lo, stride, coarse_block, coarse_rows)) for w in weights)
-    ).reshape(-1)[:n_coarse]
+    coarse_rows = -(-n_coarse // coarse_block)
+    starts = lo + stride * (np.arange(coarse_rows) * coarse_block)
+    offsets = stride * np.arange(coarse_block)
     # coarse points past the last grid point only bound the final cell
-    floor = coarse[: (count - 1) // _PRUNE_STRIDE + 1].max() - slack
-    cells = np.flatnonzero(np.maximum(coarse[:-1], coarse[1:]) + reach + slack >= floor)
+    top = (count - 1) // _PRUNE_STRIDE + 1
+    # cell c spans grid points 16c..16(c+1), so rows first[c]..last[c];
+    # row r meets the cells lower[r] <= c < upper[r]
+    cells = np.arange(n_coarse - 1)
     first = _PRUNE_STRIDE * cells // block
     last = np.minimum(_PRUNE_STRIDE * (cells + 1), count - 1) // block
-    cover = np.cumsum(np.bincount(first, minlength=n_rows + 1) - np.bincount(last + 1, minlength=n_rows + 1))
-    rows = np.flatnonzero(cover[:n_rows])
-    if rows.size == 1:
-        rows = every[max(0, rows[0] - 1) :][:2]
-    return rows
+    lower, upper = np.searchsorted(last, every, "left"), np.searchsorted(first, every, "right")
+    per_chain = n_factors * coarse_rows * (n_levels + coarse_block) + n_levels * coarse_block
+    size = max(1, _COARSE_ENTRIES // per_chain)
+    for begin in range(0, pruning.size, size):
+        part = pruning[begin : begin + size]
+        phases = np.exp(-1j * (starts[:, None] * levels[part, None, :]))
+        table = (phases[:, None] * weights[part, :, None, :]).reshape(part.size, -1, n_levels)
+        fine = np.exp(-1j * (offsets[:, None] * levels[part, None, :])).transpose(0, 2, 1)
+        sums = (table @ fine).reshape(part.size, n_factors, -1)[:, :, :n_coarse]
+        coarse = np.abs(sums).prod(axis=1)
+        floor = coarse[:, :top].max(axis=1) - slack[part]
+        bound = np.maximum(coarse[:, :-1], coarse[:, 1:]) + reach[part, None] + slack[part, None]
+        covered = np.cumsum(bound >= floor[:, None], axis=1)
+        covered = np.concatenate([np.zeros((part.size, 1), dtype=covered.dtype), covered], axis=1)
+        for chain, hits in zip(part, covered[:, upper] > covered[:, lower]):
+            rows = np.flatnonzero(hits)
+            kept[chain] = every[max(0, rows[0] - 1) :][:2] if rows.size == 1 else rows
+    return kept
 
 
-def _grid_argmax(levels: np.ndarray, weights, lo: float, step: float, count: int) -> tuple[float, float]:
+def _grid_argmax(levels: np.ndarray, weights, rows: np.ndarray, lo: float, step: float, count: int, block: int) -> tuple[float, float]:
     """(time, value) of the earliest maximum of prod_i |a_i| on the grid of
-    ``count`` points, scanning only the rows ``_kept_rows`` keeps."""
-    block = scan_block_length(count)
-    rows = _kept_rows(levels, weights, lo, step, count, block)
-    values = reduce(np.multiply, (np.abs(scan_rows(levels, w, lo, step, block, rows)) for w in weights)).reshape(-1)
-    index = (rows[:, None] * block + np.arange(block)).reshape(-1)
-    inside = index < count
-    values, index = values[inside], index[inside]
+    ``count`` points, scanning only the given rows of the blocked scan."""
+    values = reduce(np.multiply, (np.abs(scan_rows(levels, w, lo, step, block, rows)) for w in weights))
+    # points past the grid's end, in its last row, never win (values are >= 0)
+    values[-1, count - rows[-1] * block :] = -1.0
     at = int(np.argmax(values))
-    return _grid_point(lo, step, int(index[at])), values[at]
+    return _grid_point(lo, step, int(rows[at // block]) * block + at % block), values.flat[at]
 
 
 def peak_search(levels, weights, window: tuple[float, float], t_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -265,19 +307,24 @@ def peak_search(levels, weights, window: tuple[float, float], t_max: float | Non
     chain; each product has the bits of prod_f |``weighted_amplitude``|.
 
     Each chain scans only the blocks of ``scan_rows`` that can hold its
-    maximum.  |d|a_f|/dt| <= L_f = sum_k |w_fk lambda_k| (Shubert, SIAM J.
-    Numer. Anal. 9 (1972) 379) and |a_f| <= U_f = sum_k |w_fk| bound the
-    product's slope, so a coarse pass certifies which cells lie strictly
-    below the grid maximum (see ``_kept_rows``).  The kept rows are
-    evaluated exactly as the whole table would be, so the argmax and every
-    returned bit are those of the full scan.
+    maximum.  |a_f| does not change under a global phase, so for any c,
+    |d|a_f|/dt| <= L_f(c) = sum_k |w_fk| |lambda_k - c| (Shubert, SIAM J.
+    Numer. Anal. 9 (1972) 379); c_f, the |w_f|-weighted median level,
+    minimizes it.  With |a_f| <= U_f = sum_k |w_fk| these bound the
+    product's slope, so a coarse pass, one batched product for the whole
+    stack, certifies which cells lie strictly below the grid maximum (see
+    ``_kept_rows``).  Each chain's kept rows are then evaluated exactly as
+    its whole table would be, so the argmax and every returned bit are
+    those of the full scan.
     """
     lo, hi = float(window[0]), float(window[1])
     if hi <= lo:
         raise ValueError("window must have positive length")
     step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
     count = _grid_count(lo, hi, step)
-    grid = [_grid_argmax(chain, w, lo, step, count) for chain, w in zip(levels, weights)]
+    block = scan_block_length(count)
+    kept = _kept_rows(levels, weights, lo, step, count, block)
+    grid = [_grid_argmax(*chain, lo, step, count, block) for chain in zip(levels, weights, kept)]
     t_grid, grid_value = np.array(grid).reshape(-1, 2).T
 
     def product(t: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from barrierchain.chain import ChainSpec, barrier_profile, build_hamiltonian
+from barrierchain import disorder
+from barrierchain.chain import ChainSpec, FieldProfile, barrier_profile, build_hamiltonian
 from barrierchain.disorder import (
     BARRIER_LEAKAGE,
     BULK_UNIFORM,
@@ -11,8 +12,8 @@ from barrierchain.disorder import (
     monte_carlo,
     sample_profile,
 )
-from barrierchain.metrics import average_fidelity, localization_report, max_fidelity, rabi_transfer_time
-from barrierchain.spectral import eigendecompose
+from barrierchain.metrics import average_fidelity, localization_report, max_fidelity, peak_search, rabi_transfer_time
+from barrierchain.spectral import decompose, eigendecompose, transition_weights
 
 N10 = ChainSpec(10)
 WINDOW10 = default_window(N10, 20.0)
@@ -99,6 +100,57 @@ def test_zero_strength_ensemble_reproduces_clean_peak():
     assert result.mean_metric == pytest.approx(clean, abs=1e-12)
     # identical samples; only mean-subtraction rounding can leak in
     assert result.std_error <= 1e-12
+
+
+def _counting_decompose(monkeypatch):
+    calls = []
+
+    def counted(spec, profile):
+        calls.append(profile.local_fields.tobytes())
+        return decompose(spec, profile)
+
+    monkeypatch.setattr(disorder, "decompose", counted)
+    return calls
+
+
+def _one_chain_search(fields, window, t_max):
+    decomp = decompose(N10, FieldProfile(fields))
+    _, abs_f = peak_search(decomp.eigenvalues[None], transition_weights(decomp, 1, 10)[None, None], window, t_max)
+    return abs_f[0]
+
+
+def test_zero_strength_ensemble_decomposes_the_clean_chain_once(monkeypatch):
+    calls = _counting_decompose(monkeypatch)
+    result = monte_carlo(
+        "max-concurrence", DisorderModel(BULK_UNIFORM, 0.0), N10, 20.0, WINDOW10,
+        n_samples=12, seed=1,
+    )
+    assert len(calls) == 1
+    t_max = disorder._clean_rabi_time(N10, 20.0)
+    clean = _one_chain_search(barrier_profile(N10, 20.0).local_fields, WINDOW10, t_max)
+    assert result.per_sample.tolist() == [clean] * 12
+
+
+def test_repeated_samples_are_searched_once_and_mapped_back(monkeypatch):
+    """Samples equal byte for byte share one search and get its bits in
+    their own positions; a -0.0 field is a sample of its own."""
+    rng = np.random.default_rng(3)
+    base = barrier_profile(N10, 20.0).local_fields
+    distinct = [base + np.r_[0, 0, rng.uniform(-1, 1, 6), 0, 0] for _ in range(3)]
+    signed = distinct[0].copy()
+    signed[0] = -0.0
+    pattern = [2, 0, 1, 0, 3, 2, 0, 1]
+    fields = np.array([(distinct + [signed])[k] for k in pattern])
+    monkeypatch.setattr(disorder, "_ensemble_fields", lambda *args: fields.copy())
+    calls = _counting_decompose(monkeypatch)
+    result = monte_carlo(
+        "max-concurrence", DisorderModel(BULK_UNIFORM, 1.0), N10, 20.0, WINDOW10,
+        n_samples=len(pattern), seed=0,
+    )
+    assert sorted(calls) == sorted({row.tobytes() for row in fields})
+    assert len(calls) == 4
+    t_max = disorder._clean_rabi_time(N10, 20.0)
+    assert result.per_sample.tolist() == [_one_chain_search(row, WINDOW10, t_max) for row in fields]
 
 
 def test_monte_carlo_summary_matches_samples():

@@ -10,9 +10,15 @@ from barrierchain.ebit import (
     pair_concurrence,
     peak_pair_concurrence,
 )
-from barrierchain.metrics import peak_search
+from barrierchain.metrics import _grid_count, _kept_rows, peak_search
 from barrierchain.oracle import embed_amplitudes, reduced_state, wootters_concurrence
-from barrierchain.spectral import decompose, eigendecompose, transition_amplitude, weighted_amplitude
+from barrierchain.spectral import (
+    decompose,
+    eigendecompose,
+    scan_block_length,
+    transition_amplitude,
+    weighted_amplitude,
+)
 
 from _full_grid import full_grid_peak_pair_concurrence
 
@@ -133,6 +139,23 @@ def _pair_chain(spec, omega, state):
     decomp = decompose(spec, ebit_barrier_profile(spec, omega))
     start = decomp.eigenvectors[0] * state.alpha + decomp.eigenvectors[1] * state.beta
     return decomp, np.stack([decomp.eigenvectors[-2] * start, decomp.eigenvectors[-1] * start])
+
+
+@pytest.mark.parametrize("omega, kept", [(2.0, 29), (6.0, 35), (15.0, 49), (45.0, 78)])
+def test_pair_search_prunes_its_grid(omega, kept):
+    """Taken about each factor's weighted median level, the pair bound lets
+    the N = 9 search drop rows from omega = 6 up (35 of 77 rows there, 49 of
+    188 at omega = 15, 78 of 556 at omega = 45); at omega = 2 it keeps all
+    29."""
+    spec = ChainSpec(9)
+    decomp, weights = _pair_chain(spec, omega, EbitState(HALF, HALF))
+    window = ebit_window(spec, omega)
+    count = _grid_count(*window, 0.25)
+    block = scan_block_length(count)
+    (rows,) = _kept_rows(decomp.eigenvalues[None], weights[None], window[0], 0.25, count, block)
+    assert rows.size == kept
+    if omega >= 6.0:
+        assert rows.size < -(-count // block)
 
 
 def test_stacked_pair_search_gives_each_chain_its_own_bits():

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from barrierchain import metrics
 
 from barrierchain._csvio import format_csv
 from barrierchain.chain import (
@@ -14,6 +18,7 @@ from barrierchain.metrics import (
     _grid_count,
     _grid_point,
     _kept_rows,
+    _median_levels,
     average_fidelity,
     bilocalized_pair_by_energy,
     golden_section,
@@ -27,6 +32,7 @@ from barrierchain.metrics import (
     transfer_series,
 )
 from barrierchain.spectral import (
+    SpectralDecomposition,
     eigendecompose,
     scan_amplitude,
     scan_block_length,
@@ -279,7 +285,8 @@ def test_pruned_search_reproduces_gate_6_pins():
     assert abs(t_star - 61106.055545) <= 0.5
     weights = transition_weights(decomp, 1, 100)
     count = _grid_count(*window, 0.25)
-    assert _kept_rows(decomp.eigenvalues, (weights,), window[0], 0.25, count, scan_block_length(count)).size < count ** 0.5 / 2
+    rows = _kept_rows(decomp.eigenvalues[None], weights[None, None], window[0], 0.25, count, scan_block_length(count))
+    assert rows[0].size < count ** 0.5 / 2
 
 
 @pytest.mark.parametrize("n", [10, 55, 100])
@@ -303,7 +310,7 @@ def _slow_pair(j):
 def _kept_rows_match_full_scan(decomp, weights, hi):
     count = _grid_count(0.0, hi, 0.25)
     block = scan_block_length(count)
-    rows = _kept_rows(decomp.eigenvalues, (weights,), 0.0, 0.25, count, block)
+    (rows,) = _kept_rows(decomp.eigenvalues[None], weights[None, None], 0.0, 0.25, count, block)
     index = rows[:, None] * block + np.arange(block)
     inside = index < count
     kept = scan_rows(decomp.eigenvalues, weights, 0.0, 0.25, block, rows)[inside]
@@ -356,9 +363,34 @@ def test_peak_search_takes_any_weights(window):
     assert (t_star.tolist(), value.tolist()) == ([expected[0]], [expected[1]])
     count = _grid_count(lo, hi, 0.25)
     block = scan_block_length(count)
-    assert _kept_rows(decomp.eigenvalues, (weights,), lo, 0.25, count, block).size < -(-count // block)
+    (rows,) = _kept_rows(levels, stack, lo, 0.25, count, block)
+    assert rows.size < -(-count // block)
     with pytest.raises(ValueError):
         peak_search(levels, stack, (hi, hi))
+
+
+@pytest.mark.parametrize(
+    "gap, second, phase, hi",
+    [(1.48, 0.16, 2.95, 100.0), (1.391, 0.22, 2.46, 50.0), (1.517, 0.23, 3.62, 200.0)],
+)
+def test_two_level_beat_keeps_the_peak_cell(gap, second, phase, hi):
+    """|a| = |(1 - s) + s exp(i (phase - gap t))| beats with a period near one
+    coarse cell, so the coarse points can miss the peaks by far: the grid
+    maximum's cell sits more than half the reach below the coarse maximum.
+    A search that took half the slope bound would drop its row and return
+    another grid point's peak."""
+    levels = np.array([0.0, gap])
+    weights = np.array([1.0 - second, second * np.exp(1j * phase)])
+    decomp = SpectralDecomposition(levels, np.eye(2))
+
+    def objective(t):
+        return abs(weighted_amplitude(decomp, weights, t))
+
+    expected = _peak_search(
+        objective, lambda g: np.abs(scan_amplitude(decomp, weights, 0.0, 0.25, g.size)), 0.0, hi, 0.25
+    )
+    t_star, value = peak_search(levels[None], weights[None, None], (0.0, hi))
+    assert (t_star[0], value[0]) == expected
 
 
 def test_peak_values_are_the_weighted_sums_at_t_star():
@@ -371,6 +403,102 @@ def test_peak_values_are_the_weighted_sums_at_t_star():
         t_star, value = peak_search(levels, weights, (0.0, 400.0), t_max)
         for decomp, w, t, v in zip(decomps, weights, t_star, value):
             assert v == abs(weighted_amplitude(decomp, w[0], t))
+
+
+def _slope(levels, magnitudes, centre):
+    """L(c) = sum_k |w_k| |lambda_k - c|, the slope bound of |a| about c."""
+    return float(magnitudes @ np.abs(levels - centre))
+
+
+def _bound_chains():
+    """Random-field and barrier chains, N 4..100, each with one factor (the
+    transfer weights) and two (the pair weights of a random start on sites 1
+    and 2)."""
+    rng = np.random.default_rng(16)
+    for n in (4, 9, 30, 100):
+        fields = [rng.uniform(-3.0, 3.0, n), barrier_profile(ChainSpec(n), 25.0).local_fields]
+        for diagonal in fields:
+            decomp = eigendecompose(SingleExcitationHamiltonian(diagonal, -np.ones(n - 1)))
+            v = decomp.eigenvectors
+            start = v[0] * rng.normal() + v[1] * (rng.normal() + 1j * rng.normal())
+            yield decomp, transition_weights(decomp, 1, n)[None]
+            yield decomp, np.stack([v[-2] * start, v[-1] * start])
+
+
+def test_shifted_slope_bound_is_sound_and_minimal():
+    """| |a(t + d)| - |a(t)| | <= L(c) d for every factor on a fine grid,
+    with c the weighted median level, and L(c) is no larger than the
+    unshifted L(0) nor than L at any level."""
+    step = 1e-3
+    times = np.arange(0.0, 10.0, step)
+    for decomp, weights in _bound_chains():
+        levels = decomp.eigenvalues
+        magnitudes = np.abs(weights)
+        centres = _median_levels(levels[None], magnitudes[None])[0]
+        table = np.exp(-1j * np.multiply.outer(times, levels))
+        for w, m, c in zip(weights, magnitudes, centres):
+            bound = _slope(levels, m, c)
+            assert bound <= _slope(levels, m, 0.0)
+            assert bound <= min(_slope(levels, m, x) for x in levels) * (1.0 + 1e-12)
+            change = np.abs(np.diff(np.abs(table @ w)))
+            assert change.max() <= bound * step + 1e-12
+
+
+def _mixed_stack():
+    """N = 10 transfer chains: omega = 0 (too loose a bound to prune at step
+    0.25), barrier chains that prune, and one chain twice."""
+    decomps = [decompose(10, omega) for omega in (0.0, 4.0, 20.0, 4.0, 10.0)]
+    levels = np.array([d.eigenvalues for d in decomps])
+    weights = np.array([transition_weights(d, 1, 10) for d in decomps])[:, None, :]
+    return decomps, levels, weights
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+def test_stacked_kept_rows_are_each_chains_own(monkeypatch, entries):
+    """Each chain of a mixed stack keeps the rows it keeps as a stack of
+    one, whether the coarse pass takes the stack whole or one chain per
+    slice, and the stacked search gives the full-grid bits."""
+    if entries is not None:
+        monkeypatch.setattr(metrics, "_COARSE_ENTRIES", entries)
+    decomps, levels, weights = _mixed_stack()
+    window = (0.0, 3000.0)
+    count = _grid_count(*window, 0.25)
+    block = scan_block_length(count)
+    stacked = _kept_rows(levels, weights, 0.0, 0.25, count, block)
+    alone = [_kept_rows(levels[s : s + 1], weights[s : s + 1], 0.0, 0.25, count, block)[0] for s in range(5)]
+    assert [rows.tolist() for rows in stacked] == [rows.tolist() for rows in alone]
+    n_rows = -(-count // block)
+    assert stacked[0].tolist() == list(range(n_rows))
+    assert all(rows.size < n_rows for rows in stacked[1:])
+    t_star, abs_f = peak_search(levels, weights, window)
+    for decomp, t, value in zip(decomps, t_star.tolist(), abs_f.tolist()):
+        assert (t, average_fidelity(value)) == full_grid_max_fidelity(decomp, window)
+
+
+def test_coarse_pass_memory_is_bounded_by_the_slice():
+    # gate 7's grid: 1000 N = 10 chains over 30,254 points; the stack's
+    # whole coarse product would be 1000 x 1,936 complex entries, 31 MB
+    rng = np.random.default_rng(7)
+    base = barrier_profile(ChainSpec(10), 20.0).local_fields
+    decomps = [
+        eigendecompose(SingleExcitationHamiltonian(base + np.r_[0, 0, rng.uniform(-2, 2, 6), 0, 0], -np.ones(9)))
+        for _ in range(1000)
+    ]
+    levels = np.array([d.eigenvalues for d in decomps])
+    weights = np.array([transition_weights(d, 1, 10) for d in decomps])[:, None, :]
+    count = _grid_count(0.0, 7563.39, 0.25)
+    block = scan_block_length(count)
+    tracemalloc.start()
+    try:
+        kept = _kept_rows(levels, weights, 0.0, 0.25, count, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_coarse = -(-(count - 1) // 16) + 1
+    whole = levels.shape[0] * scan_block_length(n_coarse) ** 2 * np.dtype(complex).itemsize
+    assert count == 30254 and whole > 30e6
+    assert sum(rows.size < block for rows in kept) > 900
+    assert peak < 4 * metrics._COARSE_ENTRIES * np.dtype(complex).itemsize < whole / 2
 
 
 def test_grid_count_and_points_match_arange():

@@ -8,7 +8,8 @@ passes at the first and after two at the second), in a fresh process with
 BLAS pinned to one thread, writes the outputs under OUTDIR (new or empty)
 and prints ``sha256  name`` for every file written, sorted by name.  Two
 checkouts produce byte-identical outputs when this script prints the same
-lines on both, so compare them with ``diff``.
+lines on both, so compare them with ``diff``.  Each run's wall time, from
+process start to exit, goes to stderr, so stdout stays comparable.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,8 +50,11 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ, BARRIERCHAIN_OUTDIR=str(outdir), PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in BLAS_THREAD_VARS})
     for args in runs(outdir):
+        start = time.perf_counter()
         subprocess.run([sys.executable, "-m", "barrierchain.cli", *args], env=env, check=True,
                        stdout=subprocess.DEVNULL)
+        label = " ".join(Path(arg).name if os.sep in arg else arg for arg in args)
+        print(f"{time.perf_counter() - start:7.2f} s  {label}", file=sys.stderr)
     for path in sorted(outdir.iterdir()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     return 0
