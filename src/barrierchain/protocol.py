@@ -48,7 +48,9 @@ evolve_many in chunks of _CHUNK_ROWS rows.  numpy multiplies a single row
 by gemv, which can round differently, so no chunk holds one row unless its
 whole input does (a last chunk of one row joins the chunk before); every
 sample then has the bits of the full table, and the sampling's memory is
-bounded by the chunk, not by the number of samples.
+bounded by the chunk, not by the number of samples.  The CLI writes the
+trajectory CSV in row chunks too (``_csvio.write_csv``), so memory is
+bounded end to end.
 """
 
 from __future__ import annotations
@@ -299,7 +301,7 @@ class StepControlError(RuntimeError):
 
 # Sample rows per evolve_many call when a pass is sampled: the tables of
 # amplitudes then hold at most this many rows, however long the run.
-_CHUNK_ROWS = 2048
+_CHUNK_ROWS = 512
 
 
 def _column(decomp: SpectralDecomposition, psi: np.ndarray, times: np.ndarray, site: int) -> np.ndarray:

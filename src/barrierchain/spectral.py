@@ -12,19 +12,20 @@ projector element a_{k,s} a_{k,j}, so no determinants are ever computed.
 
 Peak searches evaluate the expansion on long uniform grids t_j = lo + j dt
 (up to ~300k points), which a direct (n_times x N) table of exponentials
-would hold whole.  ``scan_amplitude`` instead splits j = b B + m with block
+would hold whole.  ``scan_rows`` instead splits j = b B + m with block
 length B = ceil(sqrt(n_times)), so t_j = t_b + m dt and
 
     sum_k w_k exp(-i lambda_k t_j)
         = sum_k [w_k exp(-i lambda_k t_b)] [exp(-i lambda_k m dt)],
 
-one (blocks x N) by (N x B) matrix product over two tables of about
-sqrt(n_times) x N exponentials each.  Its rounding matches the direct
-table's: there each phase lambda_k t_j is rounded once, with an absolute
-error of order eps |lambda_k t_j|; here lambda_k t_b and lambda_k m dt are
-rounded separately, neither larger in magnitude than lambda_k t_j (lo >= 0),
-and the product of two unit-modulus factors adds a relative error of a few
-eps.  Both tables thus carry errors of the same order, eps |lambda_k| t, per
+one (rows x N) by (N x B) matrix product over two tables of about
+sqrt(n_times) x N exponentials each, for whichever blocks b a peak search
+keeps.  Its rounding matches the direct table's: there each phase
+lambda_k t_j is rounded once, with an absolute error of order
+eps |lambda_k t_j|; here lambda_k t_b and lambda_k m dt are rounded
+separately, neither larger in magnitude than lambda_k t_j (lo >= 0), and the
+product of two unit-modulus factors adds a relative error of a few eps.
+Both tables thus carry errors of the same order, eps |lambda_k| t, per
 term.
 """
 
@@ -216,14 +217,3 @@ def scan_rows(
     fine = np.exp(-1j * np.multiply.outer(offsets, levels))
     return coarse @ fine.T
 
-
-def scan_amplitude(decomp: SpectralDecomposition, weights: np.ndarray, lo: float, step: float, count: int) -> np.ndarray:
-    """sum_k w_k exp(-i lambda_k (lo + j step)) for j = 0..count-1.
-
-    Evaluated as a blocked phase table (see the module docstring) whose two
-    exponential tables hold O(sqrt(count) N) entries; returns a complex
-    array of length count.
-    """
-    block = scan_block_length(count)
-    rows = np.arange(-(-count // block))
-    return scan_rows(decomp.eigenvalues, weights, lo, step, block, rows).reshape(-1)[:count]

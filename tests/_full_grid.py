@@ -1,11 +1,12 @@
 """Full-grid peak searches kept as references for the pruned ``peak_search``.
 
 These are the searches as they stood before pruning and before the
-lockstep refinement: every grid point is scanned, each peak is refined by
-the scalar golden section below, and the refinement objectives go through
-the public amplitude functions (the pair concurrence through
-``weighted_amplitude`` on the weights of p_{N-1} and p_N that its scan
-uses).  Tests require the pruned, stacked search to return the same bits.
+lockstep refinement: every grid point is scanned by ``scan_amplitude``,
+each peak is refined by the scalar golden section below, and the
+refinement objectives go through the public amplitude functions (the pair
+concurrence through ``weighted_amplitude`` on the weights of p_{N-1} and
+p_N that its scan uses).  Tests require the pruned, stacked search to
+return the same bits.
 """
 
 import numpy as np
@@ -13,11 +14,23 @@ import numpy as np
 from barrierchain.metrics import average_fidelity
 from barrierchain.spectral import (
     decompose,
-    scan_amplitude,
+    scan_block_length,
+    scan_rows,
     transition_amplitude,
     transition_weights,
     weighted_amplitude,
 )
+
+
+def scan_amplitude(decomp, weights, lo: float, step: float, count: int) -> np.ndarray:
+    """sum_k w_k exp(-i lambda_k (lo + j step)) for j = 0..count-1.
+
+    Every row of the blocked phase table of ``spectral.scan_rows``, trimmed
+    to ``count`` points; returns a complex array of length count.
+    """
+    block = scan_block_length(count)
+    rows = np.arange(-(-count // block))
+    return scan_rows(decomp.eigenvalues, weights, lo, step, block, rows).reshape(-1)[:count]
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float = 1e-4) -> float:

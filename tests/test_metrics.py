@@ -34,7 +34,6 @@ from barrierchain.metrics import (
 from barrierchain.spectral import (
     SpectralDecomposition,
     eigendecompose,
-    scan_amplitude,
     scan_block_length,
     scan_rows,
     transition_amplitude,
@@ -42,7 +41,7 @@ from barrierchain.spectral import (
     weighted_amplitude,
 )
 
-from _full_grid import _golden_section, full_grid_max_fidelity
+from _full_grid import _golden_section, full_grid_max_fidelity, scan_amplitude
 from _full_grid import full_grid_peak_search as _peak_search
 
 

@@ -400,7 +400,12 @@ def test_probe_passes_keep_every_bit_of_the_full_table_passes(case, monkeypatch)
     assert len(set(steps)) == passes
 
 
-@pytest.mark.parametrize("size", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+# the edges of the current chunk, and fixed sizes that are whole multiples
+# of it (2048) or leave a one-row last chunk to fold (2049, 4097)
+@pytest.mark.parametrize(
+    "size",
+    sorted({1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 2047, 2048, 2049, 4097}),
+)
 def test_chunked_column_is_bit_identical_to_the_whole_table(size, monkeypatch):
     rng = np.random.default_rng(size)
     decomp = _stage_decomposition(N8, 8.0, 0.0)

@@ -12,12 +12,13 @@ from barrierchain.spectral import (
     eigendecompose,
     evolve,
     evolve_many,
-    scan_amplitude,
     site_state,
     transition_amplitude,
     transition_weights,
     tridiagonal_eigh,
 )
+
+from _full_grid import scan_amplitude
 
 
 def random_profile(n, seed, scale=3.0):

@@ -9,7 +9,8 @@ BLAS pinned to one thread, writes the outputs under OUTDIR (new or empty)
 and prints ``sha256  name`` for every file written, sorted by name.  Two
 checkouts produce byte-identical outputs when this script prints the same
 lines on both, so compare them with ``diff``.  Each run's wall time, from
-process start to exit, goes to stderr, so stdout stays comparable.
+process start to exit, and its peak resident memory (the child's own
+ru_maxrss, read by wait4) go to stderr, so stdout stays comparable.
 """
 
 from __future__ import annotations
@@ -51,10 +52,17 @@ def main(argv: list[str]) -> int:
     env.update({var: "1" for var in BLAS_THREAD_VARS})
     for args in runs(outdir):
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "barrierchain.cli", *args], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+        argv = [sys.executable, "-m", "barrierchain.cli", *args]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        # wait4 reports this child's own peak; RUSAGE_CHILDREN would give the
+        # largest peak of every child so far
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, argv)
         label = " ".join(Path(arg).name if os.sep in arg else arg for arg in args)
-        print(f"{time.perf_counter() - start:7.2f} s  {label}", file=sys.stderr)
+        print(f"{wall:7.2f} s  {usage.ru_maxrss / 1024:6.1f} MiB  {label}", file=sys.stderr)
     for path in sorted(outdir.iterdir()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     return 0
