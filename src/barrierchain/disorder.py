@@ -50,8 +50,8 @@ class DisorderModel:
     def __post_init__(self) -> None:
         if self.kind not in (BULK_UNIFORM, BARRIER_LEAKAGE):
             raise ValueError(f"unknown disorder kind {self.kind!r}")
-        if self.strength < 0:
-            raise ValueError("strength must be >= 0")
+        if not 0 <= self.strength < np.inf:
+            raise ValueError(f"strength must be finite and >= 0, got {self.strength}")
 
     def affected_sites(self, spec: ChainSpec) -> tuple[int, ...]:
         n = spec.n_sites

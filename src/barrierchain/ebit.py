@@ -29,6 +29,8 @@ class EbitState:
     beta: complex
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite([self.alpha, self.beta])):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm}")

@@ -220,15 +220,14 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
     factor's slope bound sum_k |w_fk| |lambda_k - c_f| is taken about its
     weighted median level c_f.  ``slack`` covers the round-off of both
     scans, whose phases (unshifted) err by about eps |lambda_k| t.  A chain
-    keeps every row when no cell could be dropped, and never a single row
-    of several (see ``scan_rows``).
+    keeps every row when no cell could be dropped.
 
     Ceilings, reach, slack and the choice to prune are worked out for the
     whole stack at once.  The coarse pass of the pruning chains is one
-    batched (chains, F x rows, N) @ (chains, N, B) product on ``scan_rows``'
-    starts and offsets, taken over slices of the stack whose tables hold at
-    most _COARSE_ENTRIES entries.  Every step is per chain, so a chain's
-    rows do not depend on the stack it is in.
+    stacked ``scan_rows`` call, (chains, 1, N) levels against (chains, F, N)
+    weights, per slice of the stack whose tables hold at most
+    _COARSE_ENTRIES entries.  Every step is per chain, so a chain's rows do
+    not depend on the stack it is in.
     """
     n_chains, n_levels = levels.shape
     n_factors = weights.shape[1]
@@ -250,9 +249,7 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
 
     n_coarse = -(-(count - 1) // _PRUNE_STRIDE) + 1
     coarse_block = scan_block_length(n_coarse)
-    coarse_rows = -(-n_coarse // coarse_block)
-    starts = lo + stride * (np.arange(coarse_rows) * coarse_block)
-    offsets = stride * np.arange(coarse_block)
+    coarse_rows = np.arange(-(-n_coarse // coarse_block))
     # coarse points past the last grid point only bound the final cell
     top = (count - 1) // _PRUNE_STRIDE + 1
     # cell c spans grid points 16c..16(c+1), so rows first[c]..last[c];
@@ -261,29 +258,25 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
     first = _PRUNE_STRIDE * cells // block
     last = np.minimum(_PRUNE_STRIDE * (cells + 1), count - 1) // block
     lower, upper = np.searchsorted(last, every, "left"), np.searchsorted(first, every, "right")
-    per_chain = n_factors * coarse_rows * (n_levels + coarse_block) + n_levels * coarse_block
+    per_chain = n_factors * coarse_rows.size * (n_levels + coarse_block) + n_levels * coarse_block
     size = max(1, _COARSE_ENTRIES // per_chain)
     for begin in range(0, pruning.size, size):
         part = pruning[begin : begin + size]
-        phases = np.exp(-1j * (starts[:, None] * levels[part, None, :]))
-        table = (phases[:, None] * weights[part, :, None, :]).reshape(part.size, -1, n_levels)
-        fine = np.exp(-1j * (offsets[:, None] * levels[part, None, :])).transpose(0, 2, 1)
-        sums = (table @ fine).reshape(part.size, n_factors, -1)[:, :, :n_coarse]
-        coarse = np.abs(sums).prod(axis=1)
+        sums = scan_rows(levels[part, None], weights[part], lo, stride, coarse_block, coarse_rows)
+        coarse = np.abs(sums.reshape(part.size, n_factors, -1)[:, :, :n_coarse]).prod(axis=1)
         floor = coarse[:, :top].max(axis=1) - slack[part]
         bound = np.maximum(coarse[:, :-1], coarse[:, 1:]) + reach[part, None] + slack[part, None]
         covered = np.cumsum(bound >= floor[:, None], axis=1)
         covered = np.concatenate([np.zeros((part.size, 1), dtype=covered.dtype), covered], axis=1)
         for chain, hits in zip(part, covered[:, upper] > covered[:, lower]):
-            rows = np.flatnonzero(hits)
-            kept[chain] = every[max(0, rows[0] - 1) :][:2] if rows.size == 1 else rows
+            kept[chain] = np.flatnonzero(hits)
     return kept
 
 
 def _grid_argmax(levels: np.ndarray, weights, rows: np.ndarray, lo: float, step: float, count: int, block: int) -> tuple[float, float]:
     """(time, value) of the earliest maximum of prod_i |a_i| on the grid of
     ``count`` points, scanning only the given rows of the blocked scan."""
-    values = reduce(np.multiply, (np.abs(scan_rows(levels, w, lo, step, block, rows)) for w in weights))
+    values = np.abs(scan_rows(levels, weights, lo, step, block, rows)).prod(axis=0)
     # points past the grid's end, in its last row, never win (values are >= 0)
     values[-1, count - rows[-1] * block :] = -1.0
     at = int(np.argmax(values))
@@ -311,7 +304,7 @@ def peak_search(levels, weights, window: tuple[float, float], t_max: float | Non
     |d|a_f|/dt| <= L_f(c) = sum_k |w_fk| |lambda_k - c| (Shubert, SIAM J.
     Numer. Anal. 9 (1972) 379); c_f, the |w_f|-weighted median level,
     minimizes it.  With |a_f| <= U_f = sum_k |w_fk| these bound the
-    product's slope, so a coarse pass, one batched product for the whole
+    product's slope, so a coarse pass, one stacked scan for the whole
     stack, certifies which cells lie strictly below the grid maximum (see
     ``_kept_rows``).  Each chain's kept rows are then evaluated exactly as
     its whole table would be, so the argmax and every returned bit are

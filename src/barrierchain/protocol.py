@@ -39,18 +39,14 @@ Smoothed runs halve the step until the final fidelity settles, and every
 pass but the accepted one is a probe: it only propagates, keeping each
 constant region's decomposition and start state and each switching
 window's checkpoint states.  A probe's final fidelity comes from
-evolve_many over the last region's last two sample times, which gemm
-rounds as it rounds those rows of the whole table (one row only when the
-region holds one sample), or from the last checkpoint state when t_end lies
-in a switching window.  The accepted pass is sampled once, storing only
-the site-N amplitudes and the site-1 pre-send survival, through
-evolve_many in chunks of _CHUNK_ROWS rows.  numpy multiplies a single row
-by gemv, which can round differently, so no chunk holds one row unless its
-whole input does (a last chunk of one row joins the chunk before); every
-sample then has the bits of the full table, and the sampling's memory is
-bounded by the chunk, not by the number of samples.  The CLI writes the
-trajectory CSV in row chunks too (``_csvio.write_csv``), so memory is
-bounded end to end.
+evolve_many at the last sample time alone, or from the last checkpoint
+state when t_end lies in a switching window.  The accepted pass is sampled
+once, storing only the site-N amplitudes and the site-1 pre-send survival,
+through evolve_many in chunks of _CHUNK_ROWS rows.  evolve_many gives any
+subset of times the bits of the whole table, so every sample has them, and
+the sampling's memory is bounded by the chunk, not by the number of
+samples.  The CLI writes the trajectory CSV in row chunks too
+(``_csvio.write_csv``), so memory is bounded end to end.
 """
 
 from __future__ import annotations
@@ -96,6 +92,8 @@ class SwitchingSchedule:
     smoothing_timescale: float = 0.0
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite((self.k1, self.k2, self.delta_t, self.t1, self.t0, self.smoothing_timescale))):
+            raise ValueError(f"schedule values must be finite: {self}")
         if self.k1 <= 0 or self.k2 <= 0:
             raise ValueError("step amplitudes K1, K2 must be positive")
         if self.delta_t <= 0:
@@ -306,16 +304,10 @@ _CHUNK_ROWS = 512
 
 def _column(decomp: SpectralDecomposition, psi: np.ndarray, times: np.ndarray, site: int) -> np.ndarray:
     """``evolve_many(decomp, psi, times)[:, site]`` bit for bit, evaluated in
-    chunks of _CHUNK_ROWS rows.
-
-    gemm rounds each row alike whichever rows share the call, but numpy
-    multiplies a single row by gemv (see ``spectral.scan_rows``), so a last
-    chunk of one row is folded into the chunk before it.
-    """
+    chunks of _CHUNK_ROWS rows."""
     column = np.empty(times.size, dtype=complex)
-    bounds = [0, *range(_CHUNK_ROWS, times.size - 1, _CHUNK_ROWS), times.size]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        column[a:b] = evolve_many(decomp, psi, times[a:b])[:, site]
+    for a in range(0, times.size, _CHUNK_ROWS):
+        column[a : a + _CHUNK_ROWS] = evolve_many(decomp, psi, times[a : a + _CHUNK_ROWS])[:, site]
     return column
 
 
@@ -358,13 +350,12 @@ def _propagate(
 
 def _final_fidelity(regions: list[tuple]) -> float:
     """Average fidelity at t_end of a propagated pass, bit for bit the value
-    sampling it gives: the last two rows of the last region's table round
-    like the whole table (see ``_column``), and in a switching window t_end
-    is the last checkpoint."""
+    sampling it gives: t_end is the last sample time, and in a switching
+    window the last checkpoint."""
     lo, _, inside, decomp, states = regions[-1]
     if decomp is None:
         return average_fidelity(abs(states[-1][-1]))
-    return average_fidelity(abs(evolve_many(decomp, states, inside[-2:] - lo)[-1, -1]))
+    return average_fidelity(abs(evolve_many(decomp, states, inside[-1:] - lo)[0, -1]))
 
 
 def _sample(schedule: SwitchingSchedule, regions: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -409,12 +400,10 @@ def simulate_protocol(
     step_hint (default tau_s / 8) and halve it until the final average
     fidelity moves by less than step_tolerance between passes.  Those
     passes are probes: each only propagates, and its final fidelity comes
-    from the last two sample rows alone (or from the last checkpoint state
-    when t_end lies in a switching window).  Only the accepted pass is
-    sampled, once, in row chunks that hold at least two rows unless the
-    region holds one sample, so every sample keeps the bits of the whole
-    table and memory is bounded by the chunk, not by the number of samples
-    (see the module docstring).
+    from the last sample time alone (or from the last checkpoint state when
+    t_end lies in a switching window).  Only the accepted pass is sampled,
+    once, in row chunks, so memory is bounded by the chunk, not by the
+    number of samples (see the module docstring).
     """
     if spec.n_sites < 6:
         raise ValueError("protocol needs at least 6 sites")

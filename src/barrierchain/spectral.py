@@ -27,6 +27,12 @@ separately, neither larger in magnitude than lambda_k t_j (lo >= 0), and the
 product of two unit-modulus factors adds a relative error of a few eps.
 Both tables thus carry errors of the same order, eps |lambda_k| t, per
 term.
+
+This module alone builds such tables.  gemm rounds each row alike whichever
+rows share the call, but numpy multiplies a lone row by BLAS gemv, which
+rounds differently, so ``scan_rows`` and ``evolve_many`` multiply a lone row
+next to a copy of itself: any subset of rows or times gets the whole table's
+bits.
 """
 
 from __future__ import annotations
@@ -157,12 +163,20 @@ def evolve(decomp: SpectralDecomposition, initial: np.ndarray, t: float) -> np.n
     return decomp.eigenvectors @ (phases * coeffs)
 
 
+def _table_product(table: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``table @ columns`` with a lone row of ``table`` multiplied next to a
+    copy of itself, so that gemm, not gemv, rounds it (module docstring)."""
+    if table.shape[-2] != 1:
+        return table @ columns
+    return (np.concatenate([table, table], axis=-2) @ columns)[..., :1, :]
+
+
 def evolve_many(decomp: SpectralDecomposition, initial: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Amplitudes on a whole time grid; returns an (n_times, N) array."""
     times = np.asarray(times, dtype=float)
     coeffs = decomp.eigenvectors.T @ np.asarray(initial, dtype=complex)
     phases = np.exp(-1j * np.outer(times, decomp.eigenvalues))
-    return (phases * coeffs) @ decomp.eigenvectors.T
+    return _table_product(phases * coeffs, decomp.eigenvectors.T)
 
 
 def transition_weights(decomp: SpectralDecomposition, from_site: int, to_site: int) -> np.ndarray:
@@ -204,16 +218,17 @@ def scan_rows(
     levels: np.ndarray, weights: np.ndarray, lo: float, step: float, block: int, rows: np.ndarray
 ) -> np.ndarray:
     """Rows of the blocked scan table of sum_k w_k exp(-i lambda_k t) for the
-    eigenvalues ``levels``: entry [r, m] is the amplitude at grid index
+    eigenvalues ``levels``: entry [..., r, m] is the amplitude at grid index
     rows[r] * block + m, i.e. at time lo + (rows[r] block + m) step.
 
-    A subset of rows gives the same bits as those rows of the whole table as
-    long as at least two rows are passed: numpy multiplies a single row by
-    BLAS gemv rather than gemm, which can round the sums differently.
+    ``levels`` (..., N) broadcasts against ``weights`` (..., N), and the
+    result has their broadcast shape with (len(rows), block) in place of N.
+    Every row has the bits it has in the whole table, whichever rows are
+    passed.
     """
+    levels = np.asarray(levels)[..., None, :]
     starts = lo + step * (np.asarray(rows) * block)
     offsets = step * np.arange(block)
-    coarse = np.exp(-1j * np.multiply.outer(starts, levels)) * weights
-    fine = np.exp(-1j * np.multiply.outer(offsets, levels))
-    return coarse @ fine.T
-
+    coarse = np.exp(-1j * (starts[:, None] * levels)) * np.asarray(weights)[..., None, :]
+    fine = np.exp(-1j * (offsets[:, None] * levels))
+    return _table_product(coarse, np.swapaxes(fine, -1, -2))

@@ -406,3 +406,25 @@ def test_errors_are_json_records(tmp_path, capsys):
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert record["error"] == "ValueError"
     assert "--omega-min" in record["argv"] or "ipr" in record["argv"]
+
+
+PROTOCOL8 = ["protocol", "--n", "8", "--k1", "8", "--k2", "4", "--t1", "5", "--window", "10", "--sample-dt", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ebit", "--n", "12", "--omega-list", "5", "--points", "5", "--alpha", "nan", "--beta", "nan"],
+        PROTOCOL8 + ["--tau-s", "inf"],
+        PROTOCOL8 + ["--tau-s", "nan"],
+        ["protocol", "--n", "8", "--k1", "8", "--k2", "nan", "--t1", "5", "--window", "10", "--sample-dt", "0.5"],
+        PROTOCOL8 + ["--delta-t", "nan"],
+        ["disorder", "--n", "8", "--omega-list", "10", "--b-list", "nan", "--n-samples", "2"],
+    ],
+)
+def test_non_finite_inputs_fail_before_any_file(argv, tmp_path, capsys):
+    captured = run(argv, tmp_path, capsys, expect=1)
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "finite" in record["message"]
+    assert list(tmp_path.iterdir()) == []

@@ -35,6 +35,13 @@ def test_leakage_model_sites_and_bounds():
     assert np.array_equal(high, np.array([4.0, 1.0, 1.0, 4.0]))
 
 
+@pytest.mark.parametrize("strength", [-1.0, np.nan, np.inf])
+def test_model_strength_must_be_finite_and_non_negative(strength):
+    for kind in (BULK_UNIFORM, BARRIER_LEAKAGE):
+        with pytest.raises(ValueError, match="strength"):
+            DisorderModel(kind, strength)
+
+
 def test_leakage_model_rejects_overlapping_sites():
     with pytest.raises(ValueError):
         DisorderModel(BARRIER_LEAKAGE, 10.0).affected_sites(ChainSpec(7))

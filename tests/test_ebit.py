@@ -30,6 +30,10 @@ def test_ebit_state_must_be_normalized():
     EbitState(0.6, 0.8j)
     with pytest.raises(ValueError):
         EbitState(1.0, 0.5)
+    # NaN amplitudes pass the norm comparison unless rejected as such
+    for alpha, beta in ((np.nan, np.nan), (np.nan, 1.0), (1.0, complex(0.0, np.inf))):
+        with pytest.raises(ValueError, match="finite"):
+            EbitState(alpha, beta)
 
 
 def test_pair_concurrence_formula():

@@ -317,16 +317,15 @@ def _kept_rows_match_full_scan(decomp, weights, hi):
     return rows, -(-count // block)
 
 
-def test_single_kept_block_is_scanned_with_a_neighbour():
+def test_single_kept_block_gives_the_full_grid_bits():
     """|sin(1e-4 t)| still rises at the window's end, so only the last cells
-    can hold the maximum and they all sit in the last block.  One row would
-    be multiplied by gemv and could round differently from the full table,
-    so its neighbour is scanned too."""
+    can hold the maximum and they all sit in the last block.  That lone
+    kept block is scanned alone and still gives the full grid's bits."""
     decomp, weights = _slow_pair(1e-4)
     hi = (110 * 110 - 1) * 0.25  # the last of 110 blocks is full
     rows, n_rows = _kept_rows_match_full_scan(decomp, weights, hi)
     assert n_rows == 110
-    assert rows.tolist() == [108, 109]
+    assert rows.tolist() == [109]
     t_star, fbar = max_fidelity(decomp, (0.0, hi))
     assert (t_star, fbar) == full_grid_max_fidelity(decomp, (0.0, hi))
     assert t_star == hi  # the peak is the last grid point

@@ -12,6 +12,8 @@ from barrierchain.spectral import (
     eigendecompose,
     evolve,
     evolve_many,
+    scan_block_length,
+    scan_rows,
     site_state,
     transition_amplitude,
     transition_weights,
@@ -127,6 +129,51 @@ def test_scan_amplitude_matches_transition_amplitude(n):
                     assert np.max(np.abs(scan[a : a + 10000] - direct)) <= 1e-11
     with pytest.raises(ValueError):
         scan_amplitude(decomp, weights, 0.0, step, 0)
+
+
+def _rule_chains(n):
+    """Two random-field chains, and a barrier chain where N allows one."""
+    spec = ChainSpec(n)
+    profiles = [random_profile(n, seed=100 + n), random_profile(n, seed=200 + n)]
+    if n >= 4:
+        profiles.append(barrier_profile(spec, 10.0))
+    return [eigendecompose(build_hamiltonian(spec, p)) for p in profiles]
+
+
+@pytest.mark.parametrize("n", [2, 8, 30, 100])
+def test_any_rows_or_times_get_the_whole_tables_bits(n):
+    """numpy multiplies a lone row by gemv, which rounds unlike gemm; the
+    kernels hide that, so a single row, a scattered subset of rows, a
+    stacked call and a single time all give the whole table's bits."""
+    rng = np.random.default_rng(n)
+    decomps = _rule_chains(n)
+    count, lo, step = 2000, 3.7, 0.25
+    block = scan_block_length(count)
+    every = np.arange(-(-count // block))
+    scattered = np.sort(rng.choice(every, 7, replace=False))
+    for decomp in decomps:
+        weights = transition_weights(decomp, 1, n)
+        whole = scan_rows(decomp.eigenvalues, weights, lo, step, block, every)
+        for row in every:
+            assert np.array_equal(scan_rows(decomp.eigenvalues, weights, lo, step, block, [row]), whole[row : row + 1])
+        assert np.array_equal(scan_rows(decomp.eigenvalues, weights, lo, step, block, scattered), whole[scattered])
+
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        times = rng.uniform(0.0, 500.0, 50)
+        table = evolve_many(decomp, psi, times)
+        for i, t in enumerate(times):
+            assert np.array_equal(evolve_many(decomp, psi, [t]), table[i : i + 1])
+
+    # (S, F) stacks against per-chain, per-factor calls
+    levels = np.stack([d.eigenvalues for d in decomps])
+    weights = np.stack([[transition_weights(d, 1, n), transition_weights(d, 1, max(1, n - 1))] for d in decomps])
+    for rows in (every, scattered, every[-1:]):
+        stacked = scan_rows(levels[:, None], weights, lo, step, block, rows)
+        assert stacked.shape == (len(decomps), 2, rows.size, block)
+        for s, decomp in enumerate(decomps):
+            for f in range(2):
+                alone = scan_rows(decomp.eigenvalues, weights[s, f], lo, step, block, every)[rows]
+                assert np.array_equal(stacked[s, f], alone)
 
 
 def test_transition_amplitude_is_symmetric():
