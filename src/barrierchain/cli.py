@@ -47,7 +47,6 @@ from .effective import predicted_vs_exact_gap
 from .metrics import (
     average_fidelity,
     barrier_report,
-    ipr,
     localization_report,
     peak_search,
     rabi_transfer_time,
@@ -170,7 +169,7 @@ def _cmd_ipr(args) -> list[str]:
             rows["role"].append(role)
             rows["k"].append(k + 1)
             rows["lambda"].append(decomp.eigenvalues[k])
-            rows["ipr"].append(ipr(decomp.eigenvectors[:, k]))
+            rows["ipr"].append(report.ipr_per_state[k])
     return [_emit(args, rows, units_energy="J")]
 
 

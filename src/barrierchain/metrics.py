@@ -311,8 +311,8 @@ def peak_search(levels, weights, window: tuple[float, float], t_max: float | Non
     those of the full scan.
     """
     lo, hi = float(window[0]), float(window[1])
-    if hi <= lo:
-        raise ValueError("window must have positive length")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"window must be finite with positive length, got {(lo, hi)}")
     step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
     count = _grid_count(lo, hi, step)
     block = scan_block_length(count)

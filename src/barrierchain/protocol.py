@@ -15,13 +15,14 @@ sections, where a field K contributes +2K to the diagonal; here the listed
 system is taken as-is, and it is the convention under which the stated
 optimal interval (pi/2) K2^2 matches the mid-stage Rabi gap.
 
-Ideal steps are propagated exactly as three spectral segments.  Smoothed
-(logistic) switching uses a fourth-order commutator-free exponential
-integrator: each step multiplies by two exact exponentials of Gauss-node
-field averages, so the evolution stays exactly unitary and is exact wherever
-the drive is constant.  Away from the switching windows the logistic tails
-are below double precision, and those stretches are propagated spectrally
-in one hop.
+Smoothed (logistic) switching uses a fourth-order commutator-free
+exponential integrator: each step multiplies by two exact exponentials of
+Gauss-node field averages, so the evolution stays exactly unitary and is
+exact wherever the drive is constant.  Away from the switching windows,
+45 tau_s either side of t1 and t2, the logistic tails are below double
+precision, and those stretches are propagated spectrally in one hop.  Ideal
+steps (tau_s = 0) get the same partition with zero-width windows, which are
+dropped, so they are propagated exactly as three spectral segments.
 
 A step's two factors depend on (t, h) alone, never on the state, so each
 pass plans a switching window in arrays before the state is touched: the
@@ -38,15 +39,16 @@ are computed and never stored for a whole pass, so memory stays flat.
 Smoothed runs halve the step until the final fidelity settles, and every
 pass but the accepted one is a probe: it only propagates, keeping each
 constant region's decomposition and start state and each switching
-window's checkpoint states.  A probe's final fidelity comes from
-evolve_many at the last sample time alone, or from the last checkpoint
-state when t_end lies in a switching window.  The accepted pass is sampled
-once, storing only the site-N amplitudes and the site-1 pre-send survival,
-through evolve_many in chunks of _CHUNK_ROWS rows.  evolve_many gives any
-subset of times the bits of the whole table, so every sample has them, and
-the sampling's memory is bounded by the chunk, not by the number of
-samples.  The CLI writes the trajectory CSV in row chunks too
-(``_csvio.write_csv``), so memory is bounded end to end.
+window's checkpoint states.  A pass's final state is its last sample row:
+the hop to t_end is evolve_many at that time alone, and a switching window
+that holds t_end ends on it as its last checkpoint.  A probe reads its final
+fidelity from that state.  The accepted pass is sampled once, storing only
+the site-N amplitudes and the site-1 pre-send survival, through
+evolve_many in chunks of _CHUNK_ROWS rows.  evolve_many gives any subset of
+times the bits of the whole table, so every sample has them, and the
+sampling's memory is bounded by the chunk, not by the number of samples.
+The CLI writes the trajectory CSV in row chunks too (``_csvio.write_csv``),
+so memory is bounded end to end.
 """
 
 from __future__ import annotations
@@ -140,8 +142,8 @@ def field_at(schedule: SwitchingSchedule, t):
 
 def optimal_interval(n_sites: int, k2: float) -> float:
     """Closed-form transfer interval: (pi/2) K2^2 even, (pi/4)(N-3) K2 odd."""
-    if k2 <= 0:
-        raise ValueError("k2 must be positive")
+    if not 0 < k2 < np.inf:
+        raise ValueError(f"k2 must be positive and finite, got {k2}")
     if n_sites % 2 == 0:
         return 0.5 * np.pi * k2**2
     return 0.25 * np.pi * (n_sites - 3) * k2
@@ -151,8 +153,8 @@ def two_level_interval(k2: float) -> float:
     """Literal two-level prediction 2 pi K2^2 with the drive amplitude read
     as a static barrier field; reported next to the closed form and the
     numeric optimum, never asserted."""
-    if k2 <= 0:
-        raise ValueError("k2 must be positive")
+    if not 0 < k2 < np.inf:
+        raise ValueError(f"k2 must be positive and finite, got {k2}")
     return 2.0 * np.pi * k2**2
 
 
@@ -172,8 +174,8 @@ def _stage_decomposition(spec: ChainSpec, omega2: float, omega_nm1: float) -> Sp
 
 @dataclass(frozen=True, eq=False)
 class ProtocolTrajectory:
-    """Sampled protocol run plus the exactly propagated final state, the
-    site amplitudes at times[-1]."""
+    """Sampled protocol run plus the final state, the site amplitudes at
+    times[-1]: the last sample row, so np.abs(final_state[-1]) is abs_f[-1]."""
 
     times: np.ndarray
     omega2: np.ndarray
@@ -210,10 +212,6 @@ def _switch_regions(schedule: SwitchingSchedule, t_end: float) -> list[tuple[flo
     """(start, end, is_active) partition of [t0, t_end]; active regions need
     stepping, constant regions are propagated spectrally in one hop."""
     t0, t1, t2 = schedule.t0, schedule.t1, schedule.t2
-    if schedule.smoothing_timescale == 0:
-        edges = [t for t in (t1, t2) if t0 < t < t_end]
-        bounds = [t0, *edges, t_end]
-        return [(a, b, False) for a, b in zip(bounds[:-1], bounds[1:])]
     w = _TAIL_WIDTHS * schedule.smoothing_timescale
     windows = [(t1 - w, t1 + w), (t2 - w, t2 + w)]
     if windows[0][1] >= windows[1][0]:
@@ -227,10 +225,9 @@ def _switch_regions(schedule: SwitchingSchedule, t_end: float) -> list[tuple[flo
             continue
         if lo > cursor:
             regions.append((cursor, lo, False))
-        regions.append((max(cursor, lo), hi, True))
+        if hi > lo:  # windows have zero width at tau_s = 0, ideal steps
+            regions.append((max(cursor, lo), hi, True))
         cursor = hi
-        if cursor >= t_end:
-            break
     if cursor < t_end:
         regions.append((cursor, t_end, False))
     return regions
@@ -325,7 +322,8 @@ def _propagate(
 ) -> tuple[list[tuple], np.ndarray]:
     """One pass at base step h0 that propagates without sampling.
 
-    Returns (regions, final_psi).  Each region is a tuple
+    Returns (regions, final_psi), final_psi being the pass's last sample
+    row, the state at t_end.  Each region is a tuple
     (lo, hi, inside, decomp, states) with ``inside`` the sample times in
     it.  A constant region keeps its stage decomposition and, as
     ``states``, its state at lo; a switching window has decomp None and
@@ -333,29 +331,20 @@ def _propagate(
     psi = site_state(spec.n_sites, 1)
     regions = []
     for lo, hi, active in _switch_regions(schedule, t_end):
-        mask = (sample_times >= lo) & (sample_times < hi)
-        if hi == t_end:
-            mask = (sample_times >= lo) & (sample_times <= hi)
-        inside = sample_times[mask]
-        if not active:
-            decomp = _stage_decomposition(spec, *field_at(schedule, 0.5 * (lo + hi)))
-            regions.append((lo, hi, inside, decomp, psi))
-            psi = evolve(decomp, psi, hi - lo)
-        else:
+        inside = sample_times[(sample_times >= lo) & ((sample_times < hi) | (hi == t_end))]
+        if active:
             states = _integrate_active(spec, schedule, psi, lo, _checkpoints(inside, hi), h0)
             regions.append((lo, hi, inside, None, states))
             psi = states[-1]
+        else:
+            decomp = _stage_decomposition(spec, *field_at(schedule, 0.5 * (lo + hi)))
+            regions.append((lo, hi, inside, decomp, psi))
+            if hi == t_end:
+                # the last sample row, with the bits sampling gives it
+                psi = evolve_many(decomp, psi, [hi - lo])[0]
+            else:
+                psi = evolve(decomp, psi, hi - lo)
     return regions, psi
-
-
-def _final_fidelity(regions: list[tuple]) -> float:
-    """Average fidelity at t_end of a propagated pass, bit for bit the value
-    sampling it gives: t_end is the last sample time, and in a switching
-    window the last checkpoint."""
-    lo, _, inside, decomp, states = regions[-1]
-    if decomp is None:
-        return average_fidelity(abs(states[-1][-1]))
-    return average_fidelity(abs(evolve_many(decomp, states, inside[-1:] - lo)[0, -1]))
 
 
 def _sample(schedule: SwitchingSchedule, regions: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -378,10 +367,11 @@ def _sample(schedule: SwitchingSchedule, regions: list[tuple]) -> tuple[np.ndarr
                 presend.append(np.abs(_column(decomp, states, fine - lo, 0)) ** 2)
         else:
             checkpoints = _checkpoints(inside, hi)
-            for tc, state in zip(checkpoints, states):
-                if tc < schedule.t1:
-                    presend.append(np.array([np.abs(state[0]) ** 2]))
-            site_n.append(np.array(states)[np.isin(checkpoints, inside), -1])
+            table = np.array(states)
+            # libm pow, as ** on a float64 scalar: the array x**2 is x*x,
+            # which rounds differently in about 1 of 1,400 values
+            presend.append(np.float_power(np.abs(table[checkpoints < schedule.t1, 0]), 2.0))
+            site_n.append(table[np.isin(checkpoints, inside), -1])
     survival = np.concatenate(presend) if presend else np.empty(0)
     return np.concatenate(site_n), survival
 
@@ -396,40 +386,40 @@ def simulate_protocol(
 ) -> ProtocolTrajectory:
     """Run the full three-stage protocol from |1> at t0.
 
-    Ideal steps are exact.  Smoothed schedules start the integrator at
-    step_hint (default tau_s / 8) and halve it until the final average
-    fidelity moves by less than step_tolerance between passes.  Those
-    passes are probes: each only propagates, and its final fidelity comes
-    from the last sample time alone (or from the last checkpoint state when
-    t_end lies in a switching window).  Only the accepted pass is sampled,
-    once, in row chunks, so memory is bounded by the chunk, not by the
-    number of samples (see the module docstring).
+    Ideal steps are the partition without switching windows and are
+    exact.  Smoothed schedules start the integrator at step_hint (default
+    tau_s / 8) and halve it until the final average fidelity moves by less
+    than step_tolerance between passes.  Those passes are probes: each only
+    propagates, and its final fidelity is read from its final state, the
+    last sample row.  Only the accepted pass is sampled, once, in row
+    chunks, so memory is bounded by the chunk, not by the number of samples
+    (see the module docstring).
     """
     if spec.n_sites < 6:
         raise ValueError("protocol needs at least 6 sites")
     if t_end is None:
         t_end = schedule.t2 + 500.0
-    if t_end <= schedule.t2:
-        raise ValueError("t_end must lie beyond the release time t2")
-    if sample_dt <= 0:
-        raise ValueError("sample_dt must be positive")
+    if not schedule.t2 < t_end < np.inf:
+        raise ValueError(f"t_end must be finite and lie beyond the release time t2, got {t_end}")
+    if not 0 < sample_dt < np.inf:
+        raise ValueError(f"sample_dt must be positive and finite, got {sample_dt}")
     sample_times = _sample_grid(schedule, t_end, sample_dt)
 
     if schedule.smoothing_timescale == 0:
         regions, psi = _propagate(spec, schedule, t_end, sample_times, np.inf)
     else:
         h = step_hint if step_hint is not None else schedule.smoothing_timescale / 8.0
-        if h <= 0:
-            raise ValueError("step_hint must be positive")
+        if not 0 < h < np.inf:
+            raise ValueError(f"step_hint must be positive and finite, got {h}")
         # Sampling already caps the effective step at sample_dt; start at or
         # below it so each halving genuinely refines the integration.
         h = min(h, sample_dt)
         regions, psi = _propagate(spec, schedule, t_end, sample_times, h)
-        previous = _final_fidelity(regions)
+        previous = average_fidelity(np.abs(psi[-1]))
         for _ in range(14):
             h /= 2.0
             regions, psi = _propagate(spec, schedule, t_end, sample_times, h)
-            current = _final_fidelity(regions)
+            current = average_fidelity(np.abs(psi[-1]))
             if abs(current - previous) < step_tolerance:
                 break
             previous = current
@@ -460,8 +450,8 @@ def storage_fidelity(trajectory: ProtocolTrajectory, window: float) -> tuple[flo
     Drift is the largest deviation from the window mean; a window that
     contains a single sample therefore reports zero drift.
     """
-    if window < 0:
-        raise ValueError("window must be >= 0")
+    if not 0 <= window < np.inf:
+        raise ValueError(f"window must be finite and >= 0, got {window}")
     t2 = trajectory.schedule.t2
     if t2 + window > trajectory.times[-1] + 1e-9:
         raise ValueError("storage window extends past the simulated range")
@@ -488,6 +478,8 @@ def optimize_interval(
     """
     if schedule.smoothing_timescale != 0:
         raise ValueError("interval optimization runs on ideal-step schedules")
+    if not 0 <= window < np.inf:
+        raise ValueError(f"window must be finite and >= 0, got {window}")
     stage1 = _stage_decomposition(spec, schedule.k1, 0.0)
     stage2 = _stage_decomposition(spec, schedule.k2, schedule.k2)
     stage3 = _stage_decomposition(spec, 0.0, schedule.k1)

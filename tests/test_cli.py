@@ -420,6 +420,13 @@ PROTOCOL8 = ["protocol", "--n", "8", "--k1", "8", "--k2", "4", "--t1", "5", "--w
         ["protocol", "--n", "8", "--k1", "8", "--k2", "nan", "--t1", "5", "--window", "10", "--sample-dt", "0.5"],
         PROTOCOL8 + ["--delta-t", "nan"],
         ["disorder", "--n", "8", "--omega-list", "10", "--b-list", "nan", "--n-samples", "2"],
+        PROTOCOL8 + ["--sample-dt", "nan"],
+        PROTOCOL8 + ["--window", "nan"],
+        PROTOCOL8 + ["--window", "inf"],
+        PROTOCOL8 + ["--t-end", "nan"],
+        ["maxfid", "--n-min", "8", "--n-max", "8", "--omega-steps", "2", "--T", "nan"],
+        ["maxfid", "--n-min", "8", "--n-max", "8", "--omega-steps", "2", "--T", "inf"],
+        ["disorder", "--n", "8", "--omega-list", "10", "--n-samples", "2", "--window-factor", "nan"],
     ],
 )
 def test_non_finite_inputs_fail_before_any_file(argv, tmp_path, capsys):

@@ -238,6 +238,14 @@ def test_max_fidelity_rejects_an_empty_window():
         max_fidelity(decomp, (5.0, 5.0))
 
 
+@pytest.mark.parametrize("window", [(0.0, np.nan), (np.nan, 5.0), (0.0, np.inf), (-np.inf, 5.0)])
+def test_peak_search_rejects_a_non_finite_window(window):
+    # NaN passes a plain hi <= lo test, and an infinite end has no grid
+    decomp = decompose(6, 4.0)
+    with pytest.raises(ValueError, match="finite"):
+        peak_search(decomp.eigenvalues[None], transition_weights(decomp, 1, 6)[None, None], window)
+
+
 @pytest.mark.parametrize("hi", [4000.0, 20000.0])
 def test_max_fidelity_matches_direct_scan(hi):
     """Gate 6's N=11, omega=10 chain: the blocked scan picks the direct

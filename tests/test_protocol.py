@@ -102,6 +102,27 @@ def test_interval_closed_forms():
         optimal_interval(30, 0.0)
 
 
+@pytest.mark.parametrize("k2", [0.0, -1.0, np.nan, np.inf])
+def test_interval_formulas_reject_bad_k2(k2):
+    # NaN passes a plain k2 <= 0 test, and both formulas returned NaN for it
+    with pytest.raises(ValueError, match="positive and finite"):
+        optimal_interval(30, k2)
+    with pytest.raises(ValueError, match="positive and finite"):
+        two_level_interval(k2)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(t_end=np.nan), dict(t_end=np.inf), dict(sample_dt=np.nan), dict(sample_dt=np.inf),
+     dict(step_hint=np.nan), dict(step_hint=np.inf), dict(step_hint=0.0)],
+)
+def test_protocol_run_rejects_non_finite_inputs(kwargs):
+    sch = schedule8(smoothing_timescale=0.5)
+    kwargs = dict(dict(t_end=sch.t2 + 1.0), **kwargs)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_protocol(N8, sch, **kwargs)
+
+
 def test_step_protocol_frozen_regression():
     traj = simulate_protocol(N8, schedule8(), t_end=schedule8().t2 + 20.0)
     assert traj.final_avg_fidelity == pytest.approx(0.9731121742686015, abs=1e-9)
@@ -149,6 +170,11 @@ def test_storage_fidelity_window_handling():
     assert zero_drift == 0.0
     with pytest.raises(ValueError):
         storage_fidelity(traj, 80.0)
+    for window in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            storage_fidelity(traj, window)
+        with pytest.raises(ValueError, match="finite"):
+            optimize_interval(N8, sch, window=window)
 
 
 def test_weak_release_barrier_fails_to_trap():
@@ -397,16 +423,73 @@ def test_probe_passes_keep_every_bit_of_the_full_table_passes(case, monkeypatch)
     traj = simulate_protocol(N8, sch, t_end=t_end, sample_dt=sample_dt, step_hint=step_hint)
     probed = list(steps)
     steps.clear()
-    times, (samples, presend, psi) = _reference_simulate(N8, sch, t_end, sample_dt, step_hint)
+    times, (samples, presend, _) = _reference_simulate(N8, sch, t_end, sample_dt, step_hint)
 
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.abs_f, np.abs(samples[:, -1]))
     assert np.array_equal(traj.avg_fidelity, protocol.average_fidelity(np.abs(samples[:, -1])))
     assert traj.survival_min_presend == presend.min()
-    assert np.array_equal(traj.final_state, psi)
+    assert np.array_equal(traj.final_state, samples[-1])
     # the same passes at the same steps, and sampling integrates nothing
     assert probed == steps
     assert len(set(steps)) == passes
+
+
+FINAL_STATE_CASES = {
+    **{case: (N8, *args[:-1]) for case, args in PROBE_CASES.items()},
+    # the protocol config's run, at its optimized interval
+    "n30-step": (ChainSpec(30), SwitchingSchedule(k1=60.0, k2=30.0, delta_t=1377.3979848963968, t1=50.0),
+                 500.0, 0.05, None),
+    "n30-smoothed": (ChainSpec(30), SwitchingSchedule(k1=60.0, k2=30.0, delta_t=optimal_interval(30, 30.0), t1=50.0,
+                                                      smoothing_timescale=0.5),
+                     100.0, 0.5, None),
+}
+
+
+@pytest.mark.parametrize("case", list(FINAL_STATE_CASES))
+def test_final_state_is_the_last_sample_row(case):
+    # a pass states its end once: the final state, the last sampled |f| and
+    # the final fidelity the step halving compares all share its bits
+    spec, sch, tail, sample_dt, step_hint = FINAL_STATE_CASES[case]
+    traj = simulate_protocol(spec, sch, t_end=sch.t2 + tail, sample_dt=sample_dt, step_hint=step_hint)
+    assert traj.times[-1] == sch.t2 + tail
+    assert np.abs(traj.final_state)[-1] == traj.abs_f[-1]
+    assert protocol.average_fidelity(np.abs(traj.final_state[-1])) == traj.final_avg_fidelity
+
+
+def _regions(sch, t_end):
+    regions = protocol._switch_regions(sch, t_end)
+    # a partition of [t0, t_end] into non-empty regions
+    assert regions[0][0] == sch.t0 and regions[-1][1] == t_end
+    assert all(a[1] == b[0] for a, b in zip(regions, regions[1:]))
+    assert all(lo < hi for lo, hi, _ in regions)
+    return regions
+
+
+def test_switch_regions_partition_the_run():
+    # ideal steps have no switching windows: the three stages, or two when
+    # the run starts at t1
+    sch = schedule8()
+    t_end = sch.t2 + 20.0
+    assert _regions(sch, t_end) == [(0.0, 5.0, False), (5.0, sch.t2, False), (sch.t2, t_end, False)]
+    sch = schedule8(t1=0.0)
+    assert _regions(sch, t_end) == [(0.0, sch.t2, False), (sch.t2, t_end, False)]
+    # two separate windows of half-width 45 tau_s, the second one cut at t_end
+    sch = schedule8(t1=10.0, smoothing_timescale=0.1)
+    w = 45.0 * 0.1
+    t_end = sch.t2 + 2.0
+    assert _regions(sch, t_end) == [
+        (0.0, 10.0 - w, False), (10.0 - w, 10.0 + w, True), (10.0 + w, sch.t2 - w, False), (sch.t2 - w, t_end, True),
+    ]
+    # windows that touch (90 tau_s == delta_t) or overlap merge into one
+    for delta_t, tau_s in ((9.0, 0.1), (DT8, 0.3)):
+        sch = schedule8(t1=20.0, delta_t=delta_t, smoothing_timescale=tau_s)
+        w = 45.0 * tau_s
+        t_end = sch.t2 + 20.0
+        assert _regions(sch, t_end) == [(0.0, 20.0 - w, False), (20.0 - w, sch.t2 + w, True), (sch.t2 + w, t_end, False)]
+    # a window that opens before t0 starts at t0
+    sch = schedule8(t1=1.0, smoothing_timescale=0.1)
+    assert _regions(sch, sch.t2 + 20.0)[0] == (0.0, 1.0 + 4.5, True)
 
 
 # the edges of the current chunk, and fixed sizes that are whole multiples

@@ -4,11 +4,14 @@ Usage: python tools/config_outputs.py OUTDIR
 
 Runs each ``configs/*.cfg``, plus the protocol config with smoothed switching
 at ``--tau-s 0.5`` and at ``--tau-s 0.05`` (step halving stops after three
-passes at the first and after two at the second), in a fresh process with
-BLAS pinned to one thread, writes the outputs under OUTDIR (new or empty)
-and prints ``sha256  name`` for every file written, sorted by name.  Two
-checkouts produce byte-identical outputs when this script prints the same
-lines on both, so compare them with ``diff``.  Each run's wall time, from
+passes at the first and after two at the second) and at ``--tau-s 0.5
+--window 10`` (the run ends inside the release switching window, so its
+final state is a checkpoint state, not a spectral hop).  Each run gets a
+fresh process with BLAS pinned to one thread.  The script writes the
+outputs under OUTDIR (new or empty) and prints ``sha256  name`` for every
+file written, sorted by name.  Two checkouts produce byte-identical outputs
+when this script prints the same lines on both, so compare them with
+``diff``.  Each run's wall time, from
 process start to exit, and its peak resident memory (the child's own
 ru_maxrss, read by wait4) go to stderr, so stdout stays comparable.
 """
@@ -31,10 +34,15 @@ def runs(outdir: Path) -> list[list[str]]:
     argvs = []
     for cfg in sorted((ROOT / "configs").glob("*.cfg")):
         argvs.append([cfg.stem, "--config", str(cfg)])
-    for tau_s in ("0.5", "0.05"):
+    smoothed = {
+        "tau0.5": ["--tau-s", "0.5"],
+        "tau0.05": ["--tau-s", "0.05"],
+        "tau0.5_window10": ["--tau-s", "0.5", "--window", "10"],
+    }
+    for tag, extra in smoothed.items():
         argvs.append([
             "protocol", "--config", str(ROOT / "configs" / "protocol.cfg"),
-            "--tau-s", tau_s, "--out", str(outdir / f"protocol_tau{tau_s}.csv"),
+            *extra, "--out", str(outdir / f"protocol_{tag}.csv"),
         ])
     return argvs
 
