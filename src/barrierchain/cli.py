@@ -213,15 +213,17 @@ def _cmd_scaling(args) -> list[str]:
     return [_emit(args, rows, units_time="1/J", units_energy="J")]
 
 
-def _ensemble_row(args, rows: dict, spec: ChainSpec, omega: float, window, model: DisorderModel) -> None:
-    """Run one ensemble and append its omega, mean, stderr, n_samples and
-    seed to ``rows``.  The caller works out the window, once per omega."""
-    result = monte_carlo(args.metric, model, spec, omega, window, n_samples=args.n_samples, seed=args.seed)
-    rows["omega"].append(omega)
-    rows["mean"].append(result.mean_metric)
-    rows["stderr"].append(result.std_error)
-    rows["n_samples"].append(result.n_samples)
-    rows["seed"].append(result.seed)
+def _ensemble_rows(args, rows: dict, spec: ChainSpec, omega: float, window, models: list[DisorderModel]) -> None:
+    """Run the ensembles of ``models`` at one omega as one stack and append
+    each one's omega, mean, stderr, n_samples and seed to ``rows``.  The
+    caller works out the window, once per omega."""
+    results = monte_carlo(args.metric, models, spec, omega, window, n_samples=args.n_samples, seed=args.seed)
+    for result in results:
+        rows["omega"].append(omega)
+        rows["mean"].append(result.mean_metric)
+        rows["stderr"].append(result.std_error)
+        rows["n_samples"].append(result.n_samples)
+        rows["seed"].append(result.seed)
 
 
 def _cmd_disorder(args) -> list[str]:
@@ -231,9 +233,9 @@ def _cmd_disorder(args) -> list[str]:
     }
     for omega in args.omega_list:
         window = default_window(spec, omega, args.window_factor)
-        for b in args.b_list:
-            rows["b"].append(b)
-            _ensemble_row(args, rows, spec, omega, window, DisorderModel(BULK_UNIFORM, b))
+        models = [DisorderModel(BULK_UNIFORM, b) for b in args.b_list]
+        rows["b"].extend(args.b_list)
+        _ensemble_rows(args, rows, spec, omega, window, models)
     return [_emit(args, rows)]
 
 
@@ -246,9 +248,10 @@ def _cmd_leakage(args) -> list[str]:
         rows: dict[str, list] = {
             "omega": [], "mean": [], "stderr": [], "n_samples": [], "seed": [],
         }
+        # the window differs per omega, so each stack holds one ensemble
         for omega in omegas:
             window = default_window(spec, omega, args.window_factor)
-            _ensemble_row(args, rows, spec, omega, window, DisorderModel(BARRIER_LEAKAGE, omega))
+            _ensemble_rows(args, rows, spec, omega, window, [DisorderModel(BARRIER_LEAKAGE, omega)])
         written.append(_emit(args, rows, path, n=n))
     return written
 

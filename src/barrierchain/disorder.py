@@ -8,21 +8,25 @@ bleed onto their neighbors.
 
 Each sample's fields come from a counter-based Philox stream keyed by
 (seed, sample_index), so a sample's value depends on nothing but its own
-index.  An ensemble decomposes each distinct sample once: samples whose
+index.  ``monte_carlo`` runs every ensemble of one (chain, omega, window)
+as one stack: each sample draws its unit variates once per distinct
+affected-site set, so every bulk strength b maps the same draws to its own
+fields.  The stack decomposes each distinct sample once: samples whose
 fields are equal byte for byte (every sample at b = 0, where each is the
-clean chain) share one decomposition and one search.  It then searches all
-their peaks at once, in one ``metrics.peak_search`` call whose lockstep
-refinement gives each sample the bits a search of that sample alone
-would, and maps the peaks back to sample-index order.  The mean is
-reduced with numpy's pairwise summation over the index-ordered sample
-array.  The clean chain's Rabi time, which sets both
-``default_window`` and an ensemble's scan step, is worked out once per
-(chain, omega) and shared by every ensemble at that omega.  Nothing here
-takes a thread count; the CLI's ``--threads`` flag is parsed and ignored.
+clean chain) share one decomposition and one search.  It then searches all their peaks at once, in one
+``metrics.peak_search`` call whose lockstep refinement gives each sample
+the bits a search of that sample alone would, and maps the peaks back to
+each ensemble in sample-index order, so an ensemble's results do not
+depend on the others in its stack.  Each mean is reduced with numpy's
+pairwise summation over the index-ordered sample array.  The clean chain's
+Rabi time, which sets both ``default_window`` and the scan step, is worked
+out once per (chain, omega).  Nothing here takes a thread count; the CLI's
+``--threads`` flag is parsed and ignored.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,21 +101,25 @@ def sample_profile(model: DisorderModel, base: FieldProfile, sample_index: int, 
     return FieldProfile(fields)
 
 
-def _ensemble_fields(model: DisorderModel, base: FieldProfile, n_samples: int, seed: int) -> np.ndarray:
-    """Fields of samples 0..n_samples-1, row i bit for bit those of
-    ``sample_profile(model, base, i, seed)``.
+def _ensemble_fields(models: Sequence[DisorderModel], base: FieldProfile, n_samples: int, seed: int) -> np.ndarray:
+    """Fields of samples 0..n_samples-1 under each model, shaped
+    (models, samples, N); entry [m, i] is bit for bit the fields of
+    ``sample_profile(models[m], base, i, seed)``.
 
-    The sites and bounds are worked out once.  Each sample draws its unit
-    variates from its own (seed, index) Philox stream, and the map
-    low + (high - low) u that ``Generator.uniform`` applies to them is
-    applied to every sample at once.
+    Each sample draws its unit variates from its own (seed, index) Philox
+    stream once per distinct affected-site set, and each model applies the
+    map low + (high - low) u that ``Generator.uniform`` applies to them to
+    every sample at once.
     """
     spec = ChainSpec(len(base))
-    sites = np.array(model.affected_sites(spec)) - 1
-    low, high = model.bounds(spec)
-    units = np.array([_sample_rng(seed, i).random(sites.size) for i in range(n_samples)])
-    fields = np.tile(base.local_fields, (n_samples, 1))
-    fields[:, sites] += low + (high - low) * units
+    units: dict[tuple[int, ...], np.ndarray] = {}
+    fields = np.tile(base.local_fields, (len(models), n_samples, 1))
+    for model, model_fields in zip(models, fields):
+        sites = model.affected_sites(spec)
+        if sites not in units:
+            units[sites] = np.array([_sample_rng(seed, i).random(len(sites)) for i in range(n_samples)])
+        low, high = model.bounds(spec)
+        model_fields[:, np.array(sites) - 1] += low + (high - low) * units[sites]
     return fields
 
 
@@ -147,30 +155,35 @@ def default_window(spec: ChainSpec, omega: float, factor: float = 3.0) -> tuple[
 
 def monte_carlo(
     metric: str,
-    model: DisorderModel,
+    models: Sequence[DisorderModel],
     chain: ChainSpec,
     omega: float,
     window: tuple[float, float],
     n_samples: int,
     seed: int,
-) -> EnsembleResult:
-    """Average the peak transfer metric over disorder realizations.
+) -> list[EnsembleResult]:
+    """Average the peak transfer metric over disorder realizations, one
+    ensemble per model, returned in the order of ``models``.
 
-    Every distinct sample (by the bytes of its fields) builds and
-    diagonalizes its chain once, keeping only its eigenvalues and transfer
-    weights; one ``peak_search`` call then serves the whole ensemble, with
-    a grid step fixed by the clean chain's Rabi time so all samples see
-    identical scan parameters.  Repeated samples take their peak from the
-    one search of their fields, and each sample's peak has the bits a
-    search of that sample alone gives.
+    The ensembles share the chain, omega and window, and run as one stack:
+    every distinct sample of the stack (by the bytes of its fields)
+    builds and diagonalizes its chain once, keeping only its eigenvalues
+    and transfer weights; one ``peak_search`` call then serves every
+    ensemble, with a grid step fixed by the clean chain's Rabi time so all
+    samples see identical scan parameters.  Repeated samples take their
+    peak from the one search of their fields, and each sample's peak has
+    the bits a search of that sample alone gives, so each ensemble's
+    result is the one a call with that model alone returns.
     """
     if metric not in (MAX_CONCURRENCE, MAX_FIDELITY):
         raise ValueError(f"unknown metric {metric!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     base = barrier_profile(chain, omega)
     t_max = _clean_rabi_time(chain, omega)
-    fields = _ensemble_fields(model, base, n_samples, seed)
+    fields = _ensemble_fields(models, base, n_samples, seed).reshape(-1, chain.n_sites)
     # rows equal byte for byte (so -0.0 and 0.0 stay apart) are one chain
     keys = fields.view(np.dtype((np.void, fields.itemsize * chain.n_sites)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -182,14 +195,15 @@ def monte_carlo(
         weights[i, 0] = transition_weights(decomp, 1, chain.n_sites)
     # peak concurrence is |f| at the peak (Fbar is monotone in |f|)
     _, abs_f = peak_search(levels, weights, window, t_max=t_max)
-    abs_f = abs_f[inverse]
-    values = abs_f if metric == MAX_CONCURRENCE else average_fidelity(abs_f)
-    mean = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return EnsembleResult(
-        n_samples=n_samples,
-        seed=seed,
-        mean_metric=mean,
-        std_error=std_error,
-        per_sample=values,
-    )
+    abs_f = abs_f[inverse].reshape(len(models), n_samples)
+    stack = abs_f if metric == MAX_CONCURRENCE else average_fidelity(abs_f)
+    return [
+        EnsembleResult(
+            n_samples=n_samples,
+            seed=seed,
+            mean_metric=float(np.mean(values)),
+            std_error=float(np.std(values, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0,
+            per_sample=values,
+        )
+        for values in stack
+    ]

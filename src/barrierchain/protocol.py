@@ -349,7 +349,12 @@ def _propagate(
 
 def _sample(schedule: SwitchingSchedule, regions: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """(site-N amplitudes at every sample time, site-1 survival probabilities
-    sampled before t1) of a propagated pass."""
+    sampled before t1) of a propagated pass.
+
+    Both kinds of region square |amplitude| with libm pow
+    (``np.float_power``), as ``**`` does on a float64 scalar: the array
+    ``x ** 2`` is x*x, which rounds differently in about 1 of 1,400 values.
+    """
     site_n: list[np.ndarray] = []
     presend: list[np.ndarray] = []
     for lo, hi, inside, decomp, states in regions:
@@ -364,12 +369,10 @@ def _sample(schedule: SwitchingSchedule, regions: list[tuple]) -> tuple[np.ndarr
                 fine_hi = min(hi, schedule.t1)
                 dt_fine = 2.0 * np.pi / np.sqrt(schedule.k1**2 + 4.0) / 40.0
                 fine = np.arange(lo, fine_hi, dt_fine)
-                presend.append(np.abs(_column(decomp, states, fine - lo, 0)) ** 2)
+                presend.append(np.float_power(np.abs(_column(decomp, states, fine - lo, 0)), 2.0))
         else:
             checkpoints = _checkpoints(inside, hi)
             table = np.array(states)
-            # libm pow, as ** on a float64 scalar: the array x**2 is x*x,
-            # which rounds differently in about 1 of 1,400 values
             presend.append(np.float_power(np.abs(table[checkpoints < schedule.t1, 0]), 2.0))
             site_n.append(table[np.isin(checkpoints, inside), -1])
     survival = np.concatenate(presend) if presend else np.empty(0)

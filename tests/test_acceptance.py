@@ -2,9 +2,10 @@
 
 Each test evaluates every clause of its criterion, prints a single
 ``ACCEPTANCE <k> PASS|FAIL`` line carrying the measured numbers, and then
-asserts the conjunction.  Every gate must pass.  Next to gate 7, two more
-tests check its ensembles' samples against the full-grid peak search and
-against ensembles of other sizes and one search per sample.
+asserts the conjunction.  Every gate must pass.  Next to gate 7, three
+more tests check its ensembles' samples against the full-grid peak search,
+against ensembles of other sizes and one search per sample, and against
+ensembles that share their call with other models.
 """
 
 import time
@@ -20,6 +21,7 @@ from barrierchain.chain import (
     uniform_profile,
 )
 from barrierchain.disorder import (
+    BARRIER_LEAKAGE,
     BULK_UNIFORM,
     MAX_CONCURRENCE,
     DisorderModel,
@@ -260,23 +262,20 @@ def test_criterion_7_disorder_robustness():
     omega = 20.0
     window = default_window(spec, omega)
     strengths = (0.0, TOLERATED_DISORDER, 1.0, 2.0)
-    runs = {}
-    for b in strengths:
-        runs[b] = monte_carlo(
-            MAX_CONCURRENCE, DisorderModel(BULK_UNIFORM, b), spec, omega, window,
-            n_samples=1000, seed=2024,
-        )
-    rerun = monte_carlo(
-        MAX_CONCURRENCE, DisorderModel(BULK_UNIFORM, 2.0), spec, omega, window,
-        n_samples=1000, seed=2024,
-    )
+    models = [DisorderModel(BULK_UNIFORM, b) for b in strengths]
+    runs = dict(zip(strengths, monte_carlo(
+        MAX_CONCURRENCE, models, spec, omega, window, n_samples=1000, seed=2024,
+    )))
+    rerun = dict(zip(strengths, monte_carlo(
+        MAX_CONCURRENCE, models, spec, omega, window, n_samples=1000, seed=2024,
+    )))
     means = {b: runs[b].mean_metric for b in runs}
     closeness = abs(means[TOLERATED_DISORDER] - means[0.0])
     ordered = all(
         means[hi] <= means[lo] + 2.0 * float(np.hypot(runs[lo].std_error, runs[hi].std_error))
         for lo, hi in zip(strengths, strengths[1:])
     )
-    identical = bool(np.array_equal(runs[2.0].per_sample, rerun.per_sample))
+    identical = bool(np.array_equal(runs[2.0].per_sample, rerun[2.0].per_sample))
     elapsed = time.perf_counter() - start
     _gate(7, "disorder robustness", [
         (f"mean C at b={TOLERATED_DISORDER:g} ({means[TOLERATED_DISORDER]:.4f}) "
@@ -296,9 +295,10 @@ def test_criterion_7_samples_match_the_full_grid_search():
     window = default_window(spec, omega)
     base = barrier_profile(spec, omega)
     t_max = rabi_transfer_time(localization_report(decompose(spec, base), base))
-    for b in (0.0, TOLERATED_DISORDER, 2.0):
-        model = DisorderModel(BULK_UNIFORM, b)
-        run = monte_carlo(MAX_CONCURRENCE, model, spec, omega, window, n_samples=100, seed=2024)
+    strengths = (0.0, TOLERATED_DISORDER, 2.0)
+    models = [DisorderModel(BULK_UNIFORM, b) for b in strengths]
+    runs = monte_carlo(MAX_CONCURRENCE, models, spec, omega, window, n_samples=100, seed=2024)
+    for b, model, run in zip(strengths, models, runs):
         reference = np.empty(100)
         for i in range(100):
             decomp = decompose(spec, sample_profile(model, base, i, 2024))
@@ -317,7 +317,7 @@ def test_criterion_7_samples_do_not_depend_on_batch_size():
     model = DisorderModel(BULK_UNIFORM, 2.0)
 
     def per_sample(n_samples):
-        run = monte_carlo(MAX_CONCURRENCE, model, spec, omega, window, n_samples=n_samples, seed=2024)
+        (run,) = monte_carlo(MAX_CONCURRENCE, [model], spec, omega, window, n_samples=n_samples, seed=2024)
         return run.per_sample
 
     whole = per_sample(1000)
@@ -331,6 +331,31 @@ def test_criterion_7_samples_do_not_depend_on_batch_size():
         t_star, _ = max_fidelity(decomp, window, t_max=t_max)
         one_by_one[i] = abs(transition_amplitude(decomp, 1, 10, t_star))
     assert np.array_equal(whole, one_by_one)
+
+
+def test_criterion_7_samples_do_not_depend_on_the_stack():
+    """Gate 7's chain: an ensemble that shares its ``monte_carlo`` call with
+    others gives every sample the bits of a call with its model alone,
+    whatever the other models, their order or repeats.  The same holds for
+    two leakage models stacked with a bulk one."""
+    spec = ChainSpec(10)
+    omega = 20.0
+    window = default_window(spec, omega)
+
+    def per_sample(models):
+        runs = monte_carlo(MAX_CONCURRENCE, models, spec, omega, window, n_samples=100, seed=2024)
+        assert len(runs) == len(models)
+        return [run.per_sample for run in runs]
+
+    strengths = (0.0, TOLERATED_DISORDER, 1.0, 2.0)
+    alone = {b: per_sample([DisorderModel(BULK_UNIFORM, b)])[0] for b in strengths}
+    for stack in (strengths, strengths[::-1], (1.0, 0.0, 1.0, 2.0, 1.0)):
+        for b, samples in zip(stack, per_sample([DisorderModel(BULK_UNIFORM, b) for b in stack])):
+            assert np.array_equal(samples, alone[b]), (stack, b)
+    mixed = [DisorderModel(BARRIER_LEAKAGE, 20.0), DisorderModel(BULK_UNIFORM, 1.0),
+             DisorderModel(BARRIER_LEAKAGE, 40.0)]
+    for model, samples in zip(mixed, per_sample(mixed)):
+        assert np.array_equal(samples, per_sample([model])[0]), model
 
 
 def _presend_survival_floor(n: int, k1: float, t1: float) -> float:

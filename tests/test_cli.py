@@ -435,3 +435,13 @@ def test_non_finite_inputs_fail_before_any_file(argv, tmp_path, capsys):
     assert record["error"] == "ValueError"
     assert "finite" in record["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_out_of_range_seed_fails_before_any_file(seed, tmp_path, capsys):
+    argv = ["disorder", "--n", "8", "--omega-list", "10", "--n-samples", "2", "--seed", seed]
+    captured = run(argv, tmp_path, capsys, expect=1)
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert f"seed must lie in [0, 2**64), got {seed}" in record["message"]
+    assert list(tmp_path.iterdir()) == []

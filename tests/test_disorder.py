@@ -77,7 +77,7 @@ def test_ensemble_fields_are_sample_profile_bit_for_bit(n, model):
     # an ensemble draws every sample's fields at once, from the same
     # per-sample Philox streams as sample_profile
     base = barrier_profile(ChainSpec(n), 40.0)
-    fields = _ensemble_fields(model, base, 64, seed=2024)
+    (fields,) = _ensemble_fields([model], base, 64, seed=2024)
     assert fields.shape == (64, n)
     for index in range(64):
         assert np.array_equal(fields[index], sample_profile(model, base, index, 2024).local_fields)
@@ -94,8 +94,8 @@ def test_leakage_draws_are_one_sided():
 
 
 def test_zero_strength_ensemble_reproduces_clean_peak():
-    result = monte_carlo(
-        "max-fidelity", DisorderModel(BULK_UNIFORM, 0.0), N10, 20.0, WINDOW10,
+    (result,) = monte_carlo(
+        "max-fidelity", [DisorderModel(BULK_UNIFORM, 0.0)], N10, 20.0, WINDOW10,
         n_samples=4, seed=1,
     )
     base = barrier_profile(N10, 20.0)
@@ -128,8 +128,8 @@ def _one_chain_search(fields, window, t_max):
 
 def test_zero_strength_ensemble_decomposes_the_clean_chain_once(monkeypatch):
     calls = _counting_decompose(monkeypatch)
-    result = monte_carlo(
-        "max-concurrence", DisorderModel(BULK_UNIFORM, 0.0), N10, 20.0, WINDOW10,
+    (result,) = monte_carlo(
+        "max-concurrence", [DisorderModel(BULK_UNIFORM, 0.0)], N10, 20.0, WINDOW10,
         n_samples=12, seed=1,
     )
     assert len(calls) == 1
@@ -148,10 +148,10 @@ def test_repeated_samples_are_searched_once_and_mapped_back(monkeypatch):
     signed[0] = -0.0
     pattern = [2, 0, 1, 0, 3, 2, 0, 1]
     fields = np.array([(distinct + [signed])[k] for k in pattern])
-    monkeypatch.setattr(disorder, "_ensemble_fields", lambda *args: fields.copy())
+    monkeypatch.setattr(disorder, "_ensemble_fields", lambda *args: fields[None].copy())
     calls = _counting_decompose(monkeypatch)
-    result = monte_carlo(
-        "max-concurrence", DisorderModel(BULK_UNIFORM, 1.0), N10, 20.0, WINDOW10,
+    (result,) = monte_carlo(
+        "max-concurrence", [DisorderModel(BULK_UNIFORM, 1.0)], N10, 20.0, WINDOW10,
         n_samples=len(pattern), seed=0,
     )
     assert sorted(calls) == sorted({row.tobytes() for row in fields})
@@ -161,8 +161,8 @@ def test_repeated_samples_are_searched_once_and_mapped_back(monkeypatch):
 
 
 def test_monte_carlo_summary_matches_samples():
-    result = monte_carlo(
-        "max-concurrence", DisorderModel(BULK_UNIFORM, 1.0), N10, 20.0, WINDOW10,
+    (result,) = monte_carlo(
+        "max-concurrence", [DisorderModel(BULK_UNIFORM, 1.0)], N10, 20.0, WINDOW10,
         n_samples=12, seed=5,
     )
     assert result.per_sample.shape == (12,)
@@ -176,8 +176,8 @@ def test_metric_pair_is_consistent():
     # max-fidelity is the fidelity at the same peak the concurrence metric finds
     shared = dict(n_samples=5, seed=13)
     model = DisorderModel(BULK_UNIFORM, 1.0)
-    conc = monte_carlo("max-concurrence", model, N10, 20.0, WINDOW10, **shared)
-    fid = monte_carlo("max-fidelity", model, N10, 20.0, WINDOW10, **shared)
+    (conc,) = monte_carlo("max-concurrence", [model], N10, 20.0, WINDOW10, **shared)
+    (fid,) = monte_carlo("max-fidelity", [model], N10, 20.0, WINDOW10, **shared)
     for c, f in zip(conc.per_sample, fid.per_sample):
         assert f == pytest.approx(average_fidelity(c), abs=1e-12)
 
@@ -185,9 +185,48 @@ def test_metric_pair_is_consistent():
 def test_monte_carlo_input_guards():
     model = DisorderModel(BULK_UNIFORM, 1.0)
     with pytest.raises(ValueError):
-        monte_carlo("peak", model, N10, 20.0, WINDOW10, n_samples=2, seed=0)
+        monte_carlo("peak", [model], N10, 20.0, WINDOW10, n_samples=2, seed=0)
     with pytest.raises(ValueError):
-        monte_carlo("max-fidelity", model, N10, 20.0, WINDOW10, n_samples=0, seed=0)
+        monte_carlo("max-fidelity", [model], N10, 20.0, WINDOW10, n_samples=0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_monte_carlo_names_an_out_of_range_seed_before_any_draw(seed, monkeypatch):
+    draws = []
+    monkeypatch.setattr(disorder, "_sample_rng", lambda *key: draws.append(key))
+    model = DisorderModel(BULK_UNIFORM, 1.0)
+    with pytest.raises(ValueError, match=rf"seed .*{seed}"):
+        monte_carlo("max-fidelity", [model], N10, 20.0, WINDOW10, n_samples=2, seed=seed)
+    assert draws == []
+
+
+def test_monte_carlo_of_no_models_is_empty():
+    assert monte_carlo("max-fidelity", [], N10, 20.0, WINDOW10, n_samples=2, seed=0) == []
+
+
+def test_stack_draws_once_per_site_set_and_searches_each_distinct_sample_once(monkeypatch):
+    """Every bulk strength maps the same per-sample draws, the leakage
+    model draws its own, and the clean chain at b = 0 is decomposed once
+    for the whole stack."""
+    keys = []
+    sample_rng = disorder._sample_rng
+
+    def counted(seed, index):
+        keys.append((seed, index))
+        return sample_rng(seed, index)
+
+    monkeypatch.setattr(disorder, "_sample_rng", counted)
+    calls = _counting_decompose(monkeypatch)
+    models = [DisorderModel(BULK_UNIFORM, b) for b in (0.0, 1.0, 2.0)] + [DisorderModel(BARRIER_LEAKAGE, 20.0)]
+    results = monte_carlo("max-concurrence", models, N10, 20.0, WINDOW10, n_samples=6, seed=4)
+    assert [result.per_sample.shape for result in results] == [(6,)] * 4
+    assert sorted(keys) == sorted([(4, i) for i in range(6)] * 2)
+    assert len(calls) == len(set(calls)) == 1 + 3 * 6
+    base = barrier_profile(N10, 20.0)
+    t_max = disorder._clean_rabi_time(N10, 20.0)
+    for model, result in zip(models, results):
+        fields = [sample_profile(model, base, i, 4).local_fields for i in range(6)]
+        assert result.per_sample.tolist() == [_one_chain_search(row, WINDOW10, t_max) for row in fields]
 
 
 def test_default_window_is_three_rabi_periods():
@@ -204,8 +243,8 @@ def test_bulk_curves_coincide_across_omega():
     means = {}
     for omega in (20.0, 40.0):
         window = default_window(N10, omega)
-        result = monte_carlo(
-            "max-concurrence", DisorderModel(BULK_UNIFORM, 1.0), N10, omega, window,
+        (result,) = monte_carlo(
+            "max-concurrence", [DisorderModel(BULK_UNIFORM, 1.0)], N10, omega, window,
             n_samples=60, seed=3,
         )
         means[omega] = (result.mean_metric, result.std_error)

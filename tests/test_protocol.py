@@ -457,6 +457,24 @@ def test_final_state_is_the_last_sample_row(case):
     assert protocol.average_fidelity(np.abs(traj.final_state[-1])) == traj.final_avg_fidelity
 
 
+def test_constant_regions_and_windows_square_survival_alike():
+    # the same site-1 amplitudes, read once from a constant region's fine
+    # survival grid and once as a switching window's checkpoint states,
+    # give the same survival bits
+    sch = SwitchingSchedule(k1=60.0, k2=30.0, delta_t=optimal_interval(30, 30.0), t1=50.0)
+    spec = ChainSpec(30)
+    decomp = _stage_decomposition(spec, sch.k1, 0.0)
+    psi = site_state(30, 1)
+    dt_fine = 2.0 * np.pi / np.sqrt(sch.k1**2 + 4.0) / 40.0
+    fine = np.arange(0.0, sch.t1, dt_fine)
+    constant = (0.0, sch.t1, np.empty(0), decomp, psi)
+    window = (0.0, fine[-1], fine[:-1], None, list(evolve_many(decomp, psi, fine)))
+    _, from_constant = protocol._sample(sch, [constant])
+    _, from_window = protocol._sample(sch, [window])
+    assert from_constant.size == fine.size
+    assert np.array_equal(from_constant, from_window)
+
+
 def _regions(sch, t_end):
     regions = protocol._switch_regions(sch, t_end)
     # a partition of [t0, t_end] into non-empty regions
