@@ -76,32 +76,3 @@ def write_csv(path, columns: Mapping[str, Sequence], metadata: Mapping[str, obje
         fh.write(head)
         fh.writelines(pieces)
 
-
-def read_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Inverse of write_csv; string columns come back as object arrays."""
-    metadata: dict[str, str] = {}
-    rows: list[list[str]] = []
-    header: list[str] | None = None
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                metadata[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append(line.split(","))
-    if header is None:
-        raise ValueError(f"{path} has no header row")
-    columns: dict[str, np.ndarray] = {}
-    for j, name in enumerate(header):
-        values = [row[j] for row in rows]
-        try:
-            columns[name] = np.array([float(v) for v in values])
-        except ValueError:
-            columns[name] = np.array(values, dtype=object)
-    return columns, metadata

@@ -22,8 +22,9 @@ from .chain import ChainSpec, FieldProfile, barrier_profile
 from .spectral import (
     SpectralDecomposition,
     decompose,
+    phase_tables,
     scan_block_length,
-    scan_rows,
+    scan_points,
     transition_amplitude,
     transition_weights,
 )
@@ -33,9 +34,11 @@ _RANGE_SLACK = 1e-9
 _ZERO_MODE_TOL = 1e-9
 # stride, in grid steps, of the coarse pass that prunes a peak search
 _PRUNE_STRIDE = 16
-# complex entries the tables of one batched coarse pass hold at most, together
+# complex entries the tables of one batched coarse pass hold at most, together;
+# the fine pass builds its phase tables in slices of the same size
 _COARSE_ENTRIES = 1 << 16
 _EPS = float(np.finfo(float).eps)
+_UNIT = 0.5 * _EPS
 
 
 def average_fidelity(abs_f):
@@ -207,6 +210,25 @@ def _median_levels(levels: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
     return np.take_along_axis(ranked, middle, axis=1)
 
 
+def _slices(n_chains: int, per_chain: int) -> list[slice]:
+    """Consecutive slices of a stack of chains, each holding at most
+    _COARSE_ENTRIES complex entries at per_chain entries a chain (at least
+    one chain each)."""
+    size = max(1, _COARSE_ENTRIES // per_chain)
+    return [slice(begin, min(begin + size, n_chains)) for begin in range(0, n_chains, size)]
+
+
+def _product_error(per_factor: np.ndarray, ceilings: np.ndarray) -> np.ndarray:
+    """Bounds on |prod_f |x_f| - prod_f |y_f||, one per chain, for two
+    evaluations whose complex sums differ by at most per_factor (S, F) and
+    whose exact sums lie within ceilings (S, F) in modulus, counting the
+    rounding of both |.| (u each) and of both products (u per factor) and
+    of the caller's comparisons against them."""
+    change = per_factor * (1.0 + 2.0 * _UNIT) + 2.0 * _UNIT * ceilings
+    roof = ceilings + change
+    return _product_rule(change, roof) + 4.0 * ceilings.shape[1] * _UNIT * np.prod(roof, axis=1)
+
+
 def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, count: int, block: int) -> list[np.ndarray]:
     """Rows of each chain's blocked scan that can hold its grid maximum, for
     a stack of chains (``levels`` (S, N), ``weights`` (S, F, N)) that share
@@ -219,15 +241,18 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
     the grid maximum.  |a_f| does not change under a global phase, so each
     factor's slope bound sum_k |w_fk| |lambda_k - c_f| is taken about its
     weighted median level c_f.  ``slack`` covers the round-off of both
-    scans, whose phases (unshifted) err by about eps |lambda_k| t.  A chain
-    keeps every row when no cell could be dropped.
+    scans, whose phases (unshifted) err by about eps |lambda_k| t, plus
+    the proven bound (``PhaseTables.bound``) on how far the coarse pass's
+    approximate phase tables move its values from the exact tables' ones;
+    the rows kept are thus a superset of those an exact coarse pass keeps.
+    A chain keeps every row when no cell could be dropped.
 
     Ceilings, reach, slack and the choice to prune are worked out for the
     whole stack at once.  The coarse pass of the pruning chains is one
-    stacked ``scan_rows`` call, (chains, 1, N) levels against (chains, F, N)
-    weights, per slice of the stack whose tables hold at most
-    _COARSE_ENTRIES entries.  Every step is per chain, so a chain's rows do
-    not depend on the stack it is in.
+    stacked scan of ``spectral.phase_tables``, (chains, 1, N) levels
+    against (chains, F, N) weights, per slice of the stack whose tables
+    hold at most _COARSE_ENTRIES entries.  Every step is per chain, so a
+    chain's rows do not depend on the stack it is in.
     """
     n_chains, n_levels = levels.shape
     n_factors = weights.shape[1]
@@ -258,14 +283,15 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
     first = _PRUNE_STRIDE * cells // block
     last = np.minimum(_PRUNE_STRIDE * (cells + 1), count - 1) // block
     lower, upper = np.searchsorted(last, every, "left"), np.searchsorted(first, every, "right")
-    per_chain = n_factors * coarse_rows.size * (n_levels + coarse_block) + n_levels * coarse_block
-    size = max(1, _COARSE_ENTRIES // per_chain)
-    for begin in range(0, pruning.size, size):
-        part = pruning[begin : begin + size]
-        sums = scan_rows(levels[part, None], weights[part], lo, stride, coarse_block, coarse_rows)
+    per_chain = n_factors * coarse_rows.size * (n_levels + coarse_block) + n_levels * (coarse_rows.size + coarse_block)
+    for chunk in _slices(pruning.size, per_chain):
+        part = pruning[chunk]
+        tables = phase_tables(levels[part, None], lo, stride, coarse_block, coarse_rows.size)
+        sums = tables.scan(weights[part], coarse_rows)
+        margin = slack[part] + _product_error(tables.bound(weights[part]), ceilings[part])
         coarse = np.abs(sums.reshape(part.size, n_factors, -1)[:, :, :n_coarse]).prod(axis=1)
-        floor = coarse[:, :top].max(axis=1) - slack[part]
-        bound = np.maximum(coarse[:, :-1], coarse[:, 1:]) + reach[part, None] + slack[part, None]
+        floor = coarse[:, :top].max(axis=1) - margin
+        bound = np.maximum(coarse[:, :-1], coarse[:, 1:]) + reach[part, None] + margin[:, None]
         covered = np.cumsum(bound >= floor[:, None], axis=1)
         covered = np.concatenate([np.zeros((part.size, 1), dtype=covered.dtype), covered], axis=1)
         for chain, hits in zip(part, covered[:, upper] > covered[:, lower]):
@@ -273,14 +299,47 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
     return kept
 
 
-def _grid_argmax(levels: np.ndarray, weights, rows: np.ndarray, lo: float, step: float, count: int, block: int) -> tuple[float, float]:
-    """(time, value) of the earliest maximum of prod_i |a_i| on the grid of
-    ``count`` points, scanning only the given rows of the blocked scan."""
-    values = np.abs(scan_rows(levels, weights, lo, step, block, rows)).prod(axis=0)
-    # points past the grid's end, in its last row, never win (values are >= 0)
-    values[-1, count - rows[-1] * block :] = -1.0
-    at = int(np.argmax(values))
-    return _grid_point(lo, step, int(rows[at // block]) * block + at % block), values.flat[at]
+def _grid_argmax(
+    levels: np.ndarray, weights: np.ndarray, kept: list[np.ndarray], lo: float, step: float, count: int, block: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(times, values) of each chain's earliest maximum of prod_f |a_f| on
+    the grid of ``count`` points, scanning only its ``kept`` rows of the
+    blocked scan, with the bits of ``spectral.scan_rows``'s exact tables.
+
+    The kept rows are scanned with ``spectral.phase_tables``, built per
+    slice of the stack.  If eps bounds |approximate - exact| at every grid
+    point, the exact argmax lies within 2 eps of the approximate maximum,
+    so only the points that do are recomputed exactly, all chains' points
+    in one ``spectral.scan_points`` call, and each chain takes the earliest
+    of its exact maxima.
+    """
+    n_chains, n_factors, n_levels = weights.shape
+    if n_chains == 0:
+        return np.empty(0), np.empty(0)
+    n_rows = -(-count // block)
+    ceilings = np.abs(weights).sum(axis=2)
+    owner, rows, columns = [], [], []
+    for part in _slices(n_chains, n_levels * (n_rows + block)):
+        tables = phase_tables(levels[part, None], lo, step, block, n_rows)
+        error = _product_error(tables.bound(weights[part]), ceilings[part])
+        for i, chain in enumerate(range(part.start, part.stop)):
+            chain_rows = kept[chain]
+            values = np.abs(tables[i].scan(weights[chain], chain_rows)).prod(axis=0)
+            # points past the grid's end, in its last row, are never candidates,
+            # however wide the bound
+            values[-1, count - chain_rows[-1] * block :] = -np.inf
+            near = np.flatnonzero(values >= values.max() - 2.0 * error[i])
+            owner.append(np.full(near.size, chain))
+            rows.append(chain_rows[near // block])
+            columns.append(near % block)
+    owner, rows, columns = np.concatenate(owner), np.concatenate(rows), np.concatenate(columns)
+    exact = np.abs(scan_points(levels[owner], weights[owner], lo, step, block, rows, columns)).prod(axis=1)
+    # each chain's points come in grid order, so its first hit of its maximum is the earliest
+    segments = np.searchsorted(owner, np.arange(n_chains))
+    hit = np.flatnonzero(exact == np.maximum.reduceat(exact, segments)[owner])
+    best = hit[np.searchsorted(owner[hit], np.arange(n_chains))]
+    times = [_grid_point(lo, step, int(i)) for i in rows[best] * block + columns[best]]
+    return np.array(times, dtype=float), exact[best]
 
 
 def peak_search(levels, weights, window: tuple[float, float], t_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -306,9 +365,14 @@ def peak_search(levels, weights, window: tuple[float, float], t_max: float | Non
     minimizes it.  With |a_f| <= U_f = sum_k |w_fk| these bound the
     product's slope, so a coarse pass, one stacked scan for the whole
     stack, certifies which cells lie strictly below the grid maximum (see
-    ``_kept_rows``).  Each chain's kept rows are then evaluated exactly as
-    its whole table would be, so the argmax and every returned bit are
-    those of the full scan.
+    ``_kept_rows``).  Both passes scan approximate phase tables built by
+    recurrence once per slice of the stack (``spectral.phase_tables``),
+    with a proven bound on how far they move each value from the exact
+    tables' one.  The coarse pass adds that bound to its slack; the fine
+    pass recomputes exactly only the points within twice the bound of a
+    chain's approximate maximum (``_grid_argmax``), so the argmax, the
+    grid value the refinement is compared against and every returned bit
+    are those of the full scan.
     """
     lo, hi = float(window[0]), float(window[1])
     if not -np.inf < lo < hi < np.inf:
@@ -317,8 +381,7 @@ def peak_search(levels, weights, window: tuple[float, float], t_max: float | Non
     count = _grid_count(lo, hi, step)
     block = scan_block_length(count)
     kept = _kept_rows(levels, weights, lo, step, count, block)
-    grid = [_grid_argmax(*chain, lo, step, count, block) for chain in zip(levels, weights, kept)]
-    t_grid, grid_value = np.array(grid).reshape(-1, 2).T
+    t_grid, grid_value = _grid_argmax(levels, weights, kept, lo, step, count, block)
 
     def product(t: np.ndarray) -> np.ndarray:
         # per factor, a stacked (S, 1, N) @ (S, N, 1) matmul and np.hypot give

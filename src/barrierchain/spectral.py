@@ -32,7 +32,27 @@ This module alone builds such tables.  gemm rounds each row alike whichever
 rows share the call, but numpy multiplies a lone row by BLAS gemv, which
 rounds differently, so ``scan_rows`` and ``evolve_many`` multiply a lone row
 next to a copy of itself: any subset of rows or times gets the whole table's
-bits.
+bits.  Columns follow a like rule (OpenBLAS's zgemm kernels take the columns
+in groups of four, and a table's last one to three columns by narrower
+kernels): a product over the aligned four-column group holding a point, with
+the last group run to the table's end, gives that point the whole table's
+bits, and ``scan_points`` recomputes single points that way.  Windows of one
+or two columns inside the table, and a lone last column, round differently.
+
+Peak searches scan with approximate tables instead (``phase_tables``): the
+offset entry for m is exp(-i lambda dt)^m and the start entry for row r is
+exp(-i lambda lo) exp(-i lambda B dt)^r, powers of one exponential per
+level built by repeated doubling (one vectorized product per bit, the power
+squared for the next bit) for a whole stack of chains at once, instead of
+one libm exponential per entry.  Their phases err by at most about
+2u |lambda| t (u = eps/2), the exact tables' by 3u |lambda| t, and each of
+the m factors of a power adds one exponential's error (4u) and one complex
+product's (sqrt(2) gamma_2; Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., Lemma 3.5 and section 3.6).  ``PhaseTables.bound``
+sums these, with each gemm's own error sqrt(2) gamma_{N+2} sum_k |w_k|, into
+a bound on |approximate - exact| per weight vector, so a caller can prune
+by the approximate values and recompute exactly only the
+points that can still be the maximum.
 """
 
 from __future__ import annotations
@@ -53,6 +73,9 @@ _CLUSTER_RTOL = 64.0 * np.finfo(float).eps
 # LAPACK stevd, the routine scipy's eigh_tridiagonal selects by default,
 # called without the wrapper's per-call input checks and lookup
 _stevd = get_lapack_funcs("stevd", dtype=np.float64)
+
+# unit round-off u = eps / 2 of float64
+_UNIT = 0.5 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,3 +255,106 @@ def scan_rows(
     coarse = np.exp(-1j * (starts[:, None] * levels)) * np.asarray(weights)[..., None, :]
     fine = np.exp(-1j * (offsets[:, None] * levels))
     return _table_product(coarse, np.swapaxes(fine, -1, -2))
+
+
+def scan_points(
+    levels: np.ndarray, weights: np.ndarray, lo: float, step: float, block: int, rows, columns
+) -> np.ndarray:
+    """Single entries of the blocked scan tables of ``scan_rows``, for C
+    chains at once: entry [c, f] is the one at row rows[c], column
+    columns[c] of chain c's table for weights[c, f], with the whole table's
+    bits.
+
+    ``levels`` has shape (C, N) and ``weights`` (C, F, N).  Each point
+    multiplies two copies of its exact start row (so that gemm, not gemv,
+    rounds it) by the offset columns of the aligned group of four holding
+    it, widened by the block mod 4 columns after it: the last group then
+    runs to the table's end, and every product has the same width, so all
+    points share one stacked product (module docstring).
+    """
+    rows, columns = np.asarray(rows), np.asarray(columns)
+    width = min(block, 4 + block % 4)
+    first = np.minimum(columns - columns % 4, block - width)
+    starts = lo + step * (rows * block)
+    coarse = np.exp(-1j * (starts[:, None] * levels))[:, None, None, :] * np.asarray(weights)[:, :, None, :]
+    offsets = step * (first[:, None] + np.arange(width))
+    fine = np.exp(-1j * (offsets[:, :, None] * levels[:, None, :]))
+    table = np.concatenate([coarse, coarse], axis=-2) @ np.swapaxes(fine, -1, -2)[:, None]
+    return table[np.arange(rows.size), :, 0, columns - first]
+
+
+def _powers(first: np.ndarray, phases: np.ndarray, count: int) -> np.ndarray:
+    """Table (count, ..., N) whose entry m is first times exp(-i phases)^m:
+    entries 2^j..2^(j+1)-1 are entries 0..2^j-1 times the 2^j-th power,
+    and the power is squared for the next bit.  The power axis leads, so
+    each product runs over the whole stack's levels at once."""
+    table = np.empty((count,) + first.shape, dtype=complex)
+    table[0] = first
+    factor = np.exp(-1j * phases)
+    done = 1
+    while done < count:
+        size = min(done, count - done)
+        np.multiply(table[:size], factor, out=table[done : done + size])
+        done += size
+        factor = factor * factor
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseTables:
+    """Approximate phase tables of the blocked scan (module docstring):
+    ``starts`` (rows, ..., N) and ``offsets`` (block, ..., N), and ``error``
+    (..., N), per level a bound on the errors of one start and one offset
+    entry, approximate and exact tables together.  Indexing selects chains
+    of the stack."""
+
+    starts: np.ndarray
+    offsets: np.ndarray
+    error: np.ndarray
+
+    def __getitem__(self, index) -> PhaseTables:
+        return PhaseTables(self.starts[:, index], self.offsets[:, index], self.error[index])
+
+    def scan(self, weights: np.ndarray, rows) -> np.ndarray:
+        """The approximate table of ``scan_rows`` for the given rows: weights
+        (..., N) broadcast against the tables' levels, and the result has
+        (len(rows), block) in place of N."""
+        coarse = np.moveaxis(self.starts[rows], 0, -2) * np.asarray(weights)[..., None, :]
+        return coarse @ np.moveaxis(self.offsets, 0, -1)
+
+    def bound(self, weights: np.ndarray) -> np.ndarray:
+        """A bound on |``scan`` - ``scan_rows``| over every entry, one per
+        weight vector: sum_k |w_k| (1 + e_k) (e_k + (4N + 16) u).
+
+        With sigma and omega a start and an offset entry's errors, one
+        term of either product errs by at most |w| (e + e^2/4 + 2.9u (1 + e
+        + e^2/4)) for e = sigma + omega, and its gemm by sqrt(2) gamma_{N+2}
+        sum_k |w_k| (1 + e_k + e_k^2/4); ``error`` sums sigma and omega over
+        both tables, and the constants above are rounded up.
+        """
+        n_levels = self.error.shape[-1]
+        per_level = (1.0 + self.error) * (self.error + (4 * n_levels + 16) * _UNIT)
+        return (np.abs(weights) * per_level).sum(axis=-1)
+
+
+def phase_tables(levels: np.ndarray, lo: float, step: float, block: int, n_rows: int) -> PhaseTables:
+    """Approximate tables of ``scan_rows`` for eigenvalues ``levels`` (...,
+    N): starts for the rows 0..n_rows-1 and offsets for 0..block-1, by
+    repeated doubling (module docstring).
+
+    The phases of the approximate entries err by at most u |lambda| (|lo| +
+    2.01 (n_rows - 1) B dt + (B - 1) dt), those of the exact tables by 3u
+    |lambda| (|lo| + (n_rows - 1) B dt + (B - 1) dt).  The m-th power is a
+    product of m copies of one exponential, each of error 4u, through m
+    complex roundings of sqrt(2) gamma_2 < 2.9u (each squaring doubles the
+    error it inherits), so a start and an offset entry add at most (6.9
+    (n_rows + B) + 8) u together, and the exact tables' two exponentials
+    8u more: ``error`` rounds these up to u (6 |lambda| span + 7 (n_rows +
+    B) + 16), span = |lo| + n_rows B dt.
+    """
+    levels = np.asarray(levels, dtype=float)
+    starts = _powers(np.exp(-1j * (lo * levels)), levels * (block * step), n_rows)
+    offsets = _powers(np.ones(levels.shape, dtype=complex), levels * step, block)
+    span = abs(lo) + n_rows * block * step
+    error = _UNIT * (6.0 * span * np.abs(levels) + 7 * (n_rows + block) + 16)
+    return PhaseTables(starts, offsets, error)

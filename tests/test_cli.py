@@ -5,12 +5,42 @@ import numpy as np
 import pytest
 
 from barrierchain import cli, disorder
-from barrierchain._csvio import read_csv
 from barrierchain.chain import ChainSpec, barrier_profile, build_hamiltonian
 from barrierchain.cli import ENV_OUTDIR, main
 from barrierchain.metrics import average_fidelity
 from barrierchain.protocol import SwitchingSchedule, simulate_protocol
 from barrierchain.spectral import eigendecompose, transition_amplitude
+
+
+def read_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Read back a file of ``_csvio.write_csv``: (columns, metadata), with
+    string columns as object arrays."""
+    metadata: dict[str, str] = {}
+    rows: list[list[str]] = []
+    header: list[str] | None = None
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                metadata[key.strip()] = value.strip()
+                continue
+            if header is None:
+                header = line.split(",")
+                continue
+            rows.append(line.split(","))
+    if header is None:
+        raise ValueError(f"{path} has no header row")
+    columns: dict[str, np.ndarray] = {}
+    for j, name in enumerate(header):
+        values = [row[j] for row in rows]
+        try:
+            columns[name] = np.array([float(v) for v in values])
+        except ValueError:
+            columns[name] = np.array(values, dtype=object)
+    return columns, metadata
 
 
 def run(argv, outdir, capsys, expect=0):

@@ -15,10 +15,12 @@ from barrierchain.chain import (
     uniform_profile,
 )
 from barrierchain.metrics import (
+    _grid_argmax,
     _grid_count,
     _grid_point,
     _kept_rows,
     _median_levels,
+    _product_error,
     average_fidelity,
     bilocalized_pair_by_energy,
     golden_section,
@@ -34,6 +36,7 @@ from barrierchain.metrics import (
 from barrierchain.spectral import (
     SpectralDecomposition,
     eigendecompose,
+    phase_tables,
     scan_block_length,
     scan_rows,
     transition_amplitude,
@@ -398,6 +401,88 @@ def test_two_level_beat_keeps_the_peak_cell(gap, second, phase, hi):
     t_star, value = peak_search(levels[None], weights[None, None], (0.0, hi))
     assert (t_star[0], value[0]) == expected
 
+
+@pytest.mark.parametrize("lo, stride, count", [(0.0, 0.25, 16001), (211.3, 0.25, 30254), (211.3, 4.0, 1892)])
+def test_product_error_bounds_both_passes(lo, stride, count):
+    """The values both passes compare, prod_f |a_f| from the approximate
+    tables, lie within ``_product_error`` of the exact tables' values on
+    random and barrier chains, N 4..100, with one factor (|f|) and two (the
+    pair concurrence): fine grids of 16k and 30k points, and the coarse
+    grid of a 30k-point search (stride 16 steps), past the origin."""
+    block = scan_block_length(count)
+    every = np.arange(-(-count // block))
+    for decomp, weights in _bound_chains():
+        tables = phase_tables(decomp.eigenvalues[None], lo, stride, block, every.size)
+        approx = np.abs(tables.scan(weights, every)).prod(axis=0)
+        exact = np.abs(scan_rows(decomp.eigenvalues[None], weights, lo, stride, block, every)).prod(axis=0)
+        error = _product_error(tables.bound(weights)[None], np.abs(weights).sum(axis=1)[None])[0]
+        assert np.max(np.abs(approx - exact)) <= error < 1e-9
+
+
+def _beat(gap, phase, second=0.3):
+    """|a| = |(1 - s) + s exp(i (phase - gap t))|, peaks of 1 at gap t = phase mod 2 pi."""
+    levels = np.array([0.0, gap])
+    weights = np.array([1.0 - second, second * np.exp(1j * phase)])
+    return SpectralDecomposition(levels, np.eye(2)), weights
+
+
+def _candidates(monkeypatch):
+    """Record how many points each ``scan_points`` call recomputes."""
+    calls = []
+    original = metrics.scan_points
+
+    def counting(levels, *args):
+        calls.append(levels.shape[0])
+        return original(levels, *args)
+
+    monkeypatch.setattr(metrics, "scan_points", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "lo, count, tie",
+    [(0.1, 1001, None), (0.0, 2150, 20 * 47 + 44), (0.0, 2150, 20 * 47 + 39), (0.0, 2150, 2148)],
+    ids=["twin-peaks", "last-column-group", "across-groups", "last-partial-row"],
+)
+def test_candidate_recompute_matches_the_full_grid_on_near_ties(monkeypatch, lo, count, tie):
+    """Grid points whose values tie up to round-off are all candidates, and
+    the exact recompute picks the full scan's argmax and value.
+
+    twin-peaks: a period of exactly 100 puts the grid points 0.1, 100.1 and
+    200.1, in different rows, the same distance past a peak, so their
+    values are equal but for round-off.  The others put one peak
+    midway between grid points ``tie`` and ``tie`` + 1 of a 47-column table
+    (block mod 4 = 3, so the last group holds columns 40..46): both in the
+    last group, one either side of its start, and the grid's last two points
+    (the last row holds 35 of its 47 columns)."""
+    calls = _candidates(monkeypatch)
+    step = 0.25
+    hi = lo + (count - 1) * step
+    if tie is None:
+        gap, phase = 2.0 * np.pi / 100.0, 0.0
+    else:
+        gap = 2.0 * np.pi / 1000.0
+        phase = gap * (lo + (tie + 0.5) * step)
+    decomp, weights = _beat(gap, phase)
+    block = scan_block_length(count)
+    assert _grid_count(lo, hi, step) == count and (tie is None or block == 47)
+
+    values = np.abs(scan_amplitude(decomp, weights, lo, step, count))
+    best = int(np.argmax(values))
+    levels, stack = decomp.eigenvalues[None], weights[None, None]
+    (kept,) = _kept_rows(levels, stack, lo, step, count, block)
+    times, grid_values = _grid_argmax(levels, stack, [kept], lo, step, count, block)
+    assert (times[0], grid_values[0]) == (_grid_point(lo, step, best), values[best])
+    assert calls[-1] >= 2
+    if tie is not None:
+        assert best in (tie, tie + 1) and abs(values[tie] - values[tie + 1]) < 1e-15
+
+    def objective(t):
+        return abs(weighted_amplitude(decomp, weights, t))
+
+    expected = _peak_search(objective, lambda g: values, lo, hi, step)
+    t_star, value = peak_search(levels, stack, (lo, hi))
+    assert (t_star[0], value[0]) == expected
 
 def test_peak_values_are_the_weighted_sums_at_t_star():
     """A stack of F = 1 chains: each returned value is |weighted_amplitude|

@@ -12,7 +12,9 @@ from barrierchain.spectral import (
     eigendecompose,
     evolve,
     evolve_many,
+    phase_tables,
     scan_block_length,
+    scan_points,
     scan_rows,
     site_state,
     transition_amplitude,
@@ -174,6 +176,93 @@ def test_any_rows_or_times_get_the_whole_tables_bits(n):
             for f in range(2):
                 alone = scan_rows(decomp.eigenvalues, weights[s, f], lo, step, block, every)[rows]
                 assert np.array_equal(stacked[s, f], alone)
+
+
+@pytest.mark.parametrize("n", [2, 8, 30, 100])
+def test_column_groups_get_the_whole_tables_bits(n):
+    """OpenBLAS's zgemm takes columns in groups of four and a table's last
+    one to three by narrower kernels; ``scan_points`` multiplies each point's
+    aligned group, run to the table's end for the last one, and gets the
+    whole table's bits for every column of a lone row, for scattered
+    points and for stacked (S, F) calls, at every block mod 4 and for
+    blocks narrower than one group."""
+    rng = np.random.default_rng(n)
+    decomps = _rule_chains(n)
+    lo, step = 3.7, 0.25
+    # blocks 1, 2, 3, 4, 5 and 44..47 (block mod 4 = 0, 1, 2, 3)
+    counts = [1, 3, 7, 10, 17, 1900, 2000, 2070, 2150]
+    assert sorted({scan_block_length(c) % 4 for c in counts}) == [0, 1, 2, 3]
+    levels = np.stack([d.eigenvalues for d in decomps])
+    pair = np.stack([[transition_weights(d, 1, n), transition_weights(d, 1, max(1, n - 1))] for d in decomps])
+    for count in counts:
+        block = scan_block_length(count)
+        every = np.arange(-(-count // block))
+        wholes = [[scan_rows(d.eigenvalues, w, lo, step, block, every) for w in ws] for d, ws in zip(decomps, pair)]
+        for s, chain in enumerate(wholes):
+            whole = chain[0]
+            for row in {0, every[-1], int(rng.choice(every))}:
+                columns = np.arange(block)
+                points = scan_points(
+                    np.repeat(levels[s : s + 1], block, axis=0), np.repeat(pair[s : s + 1, :1], block, axis=0),
+                    lo, step, block, np.full(block, row), columns,
+                )
+                assert np.array_equal(points[:, 0], whole[row])
+        # scattered points of every chain and factor in one stacked call
+        owner = rng.integers(len(decomps), size=40)
+        rows, columns = rng.choice(every, 40), rng.integers(block, size=40)
+        points = scan_points(levels[owner], pair[owner], lo, step, block, rows, columns)
+        assert points.shape == (40, 2)
+        for c in range(40):
+            for f in range(2):
+                assert points[c, f] == wholes[owner[c]][f][rows[c], columns[c]]
+
+
+def _table_chains():
+    """Random-field and barrier chains, N 4..100, each with its transfer
+    weights and the two weight vectors of the pair concurrence of a random
+    start on sites 1 and 2."""
+    rng = np.random.default_rng(21)
+    for n in (4, 17, 55, 100):
+        for profile in (random_profile(n, seed=300 + n), barrier_profile(ChainSpec(n), 30.0)):
+            decomp = eigendecompose(build_hamiltonian(ChainSpec(n), profile))
+            v = decomp.eigenvectors
+            start = v[0] * rng.normal() + v[1] * (rng.normal() + 1j * rng.normal())
+            yield decomp, np.stack([transition_weights(decomp, 1, n), v[-2] * start, v[-1] * start])
+
+
+@pytest.mark.parametrize(
+    "count, lo, stride",
+    [(120001, 37.3, 0.25), (7501, 37.3, 4.0), (16001, 1234.5, 0.25), (1001, 0.0, 4.0), (5, 2.0, 0.25)],
+    ids=["fine-120k", "coarse-120k", "fine-16k", "coarse-16k", "fine-5"],
+)
+def test_phase_table_bound_is_sound(count, lo, stride):
+    """Every entry of the approximate tables' scan lies within
+    ``PhaseTables.bound`` of the exact tables' entry (``scan_rows``), for
+    the fine pass's grids (stride 0.25) and their coarse passes' (stride 16
+    steps), up to 120k points and past the origin; the bound stays far
+    below any difference a peak search resolves."""
+    block = scan_block_length(count)
+    every = np.arange(-(-count // block))
+    for decomp, weights in _table_chains():
+        if decomp.n_sites * count > 2.5e6:
+            continue
+        tables = phase_tables(decomp.eigenvalues[None], lo, stride, block, every.size)
+        approx = tables.scan(weights, every)
+        exact = scan_rows(decomp.eigenvalues[None], weights, lo, stride, block, every)
+        bound = tables.bound(weights)
+        assert bound.shape == (3,)
+        err = np.abs(approx - exact).reshape(3, -1).max(axis=1)
+        assert np.all(err <= bound)
+        assert np.all(bound <= 1e-8 * np.abs(weights).sum(axis=1))
+    # a stack gives each chain its own tables and bounds
+    decomps = [eigendecompose(build_hamiltonian(ChainSpec(10), random_profile(10, seed=s))) for s in range(3)]
+    levels = np.stack([d.eigenvalues for d in decomps])[:, None]
+    weights = np.stack([transition_weights(d, 1, 10) for d in decomps])[:, None]
+    stacked = phase_tables(levels, lo, stride, block, every.size)
+    for s in range(3):
+        alone = phase_tables(levels[s], lo, stride, block, every.size)
+        assert np.array_equal(stacked[s].scan(weights[s], every), alone.scan(weights[s], every))
+        assert np.array_equal(stacked.bound(weights)[s], alone.bound(weights[s]))
 
 
 def test_transition_amplitude_is_symmetric():

@@ -1,13 +1,15 @@
 """Run every shipped config through the CLI and print a hash of each output.
 
-Usage: python tools/config_outputs.py OUTDIR
+Usage: python tools/config_outputs.py [--blas-threads K] OUTDIR
 
 Runs each ``configs/*.cfg``, plus the protocol config with smoothed switching
 at ``--tau-s 0.5`` and at ``--tau-s 0.05`` (step halving stops after three
 passes at the first and after two at the second) and at ``--tau-s 0.5
 --window 10`` (the run ends inside the release switching window, so its
 final state is a checkpoint state, not a spectral hop).  Each run gets a
-fresh process with BLAS pinned to one thread.  The script writes the
+fresh process with BLAS pinned to K threads (default 1); compare the output
+at K = 1 with that at K = 2 to check that no output depends on the BLAS
+thread count.  The script writes the
 outputs under OUTDIR (new or empty) and prints ``sha256  name`` for every
 file written, sorted by name.  Two checkouts produce byte-identical outputs
 when this script prints the same lines on both, so compare them with
@@ -18,6 +20,7 @@ ru_maxrss, read by wait4) go to stderr, so stdout stays comparable.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -48,16 +51,19 @@ def runs(outdir: Path) -> list[list[str]]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/config_outputs.py OUTDIR", file=sys.stderr)
-        return 2
-    outdir = Path(argv[0]).resolve()
+    parser = argparse.ArgumentParser(prog="python tools/config_outputs.py")
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="K", help="BLAS threads per run (default 1)")
+    parser.add_argument("outdir", help="new or empty directory for the outputs")
+    args = parser.parse_args(argv)
+    if args.blas_threads < 1:
+        parser.error(f"--blas-threads must be >= 1, got {args.blas_threads}")
+    outdir = Path(args.outdir).resolve()
     outdir.mkdir(parents=True, exist_ok=True)
     if any(outdir.iterdir()):
         print(f"{outdir} is not empty", file=sys.stderr)
         return 2
     env = dict(os.environ, BARRIERCHAIN_OUTDIR=str(outdir), PYTHONPATH=str(ROOT / "src"))
-    env.update({var: "1" for var in BLAS_THREAD_VARS})
+    env.update({var: str(args.blas_threads) for var in BLAS_THREAD_VARS})
     for args in runs(outdir):
         start = time.perf_counter()
         argv = [sys.executable, "-m", "barrierchain.cli", *args]
