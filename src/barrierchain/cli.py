@@ -19,6 +19,17 @@ the configuration a run logs (less its `tool` and `version` lines) loads
 back as a config.
 The `BARRIERCHAIN_OUTDIR` environment variable sets the default output
 directory.
+
+Most runs are short, so what a run pays before its handler starts counts.
+Importing this module loads `_csvio`, `chain`, `spectral`, `metrics`,
+`disorder`, `oracle` and `protocol`, with numpy and scipy.linalg, but not
+scipy.special (`protocol.field_at` imports it for smoothed runs) and not
+`ebit` or `effective`, which `_cmd_ebit` and `_cmd_effective` import.  The
+benchmark tracer (`perfbench/spans.py`) reads `disorder`, `oracle` and
+`protocol` from `sys.modules` after importing this module, so they stay
+eager; importing `oracle` in its handler also measured 1.32× slower on the
+benchmark's `oracle` workload.  `main` builds the parser of the subcommand
+that argv names first, and the full parser otherwise (`build_parser`).
 """
 
 from __future__ import annotations
@@ -42,8 +53,6 @@ from .disorder import (
     default_window,
     monte_carlo,
 )
-from .ebit import EbitState, ebit_window, evolve_ebit, pair_concurrence
-from .effective import predicted_vs_exact_gap
 from .metrics import (
     average_fidelity,
     barrier_report,
@@ -257,6 +266,8 @@ def _cmd_leakage(args) -> list[str]:
 
 
 def _cmd_ebit(args) -> list[str]:
+    from .ebit import EbitState, ebit_window, evolve_ebit, pair_concurrence
+
     spec = ChainSpec(args.n)
     state = EbitState(args.alpha, args.beta)
     paths = _sweep_outs(args, [f"omega{omega:g}" for omega in args.omega_list])
@@ -325,6 +336,8 @@ def _cmd_protocol(args) -> list[str]:
 
 
 def _cmd_effective(args) -> list[str]:
+    from .effective import predicted_vs_exact_gap
+
     rows: dict[str, list] = {"n": [], "omega": [], "gap_exact": [], "gap_effective": [], "ratio": []}
     for n in range(args.n_min, args.n_max + 1, args.n_step):
         for omega in args.omega_list:
@@ -364,140 +377,136 @@ def _cmd_oracle_check(args) -> list[str]:
     return [path]
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "ipr": _cmd_ipr,
-    "transfer": _cmd_transfer,
-    "maxfid": _cmd_maxfid,
-    "scaling": _cmd_scaling,
-    "disorder": _cmd_disorder,
-    "leakage": _cmd_leakage,
-    "ebit": _cmd_ebit,
-    "protocol": _cmd_protocol,
-    "effective": _cmd_effective,
-    "oracle-check": _cmd_oracle_check,
+_COMMON = (
+    ("--config", dict(help="key = value file; flags override its entries")),
+    ("--out", dict(help="output path (default <outdir>/<experiment>.csv)")),
+)
+
+_ENSEMBLE = (
+    ("--n-samples", dict(type=int, default=1000)),
+    ("--seed", dict(type=int, default=2024)),
+    ("--threads", dict(type=int, default=os.cpu_count(), help="accepted and ignored; ensembles run serially")),
+    ("--metric", dict(choices=[MAX_CONCURRENCE, MAX_FIDELITY], default=MAX_CONCURRENCE)),
+)
+
+# subcommand -> (handler, help, arguments); one argument is (flag, add_argument keywords)
+_SUBCOMMANDS = {
+    "spectrum": (_cmd_spectrum, "eigenvalues vs barrier height", (
+        ("--n", dict(type=int, default=17)),
+        ("--omega-min", dict(type=float, default=0.0)),
+        ("--omega-max", dict(type=float, default=10.0)),
+        ("--steps", dict(type=int, default=200)),
+        *_COMMON,
+    )),
+    "ipr": (_cmd_ipr, "tracked-state localization vs barrier height", (
+        ("--n", dict(type=int, default=18)),
+        ("--omega-min", dict(type=float, default=0.5)),
+        ("--omega-max", dict(type=float, default=50.0)),
+        ("--steps", dict(type=int, default=100)),
+        *_COMMON,
+    )),
+    "transfer": (_cmd_transfer, "end-to-end transfer time series", (
+        ("--n", dict(type=int, default=100)),
+        ("--omega", dict(type=float, default=100.0)),
+        ("--T", dict(dest="big_t", type=float, default=4000.0)),
+        ("--points", dict(type=int, default=2001)),
+        *_COMMON,
+    )),
+    "maxfid": (_cmd_maxfid, "peak average fidelity over an (N, omega) grid", (
+        ("--n-min", dict(type=int, default=10)),
+        ("--n-max", dict(type=int, default=100)),
+        ("--n-step", dict(type=int, default=1)),
+        ("--omega-min", dict(type=float, default=0.0)),
+        ("--omega-max", dict(type=float, default=20.0)),
+        ("--omega-steps", dict(type=int, default=41)),
+        ("--T", dict(dest="big_t", type=float, default=4000.0)),
+        *_COMMON,
+    )),
+    "scaling": (_cmd_scaling, "Rabi time and gap vs barrier height", (
+        ("--n-list", dict(type=_int_list, default=[22, 23])),
+        ("--omega-min", dict(type=float, default=5.0)),
+        ("--omega-max", dict(type=float, default=80.0)),
+        ("--steps", dict(type=int, default=25)),
+        *_COMMON,
+    )),
+    "disorder": (_cmd_disorder, "bulk-field disorder ensemble", (
+        ("--n", dict(type=int, default=10)),
+        ("--omega-list", dict(type=_float_list, default=[20.0])),
+        ("--b-list", dict(type=_float_list, default=[0.0, 1.0, 2.0, 4.0])),
+        ("--window-factor", dict(type=float, default=3.0)),
+        *_ENSEMBLE,
+        *_COMMON,
+    )),
+    "leakage": (_cmd_leakage, "barrier-leakage disorder ensemble", (
+        ("--n-list", dict(type=_int_list, default=[10, 20, 30])),
+        ("--omega-min", dict(type=float, default=2.0)),
+        ("--omega-max", dict(type=float, default=20.0)),
+        ("--steps", dict(type=int, default=10)),
+        ("--window-factor", dict(type=float, default=1.2)),
+        *_ENSEMBLE,
+        *_COMMON,
+    )),
+    "ebit": (_cmd_ebit, "entangled-pair transport time series", (
+        ("--n", dict(type=int, default=33)),
+        ("--omega-list", dict(type=_float_list, default=[5.0, 15.0, 45.0])),
+        ("--points", dict(type=int, default=1200)),
+        ("--alpha", dict(type=float, default=0.7071067811865476)),
+        ("--beta", dict(type=float, default=-0.7071067811865476)),
+        *_COMMON,
+    )),
+    "protocol": (_cmd_protocol, "switched-field trap/store/release run", (
+        ("--n", dict(type=int, default=30)),
+        ("--k1", dict(type=float, default=60.0)),
+        ("--k2", dict(type=float, default=30.0)),
+        ("--delta-t", dict(type=float, default=None, help="hold interval; default = closed-form optimum")),
+        ("--t1", dict(type=float, default=50.0)),
+        ("--tau-s", dict(type=float, default=0.0, help="switch smoothing timescale; 0 = ideal steps")),
+        ("--optimize", dict(action="store_true", help="numerically tune delta_t around its seed")),
+        ("--window", dict(type=float, default=500.0, help="storage window after t2")),
+        ("--t-end", dict(type=float, default=None)),
+        ("--sample-dt", dict(type=float, default=0.05)),
+        *_COMMON,
+    )),
+    "effective": (_cmd_effective, "reduced-model gap vs exact gap", (
+        ("--n-min", dict(type=int, default=6)),
+        ("--n-max", dict(type=int, default=40)),
+        ("--n-step", dict(type=int, default=1)),
+        ("--omega-list", dict(type=_float_list, default=[5.0, 10.0, 20.0])),
+        *_COMMON,
+    )),
+    "oracle-check": (_cmd_oracle_check, "spectral path vs full Hilbert-space oracle", (
+        ("--n-min", dict(type=int, default=4)),
+        ("--n-max", dict(type=int, default=8)),
+        ("--pairs", dict(type=int, default=10)),
+        ("--omega-max", dict(type=float, default=60.0)),
+        ("--t-max", dict(type=float, default=30.0)),
+        ("--seed", dict(type=int, default=7)),
+        ("--tol", dict(type=float, default=1e-10)),
+        *_COMMON,
+    )),
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value file; flags override its entries")
-    sub.add_argument("--out", help="output path (default <outdir>/<experiment>.csv)")
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand, or ``command`` alone.
 
-
-def _add_ensemble(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n-samples", type=int, default=1000)
-    sub.add_argument("--seed", type=int, default=2024)
-    sub.add_argument("--threads", type=int, default=os.cpu_count(),
-                     help="accepted and ignored; ensembles run serially")
-    sub.add_argument("--metric", choices=[MAX_CONCURRENCE, MAX_FIDELITY],
-                     default=MAX_CONCURRENCE)
-
-
-def build_parser() -> argparse.ArgumentParser:
+    Both come from ``_SUBCOMMANDS`` and give one command line the same
+    Namespace.  A one-subcommand parser prints the full parser's usage line,
+    so its errors read the same; ``main`` builds it when argv names a
+    subcommand first, which skips the other subcommands' arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="barrierchain",
         description="Spin-chain transfer datasets: spectra, fidelities, disorder ensembles, protocols.",
     )
     parser.add_argument("--version", action="version", version=f"barrierchain {__version__}")
-    subs = parser.add_subparsers(dest="experiment", required=True)
-
-    s = subs.add_parser("spectrum", help="eigenvalues vs barrier height")
-    s.add_argument("--n", type=int, default=17)
-    s.add_argument("--omega-min", type=float, default=0.0)
-    s.add_argument("--omega-max", type=float, default=10.0)
-    s.add_argument("--steps", type=int, default=200)
-    _add_common(s)
-
-    s = subs.add_parser("ipr", help="tracked-state localization vs barrier height")
-    s.add_argument("--n", type=int, default=18)
-    s.add_argument("--omega-min", type=float, default=0.5)
-    s.add_argument("--omega-max", type=float, default=50.0)
-    s.add_argument("--steps", type=int, default=100)
-    _add_common(s)
-
-    s = subs.add_parser("transfer", help="end-to-end transfer time series")
-    s.add_argument("--n", type=int, default=100)
-    s.add_argument("--omega", type=float, default=100.0)
-    s.add_argument("--T", dest="big_t", type=float, default=4000.0)
-    s.add_argument("--points", type=int, default=2001)
-    _add_common(s)
-
-    s = subs.add_parser("maxfid", help="peak average fidelity over an (N, omega) grid")
-    s.add_argument("--n-min", type=int, default=10)
-    s.add_argument("--n-max", type=int, default=100)
-    s.add_argument("--n-step", type=int, default=1)
-    s.add_argument("--omega-min", type=float, default=0.0)
-    s.add_argument("--omega-max", type=float, default=20.0)
-    s.add_argument("--omega-steps", type=int, default=41)
-    s.add_argument("--T", dest="big_t", type=float, default=4000.0)
-    _add_common(s)
-
-    s = subs.add_parser("scaling", help="Rabi time and gap vs barrier height")
-    s.add_argument("--n-list", type=_int_list, default=[22, 23])
-    s.add_argument("--omega-min", type=float, default=5.0)
-    s.add_argument("--omega-max", type=float, default=80.0)
-    s.add_argument("--steps", type=int, default=25)
-    _add_common(s)
-
-    s = subs.add_parser("disorder", help="bulk-field disorder ensemble")
-    s.add_argument("--n", type=int, default=10)
-    s.add_argument("--omega-list", type=_float_list, default=[20.0])
-    s.add_argument("--b-list", type=_float_list, default=[0.0, 1.0, 2.0, 4.0])
-    s.add_argument("--window-factor", type=float, default=3.0)
-    _add_ensemble(s)
-    _add_common(s)
-
-    s = subs.add_parser("leakage", help="barrier-leakage disorder ensemble")
-    s.add_argument("--n-list", type=_int_list, default=[10, 20, 30])
-    s.add_argument("--omega-min", type=float, default=2.0)
-    s.add_argument("--omega-max", type=float, default=20.0)
-    s.add_argument("--steps", type=int, default=10)
-    s.add_argument("--window-factor", type=float, default=1.2)
-    _add_ensemble(s)
-    _add_common(s)
-
-    s = subs.add_parser("ebit", help="entangled-pair transport time series")
-    s.add_argument("--n", type=int, default=33)
-    s.add_argument("--omega-list", type=_float_list, default=[5.0, 15.0, 45.0])
-    s.add_argument("--points", type=int, default=1200)
-    s.add_argument("--alpha", type=float, default=0.7071067811865476)
-    s.add_argument("--beta", type=float, default=-0.7071067811865476)
-    _add_common(s)
-
-    s = subs.add_parser("protocol", help="switched-field trap/store/release run")
-    s.add_argument("--n", type=int, default=30)
-    s.add_argument("--k1", type=float, default=60.0)
-    s.add_argument("--k2", type=float, default=30.0)
-    s.add_argument("--delta-t", type=float, default=None,
-                   help="hold interval; default = closed-form optimum")
-    s.add_argument("--t1", type=float, default=50.0)
-    s.add_argument("--tau-s", type=float, default=0.0,
-                   help="switch smoothing timescale; 0 = ideal steps")
-    s.add_argument("--optimize", action="store_true",
-                   help="numerically tune delta_t around its seed")
-    s.add_argument("--window", type=float, default=500.0,
-                   help="storage window after t2")
-    s.add_argument("--t-end", type=float, default=None)
-    s.add_argument("--sample-dt", type=float, default=0.05)
-    _add_common(s)
-
-    s = subs.add_parser("effective", help="reduced-model gap vs exact gap")
-    s.add_argument("--n-min", type=int, default=6)
-    s.add_argument("--n-max", type=int, default=40)
-    s.add_argument("--n-step", type=int, default=1)
-    s.add_argument("--omega-list", type=_float_list, default=[5.0, 10.0, 20.0])
-    _add_common(s)
-
-    s = subs.add_parser("oracle-check", help="spectral path vs full Hilbert-space oracle")
-    s.add_argument("--n-min", type=int, default=4)
-    s.add_argument("--n-max", type=int, default=8)
-    s.add_argument("--pairs", type=int, default=10)
-    s.add_argument("--omega-max", type=float, default=60.0)
-    s.add_argument("--t-max", type=float, default=30.0)
-    s.add_argument("--seed", type=int, default=7)
-    s.add_argument("--tol", type=float, default=1e-10)
-    _add_common(s)
-
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    subs = parser.add_subparsers(dest="experiment", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        _, help_text, arguments = _SUBCOMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
     return parser
 
 
@@ -537,10 +546,10 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = _parse_args(parser, argv)
-        written = _HANDLERS[args.experiment](args)
+        written = _SUBCOMMANDS[args.experiment][0](args)
     except (KeyboardInterrupt, SystemExit):
         raise
     except Exception as exc:

@@ -152,6 +152,15 @@ def golden_section(fun, lo, hi, tol: float = 1e-4):
     every iteration and stops once it is at most ``tol`` wide, so every
     entry gets the bits a search over its bracket alone would.  Returns the
     maximizer of each bracket, a float when the brackets are scalars.
+
+    Where the float spacing exceeds ``tol`` a bracket can stay wider than
+    ``tol`` for ever, cycling through a few states (a, b, c, d).  ``fun``
+    gives each probe the same value every time, so a bracket back at an
+    earlier state cycles and stops there too; a bracket that would end
+    otherwise never repeats a state, so its bits do not change.  The states
+    are compared with the one kept at the last power-of-two iteration
+    (Brent's cycle detection, which catches every cycle), starting only once
+    the iterations a bracket shrinking by inv_phi needs have passed.
     """
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
@@ -159,6 +168,9 @@ def golden_section(fun, lo, hi, tol: float = 1e-4):
     d = a + inv_phi * (b - a)
     fc, fd = fun(c), fun(d)
     active = b - a > tol
+    widest = float(np.max(b - a, initial=tol))
+    check_from = math.ceil(math.log(widest / tol) / -math.log(inv_phi)) + 1 if 0 < tol < widest < math.inf else 0
+    iteration = 0
     while active.any():
         # left: the maximum lies in [a, d], and c becomes the new d
         left = active & (fc >= fd)
@@ -168,7 +180,14 @@ def golden_section(fun, lo, hi, tol: float = 1e-4):
         value = fun(probe)
         c, d = np.where(left, probe, np.where(right, d, c)), np.where(left, c, np.where(right, probe, d))
         fc, fd = np.where(left, value, np.where(right, fd, fc)), np.where(left, fc, np.where(right, value, fd))
-        active = b - a > tol
+        active &= b - a > tol
+        iteration += 1
+        if iteration >= check_from:
+            since = iteration - check_from
+            if since & (since - 1) == 0:  # since = 0, 1, 2, 4, 8, ...
+                kept = a, b, c, d
+            else:
+                active &= (a != kept[0]) | (b != kept[1]) | (c != kept[2]) | (d != kept[3])
     best = np.where(fc >= fd, c, d)
     return float(best) if best.ndim == 0 else best
 

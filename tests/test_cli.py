@@ -1,5 +1,7 @@
 import json
 import os
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,3 +477,79 @@ def test_out_of_range_seed_fails_before_any_file(seed, tmp_path, capsys):
     assert record["error"] == "ValueError"
     assert f"seed must lie in [0, 2**64), got {seed}" in record["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SUBCOMMANDS = (
+    "spectrum", "ipr", "transfer", "maxfid", "scaling", "disorder", "leakage", "ebit", "protocol",
+    "effective", "oracle-check",
+)
+
+
+class _Parsed(Exception):
+    """Raised once the arguments are parsed, so that nothing runs."""
+
+
+def test_main_parses_with_the_named_subcommands_parser_alone(tmp_path, capsys, monkeypatch):
+    """For every shipped config and every benchmark workload at seeds 0 and
+    1, main builds the parser of the named subcommand alone, and it gives the
+    Namespace of the full parser, which the run headers embed."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    cases = [[cfg.stem, "--config", str(cfg)] for cfg in sorted((ROOT / "configs").glob("*.cfg"))]
+    cases += [workloads["argv"](name, seed, str(tmp_path)) for seed in (0, 1) for name in workloads["WORKLOADS"]]
+    full_build, full_parse = cli.build_parser, cli._parse_args
+    built, parsed = [], []
+
+    def build(command=None):
+        built.append(command)
+        return full_build(command)
+
+    def parse(parser, argv):
+        parsed.append(full_parse(parser, argv))
+        raise _Parsed
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    monkeypatch.setattr(cli, "_parse_args", parse)
+    for argv in cases:
+        assert main(argv) == 1
+        assert built[-1] == argv[0]
+        assert parsed[-1] == full_parse(full_build(), argv)
+    assert {argv[0] for argv in cases} == set(SUBCOMMANDS)
+    capsys.readouterr()
+
+
+def _exit(parse, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out, _ = _exit(main, ["--help"], capsys)
+    assert code == 0
+    for name in SUBCOMMANDS:
+        assert f"    {name} " in out
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_help_is_the_full_parsers(name, capsys):
+    code, out, _ = _exit(main, [name, "--help"], capsys)
+    assert code == 0
+    assert out.startswith(f"usage: barrierchain {name} [-h]")
+    assert (code, out) == _exit(cli.build_parser().parse_args, [name, "--help"], capsys)[:2]
+
+
+@pytest.mark.parametrize("argv", [["disorder", "--bogus", "1"], ["maxfid", "--n-min", "x"], ["protocol", "1"]])
+def test_one_subcommand_parser_errors_read_as_the_full_parsers(argv, capsys):
+    one = _exit(cli.build_parser(argv[0]).parse_args, argv, capsys)
+    assert one[0] == 2
+    assert one == _exit(cli.build_parser().parse_args, argv, capsys)
+
+
+def test_unknown_subcommand_exits_2_with_the_choices(capsys):
+    code, _, err = _exit(main, ["bogus"], capsys)
+    assert code == 2
+    assert "argument experiment: invalid choice: 'bogus'" in err
+    for name in SUBCOMMANDS:
+        assert f"'{name}'" in err

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,8 @@ from barrierchain.spectral import (
 
 from _full_grid import _golden_section, full_grid_max_fidelity, scan_amplitude
 from _full_grid import full_grid_peak_search as _peak_search
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def decompose(n, omega):
@@ -208,6 +214,60 @@ def test_golden_section_brackets_run_in_lockstep():
     assert peaks.tolist() == expected
     widths = hi - lo
     assert widths[1] < widths[0] < widths[3]  # clipped, full and wide brackets
+
+
+def test_golden_section_cycle_check_keeps_the_bits_of_brackets_that_end():
+    """At tol = 1e-15 the brackets run past the iteration count a bracket
+    shrinking by inv_phi needs, so states are compared for cycles, and each
+    entry still gets the scalar search's bits."""
+    centres = np.array([0.1, 0.3, 0.377, 1.41, 3.2])
+    lo, hi = np.floor(centres), np.floor(centres) + np.array([0.5, 0.5, 3.0, 0.5, 3.0])
+
+    def stacked(x):
+        return -((x - centres) ** 2)
+
+    peaks = golden_section(stacked, lo, hi, tol=1e-15)
+    expected = [
+        _golden_section(lambda x, k=k: -((x - centres[k]) ** 2), lo[k], hi[k], tol=1e-15)
+        for k in range(centres.size)
+    ]
+    assert peaks.tolist() == expected
+    # a NaN bracket never iterates and does not disturb the others
+    peaks = golden_section(stacked, np.where(centres > 1.0, np.nan, lo), hi, tol=1e-15)
+    assert np.isnan(peaks[centres > 1.0]).all()
+    assert peaks[centres < 1.0].tolist() == expected[:3]
+
+
+_FAR_WINDOW = """
+import numpy as np
+from barrierchain.chain import ChainSpec, barrier_profile
+from barrierchain.metrics import golden_section, peak_search
+from barrierchain.spectral import decompose, transition_weights
+
+spec = ChainSpec(10)
+decomp = decompose(spec, barrier_profile(spec, 5.0))
+weights = transition_weights(decomp, 1, 10)
+for lo in (6e11, 4e11):
+    t_star, value = peak_search(decomp.eigenvalues[None], weights[None, None], (lo, lo + 50.0))
+    assert lo <= t_star[0] <= lo + 50.0 and 0.0 < value[0] <= 1.0, (lo, t_star, value)
+# tol = 0 leaves only the cycle check to stop the search
+peak = golden_section(lambda x: -((x - 1.3) ** 2), 1.0, 1.5, tol=0.0)
+assert abs(peak - 1.3) < 1e-7, peak
+print("done")
+"""
+
+
+def test_golden_section_ends_where_the_float_spacing_exceeds_tol():
+    """Near t = 6e11 floats are 1.2e-4 apart, more than the 1e-4 tolerance,
+    so the bracket can never get that narrow; the search used to loop for
+    ever.  It runs in a child process, so a regression fails here instead of
+    hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FAR_WINDOW], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "done"
 
 
 def test_max_fidelity_two_site_chain():

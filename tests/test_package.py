@@ -51,3 +51,44 @@ def _private_sibling_imports(path: Path) -> list[str]:
 def test_modules_import_no_private_names_from_siblings():
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _private_sibling_imports(path)]
     assert found == []
+
+
+CLI_SURFACE = """
+import json, runpy, sys
+import numpy as np
+import barrierchain.cli
+wrapped = runpy.run_path(sys.argv[1])["WRAPPED"]
+before = {
+    "special": "scipy.special" in sys.modules,
+    "lazy": sorted(m for m in ("barrierchain.ebit", "barrierchain.effective") if m in sys.modules),
+    "unwrapped": sorted({module for _, module, _ in wrapped} - set(sys.modules)),
+}
+from barrierchain.protocol import SwitchingSchedule, field_at
+schedule = SwitchingSchedule(k1=60.0, k2=30.0, delta_t=40.0, t1=50.0, smoothing_timescale=0.5)
+t = np.linspace(40.0, 100.0, 2001)
+omega2, omega_nm1 = field_at(schedule, t)
+before["special_after_field_at"] = "scipy.special" in sys.modules
+from scipy.special import expit
+alpha, t1, t2 = 2.0, 50.0, 90.0
+same = (
+    np.array_equal(omega2, 30.0 * expit(-alpha * (t - t2)) + 30.0 * expit(-alpha * (t - t1)))
+    and np.array_equal(omega_nm1, 30.0 * expit(alpha * (t - t1)) + 30.0 * expit(alpha * (t - t2)))
+)
+print(json.dumps({**before, "bitwise": bool(same)}))
+"""
+
+
+def test_cli_import_leaves_out_scipy_special_ebit_and_effective():
+    """Importing the CLI loads every module the benchmark tracer wraps
+    (perfbench/spans.py reads them from sys.modules), but neither
+    scipy.special, which only smoothed field_at calls need, nor ebit and
+    effective, which their handlers import.  A smoothed field_at call then
+    gives scipy.special.expit's values bit for bit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    spans = ROOT / "perfbench" / "spans.py"
+    out = subprocess.run([sys.executable, "-c", CLI_SURFACE, str(spans)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == {
+        "special": False, "lazy": [], "unwrapped": [], "special_after_field_at": True, "bitwise": True,
+    }
