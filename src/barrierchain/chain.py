@@ -111,6 +111,8 @@ class SingleExcitationHamiltonian:
     def __post_init__(self) -> None:
         d = _readonly(self.diagonal)
         e = _readonly(self.off_diagonal)
+        if d.size < 2:
+            raise ValueError(f"a chain needs N >= 2 sites, got {d.size}")
         if e.size != d.size - 1:
             raise ValueError("off_diagonal must have length N-1")
         object.__setattr__(self, "diagonal", d)

@@ -438,27 +438,6 @@ def max_fidelity(
     return float(t_star[0]), average_fidelity(abs_f[0])
 
 
-def receiver_fidelity(amplitudes: np.ndarray, alpha: complex, beta: complex) -> float:
-    """F = <psi_in| rho_N |psi_in> from evolved site amplitudes.
-
-    The chain is prepared in alpha|vac> + beta|sender>; after evolution the
-    receiver qubit's reduced state is assembled from the amplitude arriving
-    at the receiver site N, with the standard compensating z-rotation applied
-    there (the phase of f is known, so the receiver can always undo it).
-    """
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    a = abs(amplitudes[-1])
-    rho = np.array(
-        [
-            [abs(alpha) ** 2 + abs(beta) ** 2 * (1.0 - a**2), alpha * np.conj(beta) * a],
-            [np.conj(alpha) * beta * a, abs(beta) ** 2 * a**2],
-        ],
-        dtype=complex,
-    )
-    psi = np.array([alpha, beta], dtype=complex)
-    return float(np.real(np.conj(psi) @ rho @ psi))
-
-
 def haar_qubits(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) arrays for n Haar-random qubit states (global phase fixed)."""
     rng = np.random.default_rng(seed)

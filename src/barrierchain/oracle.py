@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian
+from .chain import ChainSpec, FieldProfile
 
 _MAX_FULL_SITES = 12   # the dense reference matrix, 2^12 x 2^12 = 128 MiB
 _MAX_BLOCK_STATES = 4096  # largest block the oracle diagonalizes, the old 2^12
@@ -287,11 +287,6 @@ def _tridiag_matvec(diagonal: np.ndarray, off_diagonal: np.ndarray, vec: np.ndar
     out[:-1] += off_diagonal * vec[1:]
     out[1:] += off_diagonal * vec[:-1]
     return out
-
-
-def rk4_evolve(h: SingleExcitationHamiltonian, initial: np.ndarray, t: float, n_steps: int = 4096) -> np.ndarray:
-    """Classical fixed-step RK4 on i d(beta)/dt = H beta."""
-    return rk4_evolve_driven(lambda _t: h.diagonal, h.off_diagonal, initial, 0.0, t, n_steps)
 
 
 def rk4_evolve_driven(

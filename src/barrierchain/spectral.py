@@ -10,6 +10,13 @@ its minors Q_{k,s}(lambda) is the same expansion: by Cramer's rule the
 minors-over-dP/dlambda ratio at a simple eigenvalue equals the spectral
 projector element a_{k,s} a_{k,j}, so no determinants are ever computed.
 
+A mirror-symmetric matrix (every clean barrier chain) commutes with site
+reversal R, and its barrier pair is a parity doublet whose splitting can
+be as small as round-off.  A whole-chain solver mixes such a doublet's
+parities, so ``eigendecompose`` solves the even and odd parity blocks
+apart instead: every eigenvector is exactly even or odd, and of two equal
+levels the even one comes first.
+
 Peak searches evaluate the expansion on long uniform grids t_j = lo + j dt
 (up to ~300k points), which a direct (n_times x N) table of exponentials
 would hold whole.  ``scan_rows`` instead splits j = b B + m with block
@@ -65,11 +72,6 @@ from scipy.linalg import get_lapack_funcs
 
 from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian, build_hamiltonian
 
-# Relative eigenvalue spacing below which two states are treated as one
-# degenerate cluster.  Kept far below any physical Rabi gap (>= 1/(2 omega^2)
-# for the fields studied here) and above the LAPACK eigenvalue jitter.
-_CLUSTER_RTOL = 64.0 * np.finfo(float).eps
-
 # LAPACK stevd, the routine scipy's eigh_tridiagonal selects by default,
 # called without the wrapper's per-call input checks and lookup
 _stevd = get_lapack_funcs("stevd", dtype=np.float64)
@@ -107,32 +109,6 @@ def site_state(n_sites: int, site: int) -> np.ndarray:
     return amplitudes
 
 
-def _parity_adapt(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
-    """Rotate degenerate clusters onto definite-parity combinations.
-
-    For a mirror-symmetric profile H commutes with site reversal R, so
-    eigenvectors can be chosen R-even or R-odd.  Dense solvers return an
-    arbitrary mixture inside numerically degenerate clusters (the barrier
-    pair splits only exponentially in N), which would make localization
-    measures platform-dependent; diagonalizing R restricted to each cluster
-    restores the physical basis deterministically.
-    """
-    v = v.copy()
-    i = 0
-    n = w.size
-    while i < n:
-        j = i + 1
-        while j < n and w[j] - w[j - 1] <= tol:
-            j += 1
-        if j - i > 1:
-            block = v[:, i:j]
-            overlap = block.T @ block[::-1, :]
-            _, rot = np.linalg.eigh(0.5 * (overlap + overlap.T))
-            v[:, i:j] = block @ rot
-        i = j
-    return v
-
-
 def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Make the first non-negligible component of each column positive.
 
@@ -157,16 +133,55 @@ def tridiagonal_eigh(diagonal: np.ndarray, off_diagonal: np.ndarray) -> tuple[np
     return w, v
 
 
+def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of a mirror-symmetric tridiagonal from its two parity blocks.
+
+    In the basis (|j> +- |N+1-j>)/sqrt2, j <= m = N // 2, the even and odd
+    blocks are tridiagonals of m sites whose last diagonal entries are
+    d_m + e_m and d_m - e_m at N = 2m.  At N = 2m+1 the even block also
+    holds the centre site, coupled to it by sqrt2 e_m, and the odd block is
+    d[:m] with e[:m-1].  stevd solves each block (its wrapper wants an
+    off-diagonal of length >= 1, even for one site).  An even vector is
+    [u[:m]/sqrt2, u_m (odd N only), u[:m] reversed/sqrt2], an odd one
+    [u/sqrt2, 0 (odd N only), -u reversed/sqrt2].  A stable sort of the even
+    levels followed by the odd ones puts the even one of two equal levels
+    first.
+    """
+    n, m = d.size, d.size // 2
+    k = n - m
+    d_even, e_even = d[:k].copy(), e[: max(k - 1, 1)].copy()
+    d_odd = d[:m].copy()
+    if n % 2:
+        e_even[m - 1] *= math.sqrt(2.0)
+    else:
+        d_even[m - 1] += e[m - 1]
+        d_odd[m - 1] -= e[m - 1]
+    w_even, u_even = tridiagonal_eigh(d_even, e_even)
+    w_odd, u_odd = tridiagonal_eigh(d_odd, e[: max(m - 1, 1)])
+    v = np.zeros((n, n))
+    v[:m, :k] = u_even[:m] / math.sqrt(2.0)
+    v[m:k, :k] = u_even[m:]
+    v[:m, k:] = u_odd / math.sqrt(2.0)
+    v[k:, :k] = v[m - 1 :: -1, :k]
+    v[k:, k:] = -v[m - 1 :: -1, k:]
+    w = np.concatenate([w_even, w_odd])
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
 def eigendecompose(h: SingleExcitationHamiltonian) -> SpectralDecomposition:
     """Full decomposition, eigenvalues ascending, deterministic vector signs.
 
-    Mirror-symmetric inputs additionally get definite-parity eigenvectors
-    inside degenerate clusters (see _parity_adapt).
+    A mirror-symmetric input (diagonal and couplings alike) is solved in
+    its parity blocks (``_parity_eigh``): each eigenvector is exactly even
+    or odd, and the even one of two equal levels comes first.  Any other
+    input gets stevd's (w, v) as returned.
     """
-    w, v = tridiagonal_eigh(h.diagonal, h.off_diagonal)
-    if np.array_equal(h.diagonal, h.diagonal[::-1]):
-        scale = max(1.0, float(np.abs(w).max()))
-        v = _parity_adapt(w, v, _CLUSTER_RTOL * scale)
+    d, e = h.diagonal, h.off_diagonal
+    if np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
+        w, v = _parity_eigh(d, e)
+    else:
+        w, v = tridiagonal_eigh(d, e)
     return SpectralDecomposition(w, _fix_signs(v))
 
 

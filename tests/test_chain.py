@@ -99,6 +99,9 @@ def test_hamiltonian_profile_length_mismatch():
         build_hamiltonian(ChainSpec(4), uniform_profile(ChainSpec(5)))
     with pytest.raises(ValueError):
         SingleExcitationHamiltonian(np.zeros(4), np.zeros(4))
+    # one site is no chain, as for ChainSpec
+    with pytest.raises(ValueError, match="N >= 2"):
+        SingleExcitationHamiltonian(np.zeros(1), np.zeros(0))
 
 
 def test_parse_config_block():

@@ -34,7 +34,6 @@ from barrierchain.metrics import (
     max_fidelity,
     peak_search,
     rabi_transfer_time,
-    receiver_fidelity,
     transfer_series,
 )
 from barrierchain.spectral import (
@@ -665,34 +664,6 @@ def test_grid_count_and_points_match_arange():
         for i in {0, 1, 2, count // 2, count - 1}:
             if i < count:
                 assert _grid_point(lo, step, i) == grid[i]
-
-
-def test_receiver_fidelity_limits():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        alpha, beta = haar_qubits(1, rng.integers(1 << 30))
-        alpha, beta = complex(alpha[0]), complex(beta[0])
-        perfect = np.zeros(5, dtype=complex)
-        perfect[-1] = np.exp(1.3j)
-        assert receiver_fidelity(perfect, alpha, beta) == pytest.approx(1.0)
-        lost = np.zeros(5, dtype=complex)
-        lost[1] = 1.0
-        assert receiver_fidelity(lost, alpha, beta) == pytest.approx(abs(alpha) ** 2)
-
-
-def test_receiver_fidelity_closed_form():
-    # F = |a|^4 + |a b|^2 (1 - f^2) + |b|^4 f^2 + 2 |a b|^2 f for |f| = f
-    alpha, beta = 0.6, 0.8j
-    f = 0.55
-    amps = np.zeros(4, dtype=complex)
-    amps[-1] = f * np.exp(-0.7j)
-    expected = (
-        abs(alpha) ** 4
-        + abs(alpha * beta) ** 2 * (1 - f**2)
-        + abs(beta) ** 4 * f**2
-        + 2 * abs(alpha * beta) ** 2 * f
-    )
-    assert receiver_fidelity(amps, alpha, beta) == pytest.approx(expected, abs=1e-14)
 
 
 def test_haar_qubits_seeded_and_normalized():

@@ -22,7 +22,6 @@ from barrierchain.oracle import (
     full_hamiltonian,
     oracle_transition_amplitude,
     reduced_state,
-    rk4_evolve,
     rk4_evolve_driven,
     single_excitation_state,
     site_index,
@@ -177,17 +176,8 @@ def test_rk4_against_spectral():
     h = build_hamiltonian(spec, profile)
     start = site_state(6, 1)
     target = evolve(eigendecompose(h), start, 7.0)
-    numeric = rk4_evolve(h, start, 7.0)
+    numeric = rk4_evolve_driven(lambda _t: h.diagonal, h.off_diagonal, start, 0.0, 7.0, 4096)
     assert np.max(np.abs(numeric - target)) < 1e-8
-
-
-def test_rk4_driven_reduces_to_static():
-    spec = ChainSpec(5)
-    h = build_hamiltonian(spec, random_profile(5, seed=6, scale=2.0))
-    start = site_state(5, 2)
-    static = rk4_evolve(h, start, 3.0, n_steps=2048)
-    driven = rk4_evolve_driven(lambda t: h.diagonal, h.off_diagonal, start, 0.0, 3.0, 2048)
-    assert np.array_equal(static, driven)
 
 
 def test_vacuum_is_stationary_up_to_phase():

@@ -3,12 +3,17 @@ import pytest
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
-from barrierchain.chain import ChainSpec, FieldProfile, barrier_profile, build_hamiltonian
+from barrierchain.chain import (
+    ChainSpec,
+    FieldProfile,
+    SingleExcitationHamiltonian,
+    barrier_profile,
+    build_hamiltonian,
+)
 from barrierchain.metrics import ipr
 from barrierchain.spectral import (
-    _CLUSTER_RTOL,
     _fix_signs,
-    _parity_adapt,
+    _parity_eigh,
     eigendecompose,
     evolve,
     evolve_many,
@@ -353,11 +358,13 @@ def _deep_field_profile():
 
 
 def _presign_vectors(spec, profile):
-    """Eigenvectors as ``eigendecompose`` holds them before the sign rule."""
+    """Eigenvectors as ``eigendecompose`` holds them before the sign rule:
+    the parity blocks' for a mirror-symmetric chain, stevd's otherwise."""
     h = build_hamiltonian(spec, profile)
-    w, v = eigh_tridiagonal(h.diagonal, h.off_diagonal)
-    if np.array_equal(h.diagonal, h.diagonal[::-1]):
-        v = _parity_adapt(w, v, _CLUSTER_RTOL * max(1.0, float(np.abs(w).max())))
+    if profile.is_mirror_symmetric():
+        w, v = _parity_eigh(h.diagonal, h.off_diagonal)
+    else:
+        w, v = eigh_tridiagonal(h.diagonal, h.off_diagonal)
     return h, w, v
 
 
@@ -405,10 +412,12 @@ def test_fix_signs_threshold_skips_round_off_entries():
 
 @pytest.mark.parametrize("n", [2, 3, 10, 55, 100])
 def test_eigendecompose_matches_eigh_tridiagonal_bit_for_bit(n):
-    """``eigendecompose`` calls LAPACK stevd directly.  On random and
-    barrier chains, mirror-symmetric ones included, w and v before the sign
-    rule are scipy's ``eigh_tridiagonal`` bits, and so is the decomposition
-    built from them."""
+    """``eigendecompose`` calls LAPACK stevd directly.  On chains without
+    mirror symmetry, w and v before the sign rule are scipy's
+    ``eigh_tridiagonal`` bits, and so is the decomposition built from them.
+    Mirror-symmetric chains are solved in their parity blocks instead: their
+    levels agree with the whole chain's stevd levels to round-off, and each
+    vector is exactly even or odd, bit for bit."""
     spec = ChainSpec(n)
     rng = np.random.default_rng(n)
     profiles = [random_profile(n, seed) for seed in range(4)]
@@ -426,7 +435,71 @@ def test_eigendecompose_matches_eigh_tridiagonal_bit_for_bit(n):
         decomp = eigendecompose(h)
         assert np.array_equal(decomp.eigenvalues, w_pre)
         assert np.array_equal(decomp.eigenvectors, _fix_signs(v_pre))
+        if profile.is_mirror_symmetric():
+            scale = max(1.0, float(np.abs(w).max()))
+            assert np.max(np.abs(w_pre - w)) <= 8 * n * np.finfo(float).eps * scale
+            mirrored = v_pre[::-1]
+            assert np.all(np.all(mirrored == v_pre, axis=0) | np.all(mirrored == -v_pre, axis=0))
+        else:
+            assert np.array_equal(w_pre, w) and np.array_equal(v_pre, v)
     assert sum(p.is_mirror_symmetric() for p in profiles) >= 2
+
+
+def _mirror_symmetric_chains():
+    for n in [*range(2, 14), 55, 100]:
+        spec = ChainSpec(n)
+        rng = np.random.default_rng(100 + n)
+        for _ in range(2):
+            halves = rng.uniform(-3.0, 3.0, n)
+            yield f"random{n}", spec, FieldProfile(halves + halves[::-1])
+        yield f"clean{n}", spec, FieldProfile(np.zeros(n))
+        if n >= 4:
+            for omega in (0.5, 4.0, 50.0, 1e3):
+                yield f"barrier{n}-{omega:g}", spec, barrier_profile(spec, omega)
+
+
+def test_mirror_symmetric_chains_get_exact_parity_and_even_first_order():
+    """Every eigenvector of a mirror-symmetric chain is even or odd under
+    site reversal, the levels ascend, and of two equal levels the even one
+    comes first.  The strong barriers make the barrier pair equal to
+    round-off, so equal levels do occur."""
+    ties = 0
+    for label, spec, profile in _mirror_symmetric_chains():
+        decomp = eigendecompose(build_hamiltonian(spec, profile))
+        w, v = decomp.eigenvalues, decomp.eigenvectors
+        parity = np.einsum("jk,jk->k", v, v[::-1])
+        assert np.max(np.abs(np.abs(parity) - 1.0)) <= 1e-12, label
+        assert np.all(np.diff(w) >= 0), label
+        equal = np.nonzero(w[1:] == w[:-1])[0]
+        assert np.all(parity[equal] > 0) and np.all(parity[equal + 1] < 0), label
+        ties += equal.size
+    assert ties > 0
+
+
+def test_mirror_symmetric_diagonal_with_unequal_couplings_is_solved_whole():
+    """The parity split needs the couplings mirror-symmetric as well: a
+    mirror-symmetric diagonal with other couplings gets stevd's bits."""
+    diagonal = np.array([1.0, -2.0, 0.5, -2.0, 1.0])
+    h = SingleExcitationHamiltonian(diagonal, np.array([-1.0, -0.5, -1.5, -1.0]))
+    w, v = tridiagonal_eigh(h.diagonal, h.off_diagonal)
+    decomp = eigendecompose(h)
+    assert np.array_equal(decomp.eigenvalues, w)
+    assert np.array_equal(decomp.eigenvectors, _fix_signs(v))
+
+
+def test_barrier_pair_ipr_and_weight_match_extended_precision():
+    """N = 18, omega = 4: the barrier pair (levels 16 and 17) is split by
+    3.5e-13.  The constants come from a 50-digit mpmath ``eighe`` solve of
+    the same matrix (the odd state's IPR lies 2.6e-12 above the even
+    state's).  A whole-chain stevd solve mixes the two parities here and
+    gives IPR 2.11995 and weight 0.0071389."""
+    spec = ChainSpec(18)
+    decomp = eigendecompose(build_hamiltonian(spec, barrier_profile(spec, 4.0)))
+    pair = decomp.eigenvectors[:, 16:]
+    assert ipr(pair[:, 0]) == pytest.approx(2.1212956960121111, abs=1e-12)
+    assert ipr(pair[:, 1]) == pytest.approx(2.1212956960147041, abs=1e-12)
+    weights = np.abs(pair[0] * pair[-1])
+    assert np.allclose(weights, 0.0071411230916, rtol=0.0, atol=1e-12)
 
 
 def test_tridiagonal_eigh_raises_on_lapack_failure():
