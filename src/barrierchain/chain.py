@@ -136,9 +136,14 @@ def build_hamiltonian(spec: ChainSpec, profile: FieldProfile) -> SingleExcitatio
         raise ValueError(
             f"profile length {len(profile)} does not match n_sites {spec.n_sites}"
         )
-    diagonal = 2.0 * profile.local_fields
-    off_diagonal = np.full(spec.n_sites - 1, -1.0)
-    return SingleExcitationHamiltonian(diagonal, off_diagonal)
+    return SingleExcitationHamiltonian(*hamiltonian_bands(profile.local_fields))
+
+
+def hamiltonian_bands(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal 2*K_n, shaped like ``fields`` (..., N), and the off-diagonal
+    -1 of length N-1 shared by every chain, of the one-excitation block."""
+    fields = np.asarray(fields, dtype=float)
+    return 2.0 * fields, np.full(fields.shape[-1] - 1, -1.0)
 
 
 # --- plain-text config blocks -------------------------------------------------

@@ -70,7 +70,7 @@ from .protocol import (
     storage_fidelity,
     two_level_interval,
 )
-from .spectral import decompose, transition_amplitude, transition_weights
+from .spectral import decompose, transfer_spectra, transition_amplitude
 
 ENV_OUTDIR = "BARRIERCHAIN_OUTDIR"
 
@@ -137,6 +137,11 @@ def _write_json(path: str, args, payload: dict) -> None:
         fh.write(json.dumps(body, indent=2, sort_keys=True, default=float) + "\n")
 
 
+def _barrier_fields(spec: ChainSpec, omegas) -> np.ndarray:
+    """The barrier chain's fields at each omega, one row per omega."""
+    return np.array([barrier_profile(spec, omega).local_fields for omega in omegas]).reshape(-1, spec.n_sites)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns the list of files written
 
@@ -144,19 +149,13 @@ def _write_json(path: str, args, payload: dict) -> None:
 def _cmd_spectrum(args) -> list[str]:
     spec = ChainSpec(args.n)
     omegas = np.linspace(args.omega_min, args.omega_max, args.steps)
-    col_omega, col_k, col_lam, col_neg = [], [], [], []
-    for omega in omegas:
-        lam = decompose(spec, barrier_profile(spec, omega)).eigenvalues
-        col_omega.append(np.full(spec.n_sites, omega))
-        col_k.append(np.arange(1, spec.n_sites + 1))
-        col_lam.append(lam)
-        # spectrum of the sign-flipped field profile (particle-hole partner)
-        col_neg.append(-lam[::-1])
+    lam, _ = transfer_spectra(_barrier_fields(spec, omegas))
     columns = {
-        "omega": np.concatenate(col_omega),
-        "k": np.concatenate(col_k),
-        "lambda": np.concatenate(col_lam),
-        "lambda_flipped": np.concatenate(col_neg),
+        "omega": np.repeat(omegas, spec.n_sites),
+        "k": np.tile(np.arange(1, spec.n_sites + 1), omegas.size),
+        "lambda": lam.ravel(),
+        # spectrum of the sign-flipped field profile (particle-hole partner)
+        "lambda_flipped": -lam[:, ::-1].ravel(),
     }
     return [_emit(args, columns, units_energy="J")]
 
@@ -190,15 +189,17 @@ def _cmd_transfer(args) -> list[str]:
 
 
 def _cmd_maxfid(args) -> list[str]:
+    """Peak average fidelity over [0, T] for every (N, omega) of the grid.
+    Each chain length is one stack: ``transfer_spectra`` gives every omega's
+    levels and site-1 -> N weights in one call, without a decomposition per
+    chain, and one ``peak_search`` finds all their peaks."""
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
     rows: dict[str, list] = {"n": [], "omega": [], "t_star": [], "max_avg_fidelity": []}
     for n in range(args.n_min, args.n_max + 1, args.n_step):
         spec = ChainSpec(n)
-        decomps = [decompose(spec, barrier_profile(spec, omega)) for omega in omegas]
-        levels = np.array([d.eigenvalues for d in decomps]).reshape(-1, n)
-        weights = np.array([transition_weights(d, 1, n) for d in decomps]).reshape(-1, 1, n)
+        levels, weights = transfer_spectra(_barrier_fields(spec, omegas))
         # one stacked peak search per chain size
-        t_star, abs_f = peak_search(levels, weights, (0.0, args.big_t))
+        t_star, abs_f = peak_search(levels, weights[:, None], (0.0, args.big_t))
         rows["n"].extend([n] * len(omegas))
         rows["omega"].extend(omegas)
         rows["t_star"].extend(t_star.tolist())

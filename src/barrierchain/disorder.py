@@ -11,9 +11,11 @@ Each sample's fields come from a counter-based Philox stream keyed by
 index.  ``monte_carlo`` runs every ensemble of one (chain, omega, window)
 as one stack: each sample draws its unit variates once per distinct
 affected-site set, so every bulk strength b maps the same draws to its own
-fields.  The stack decomposes each distinct sample once: samples whose
-fields are equal byte for byte (every sample at b = 0, where each is the
-clean chain) share one decomposition and one search.  It then searches all their peaks at once, in one
+fields.  The stack solves each distinct sample once, in one
+``spectral.transfer_spectra`` call that returns only the levels and
+end-to-end weights a search needs: samples whose fields are equal byte
+for byte (every sample at b = 0, where each is the clean chain) share one
+solve and one search.  It then searches all their peaks at once, in one
 ``metrics.peak_search`` call whose lockstep refinement gives each sample
 the bits a search of that sample alone would, and maps the peaks back to
 each ensemble in sample-index order, so an ensemble's results do not
@@ -34,7 +36,7 @@ import numpy as np
 
 from .chain import ChainSpec, barrier_profile, FieldProfile
 from .metrics import average_fidelity, barrier_report, peak_search, rabi_transfer_time
-from .spectral import decompose, transition_weights
+from .spectral import transfer_spectra
 
 BULK_UNIFORM = "bulk-uniform"
 BARRIER_LEAKAGE = "barrier-leakage"
@@ -56,6 +58,8 @@ class DisorderModel:
             raise ValueError(f"unknown disorder kind {self.kind!r}")
         if not 0 <= self.strength < np.inf:
             raise ValueError(f"strength must be finite and >= 0, got {self.strength}")
+        if self.kind == BULK_UNIFORM and not np.isfinite(2.0 * float(self.strength)):
+            raise ValueError(f"bulk-uniform strength {self.strength} has a draw range 2b that is not finite")
 
     def affected_sites(self, spec: ChainSpec) -> tuple[int, ...]:
         n = spec.n_sites
@@ -166,9 +170,9 @@ def monte_carlo(
     ensemble per model, returned in the order of ``models``.
 
     The ensembles share the chain, omega and window, and run as one stack:
-    every distinct sample of the stack (by the bytes of its fields)
-    builds and diagonalizes its chain once, keeping only its eigenvalues
-    and transfer weights; one ``peak_search`` call then serves every
+    every distinct sample of the stack (by the bytes of its fields) is
+    solved once, by one ``transfer_spectra`` call that returns only its
+    eigenvalues and transfer weights; one ``peak_search`` call then serves every
     ensemble, with a grid step fixed by the clean chain's Rabi time so all
     samples see identical scan parameters.  Repeated samples take their
     peak from the one search of their fields, and each sample's peak has
@@ -187,14 +191,9 @@ def monte_carlo(
     # rows equal byte for byte (so -0.0 and 0.0 stay apart) are one chain
     keys = fields.view(np.dtype((np.void, fields.itemsize * chain.n_sites)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    levels = np.empty((first.size, chain.n_sites))
-    weights = np.empty((first.size, 1, chain.n_sites))
-    for i, row in enumerate(first):
-        decomp = decompose(chain, FieldProfile(fields[row]))
-        levels[i] = decomp.eigenvalues
-        weights[i, 0] = transition_weights(decomp, 1, chain.n_sites)
+    levels, weights = transfer_spectra(fields[first])
     # peak concurrence is |f| at the peak (Fbar is monotone in |f|)
-    _, abs_f = peak_search(levels, weights, window, t_max=t_max)
+    _, abs_f = peak_search(levels, weights[:, None], window, t_max=t_max)
     abs_f = abs_f[inverse].reshape(len(models), n_samples)
     stack = abs_f if metric == MAX_CONCURRENCE else average_fidelity(abs_f)
     return [

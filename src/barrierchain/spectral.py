@@ -17,6 +17,13 @@ parities, so ``eigendecompose`` solves the even and odd parity blocks
 apart instead: every eigenvector is exactly even or odd, and of two equal
 levels the even one comes first.
 
+A peak search needs only each chain's levels and its site-1 -> N weights
+a_{k,1} a_{k,N}, not its eigenvectors, so ``transfer_spectra`` returns just
+those for a whole stack of field rows, with the bits of ``decompose``
+followed by ``transition_weights``: a mirror-symmetric row goes through the
+same parity blocks (``_parity_blocks``, shared with ``_parity_eigh``), and
+its weights come from the first entries of the block vectors.
+
 Peak searches evaluate the expansion on long uniform grids t_j = lo + j dt
 (up to ~300k points), which a direct (n_times x N) table of exponentials
 would hold whole.  ``scan_rows`` instead splits j = b B + m with block
@@ -70,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian, build_hamiltonian
+from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian, build_hamiltonian, hamiltonian_bands
 
 # LAPACK stevd, the routine scipy's eigh_tridiagonal selects by default,
 # called without the wrapper's per-call input checks and lookup
@@ -133,31 +140,45 @@ def tridiagonal_eigh(diagonal: np.ndarray, off_diagonal: np.ndarray) -> tuple[np
     return w, v
 
 
-def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) of a mirror-symmetric tridiagonal from its two parity blocks.
+def _parity_blocks(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(d_even, e_even, d_odd, e_odd): the parity blocks of mirror-symmetric
+    tridiagonals with diagonals ``d`` (..., N) and off-diagonals ``e`` (...,
+    N-1), broadcast against each other.
 
     In the basis (|j> +- |N+1-j>)/sqrt2, j <= m = N // 2, the even and odd
     blocks are tridiagonals of m sites whose last diagonal entries are
     d_m + e_m and d_m - e_m at N = 2m.  At N = 2m+1 the even block also
     holds the centre site, coupled to it by sqrt2 e_m, and the odd block is
-    d[:m] with e[:m-1].  stevd solves each block (its wrapper wants an
-    off-diagonal of length >= 1, even for one site).  An even vector is
-    [u[:m]/sqrt2, u_m (odd N only), u[:m] reversed/sqrt2], an odd one
-    [u/sqrt2, 0 (odd N only), -u reversed/sqrt2].  A stable sort of the even
-    levels followed by the odd ones puts the even one of two equal levels
-    first.
+    d[:m] with e[:m-1].  Each off-diagonal keeps at least one entry, as the
+    stevd wrapper wants, even for a block of one site.
+    """
+    n = d.shape[-1]
+    m = n // 2
+    k = n - m
+    d_even, e_even = d[..., :k].copy(), e[..., : max(k - 1, 1)].copy()
+    d_odd = d[..., :m].copy()
+    if n % 2:
+        e_even[..., m - 1] *= math.sqrt(2.0)
+    else:
+        d_even[..., m - 1] += e[..., m - 1]
+        d_odd[..., m - 1] -= e[..., m - 1]
+    return d_even, e_even, d_odd, e[..., : max(m - 1, 1)]
+
+
+def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of a mirror-symmetric tridiagonal from its two parity blocks
+    (``_parity_blocks``), each solved by stevd.
+
+    With k = N - m even levels, an even vector is [u[:m]/sqrt2, u_m (odd N
+    only), u[:m] reversed/sqrt2], an odd one [u/sqrt2, 0 (odd N only), -u
+    reversed/sqrt2].  A stable sort of the even levels followed by the odd
+    ones puts the even one of two equal levels first.
     """
     n, m = d.size, d.size // 2
     k = n - m
-    d_even, e_even = d[:k].copy(), e[: max(k - 1, 1)].copy()
-    d_odd = d[:m].copy()
-    if n % 2:
-        e_even[m - 1] *= math.sqrt(2.0)
-    else:
-        d_even[m - 1] += e[m - 1]
-        d_odd[m - 1] -= e[m - 1]
+    d_even, e_even, d_odd, e_odd = _parity_blocks(d, e)
     w_even, u_even = tridiagonal_eigh(d_even, e_even)
-    w_odd, u_odd = tridiagonal_eigh(d_odd, e[: max(m - 1, 1)])
+    w_odd, u_odd = tridiagonal_eigh(d_odd, e_odd)
     v = np.zeros((n, n))
     v[:m, :k] = u_even[:m] / math.sqrt(2.0)
     v[m:k, :k] = u_even[m:]
@@ -188,6 +209,56 @@ def eigendecompose(h: SingleExcitationHamiltonian) -> SpectralDecomposition:
 def decompose(spec: ChainSpec, profile: FieldProfile) -> SpectralDecomposition:
     """Decomposition of the chain ``spec`` under the local fields ``profile``."""
     return eigendecompose(build_hamiltonian(spec, profile))
+
+
+def transfer_spectra(fields) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and end-to-end weights of a stack of chains, without their
+    eigenvectors.
+
+    ``fields`` (S, N) holds one chain's local fields K_n per row.  Returns
+    (levels, weights), both (S, N): row s is bit for bit the eigenvalues of
+    ``decompose(ChainSpec(N), FieldProfile(fields[s]))`` and its
+    ``transition_weights(decomp, 1, N)``.  A mirror-symmetric row is solved
+    in its parity blocks as ``_parity_eigh`` solves it: its end entries are
+    u_1/sqrt2 and +-u_1/sqrt2 of a block vector u, so an even level weighs
+    (u_1/sqrt2)(u_1/sqrt2) and an odd one (-u_1/sqrt2)(u_1/sqrt2), merged
+    by the same stable sort.  Any other row weighs v_N v_1 of stevd's
+    vectors.  ``_fix_signs`` flips whole vectors, which leaves both
+    products' bits unchanged.  The finite check, the symmetry test, the
+    block setup, the merge and the weights run once for the whole stack;
+    only the stevd calls go row by row.  A non-finite field raises the
+    ValueError that ``FieldProfile`` raises.
+    """
+    fields = np.asarray(fields, dtype=float)
+    if fields.ndim != 2:
+        raise ValueError(f"fields must be a (chains, sites) stack, got shape {fields.shape}")
+    if not np.all(np.isfinite(fields)):
+        raise ValueError("local_fields must be finite")
+    n = ChainSpec(fields.shape[1]).n_sites
+    d, e = hamiltonian_bands(fields)
+    # every coupling is -1, so the diagonal alone decides mirror symmetry
+    mirror = np.all(d == d[:, ::-1], axis=1)
+    levels = np.empty(fields.shape)
+    weights = np.empty(fields.shape)
+    for i in np.flatnonzero(~mirror):
+        levels[i], v = tridiagonal_eigh(d[i], e)
+        weights[i] = v[-1] * v[0]
+    rows = np.flatnonzero(mirror)
+    d_even, e_even, d_odd, e_odd = _parity_blocks(d[rows], e)
+    k = d_even.shape[-1]
+    w = np.empty((rows.size, n))
+    first = np.empty((rows.size, n))
+    for j in range(rows.size):
+        w[j, :k], u = tridiagonal_eigh(d_even[j], e_even)
+        first[j, :k] = u[0]
+        w[j, k:], u = tridiagonal_eigh(d_odd[j], e_odd)
+        first[j, k:] = u[0]
+    first /= math.sqrt(2.0)
+    parity = np.where(np.arange(n) < k, 1.0, -1.0)
+    order = np.argsort(w, axis=1, kind="stable")
+    levels[rows] = np.take_along_axis(w, order, axis=1)
+    weights[rows] = np.take_along_axis((parity * first) * first, order, axis=1)
+    return levels, weights
 
 
 def evolve(decomp: SpectralDecomposition, initial: np.ndarray, t: float) -> np.ndarray:

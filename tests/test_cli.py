@@ -1,6 +1,7 @@
 import json
 import os
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,19 @@ def test_disorder_reports_each_clean_chain_once(tmp_path, capsys, monkeypatch):
          "--n-samples", "2", "--seed", "4"], tmp_path, capsys)
     disorder._clean_rabi_time.cache_clear()
     assert reports == [(8, 10.0), (8, 20.0), (8, 40.0)]
+
+
+def test_disorder_names_an_overflowing_strength_before_writing(tmp_path, capsys):
+    # b = 1e308 is finite, but its draw range 2b is not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        captured = run(["disorder", "--n", "8", "--omega-list", "10", "--b-list", "1,1e308",
+                        "--n-samples", "2"], tmp_path, capsys, expect=1)
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "strength 1e+308" in record["message"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_leakage_writes_one_file_per_length(tmp_path, capsys):

@@ -13,7 +13,7 @@ from barrierchain.disorder import (
     sample_profile,
 )
 from barrierchain.metrics import average_fidelity, localization_report, max_fidelity, peak_search, rabi_transfer_time
-from barrierchain.spectral import decompose, eigendecompose, transition_weights
+from barrierchain.spectral import decompose, eigendecompose, transfer_spectra, transition_weights
 
 N10 = ChainSpec(10)
 WINDOW10 = default_window(N10, 20.0)
@@ -40,6 +40,14 @@ def test_model_strength_must_be_finite_and_non_negative(strength):
     for kind in (BULK_UNIFORM, BARRIER_LEAKAGE):
         with pytest.raises(ValueError, match="strength"):
             DisorderModel(kind, strength)
+
+
+def test_bulk_model_names_a_strength_whose_draw_range_overflows():
+    DisorderModel(BULK_UNIFORM, np.finfo(float).max / 2)
+    with pytest.raises(ValueError, match="strength 1e\\+308"):
+        DisorderModel(BULK_UNIFORM, 1e308)
+    with pytest.raises(ValueError, match="strength"):
+        DisorderModel(BULK_UNIFORM, np.float64(1e308))
 
 
 def test_leakage_model_rejects_overlapping_sites():
@@ -109,14 +117,16 @@ def test_zero_strength_ensemble_reproduces_clean_peak():
     assert result.std_error <= 1e-12
 
 
-def _counting_decompose(monkeypatch):
+def _counting_solves(monkeypatch):
+    """Record the bytes of every chain handed to the transfer-spectrum
+    kernel, one entry per row (one solve each)."""
     calls = []
 
-    def counted(spec, profile):
-        calls.append(profile.local_fields.tobytes())
-        return decompose(spec, profile)
+    def counted(fields):
+        calls.extend(row.tobytes() for row in fields)
+        return transfer_spectra(fields)
 
-    monkeypatch.setattr(disorder, "decompose", counted)
+    monkeypatch.setattr(disorder, "transfer_spectra", counted)
     return calls
 
 
@@ -127,7 +137,7 @@ def _one_chain_search(fields, window, t_max):
 
 
 def test_zero_strength_ensemble_decomposes_the_clean_chain_once(monkeypatch):
-    calls = _counting_decompose(monkeypatch)
+    calls = _counting_solves(monkeypatch)
     (result,) = monte_carlo(
         "max-concurrence", [DisorderModel(BULK_UNIFORM, 0.0)], N10, 20.0, WINDOW10,
         n_samples=12, seed=1,
@@ -149,7 +159,7 @@ def test_repeated_samples_are_searched_once_and_mapped_back(monkeypatch):
     pattern = [2, 0, 1, 0, 3, 2, 0, 1]
     fields = np.array([(distinct + [signed])[k] for k in pattern])
     monkeypatch.setattr(disorder, "_ensemble_fields", lambda *args: fields[None].copy())
-    calls = _counting_decompose(monkeypatch)
+    calls = _counting_solves(monkeypatch)
     (result,) = monte_carlo(
         "max-concurrence", [DisorderModel(BULK_UNIFORM, 1.0)], N10, 20.0, WINDOW10,
         n_samples=len(pattern), seed=0,
@@ -206,7 +216,7 @@ def test_monte_carlo_of_no_models_is_empty():
 
 def test_stack_draws_once_per_site_set_and_searches_each_distinct_sample_once(monkeypatch):
     """Every bulk strength maps the same per-sample draws, the leakage
-    model draws its own, and the clean chain at b = 0 is decomposed once
+    model draws its own, and the clean chain at b = 0 is solved once
     for the whole stack."""
     keys = []
     sample_rng = disorder._sample_rng
@@ -216,7 +226,7 @@ def test_stack_draws_once_per_site_set_and_searches_each_distinct_sample_once(mo
         return sample_rng(seed, index)
 
     monkeypatch.setattr(disorder, "_sample_rng", counted)
-    calls = _counting_decompose(monkeypatch)
+    calls = _counting_solves(monkeypatch)
     models = [DisorderModel(BULK_UNIFORM, b) for b in (0.0, 1.0, 2.0)] + [DisorderModel(BARRIER_LEAKAGE, 20.0)]
     results = monte_carlo("max-concurrence", models, N10, 20.0, WINDOW10, n_samples=6, seed=4)
     assert [result.per_sample.shape for result in results] == [(6,)] * 4

@@ -9,11 +9,13 @@ from barrierchain.chain import (
     SingleExcitationHamiltonian,
     barrier_profile,
     build_hamiltonian,
+    ebit_barrier_profile,
 )
 from barrierchain.metrics import ipr
 from barrierchain.spectral import (
     _fix_signs,
     _parity_eigh,
+    decompose,
     eigendecompose,
     evolve,
     evolve_many,
@@ -22,6 +24,7 @@ from barrierchain.spectral import (
     scan_points,
     scan_rows,
     site_state,
+    transfer_spectra,
     transition_amplitude,
     transition_weights,
     tridiagonal_eigh,
@@ -500,6 +503,78 @@ def test_barrier_pair_ipr_and_weight_match_extended_precision():
     assert ipr(pair[:, 1]) == pytest.approx(2.1212956960147041, abs=1e-12)
     weights = np.abs(pair[0] * pair[-1])
     assert np.allclose(weights, 0.0071411230916, rtol=0.0, atol=1e-12)
+
+
+def _same_bits(a, b):
+    """Equal values with equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _kernel_rows(n):
+    """Field rows of one length: zero-field, random and mirror-symmetric
+    random chains, rows holding -0.0 (mirror-symmetric by value only), and
+    barrier and e-bit-barrier chains, whose strong barriers give parity
+    pairs of exactly equal levels."""
+    spec = ChainSpec(n)
+    rng = np.random.default_rng(300 + n)
+    halves = rng.uniform(-3.0, 3.0, n)
+    signed = np.zeros(n)
+    signed[0] = -0.0
+    rows = [np.zeros(n), np.full(n, -0.0), signed, halves + halves[::-1]]
+    rows += [rng.uniform(-3.0, 3.0, n) for _ in range(2)]
+    if n >= 4:
+        rows += [barrier_profile(spec, omega).local_fields for omega in (0.5, 4.0, 50.0, 1e3)]
+    if n >= 6:
+        rows += [ebit_barrier_profile(spec, omega).local_fields for omega in (0.5, 50.0, 1e3)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 31, 55, 100])
+def test_transfer_spectra_match_decompose_bit_for_bit(n):
+    """The kernel's levels and site-1 -> N weights are the bits of
+    ``decompose`` followed by ``transition_weights``, row by row."""
+    fields = _kernel_rows(n)
+    levels, weights = transfer_spectra(fields)
+    assert levels.shape == weights.shape == fields.shape
+    for row, lam, w in zip(fields, levels, weights):
+        decomp = decompose(ChainSpec(n), FieldProfile(row))
+        assert _same_bits(lam, decomp.eigenvalues)
+        assert _same_bits(w, transition_weights(decomp, 1, n))
+
+
+def test_transfer_spectra_cover_exactly_degenerate_parity_pairs():
+    ties = 0
+    for n in (10, 31, 55, 100):
+        levels, _ = transfer_spectra(_kernel_rows(n))
+        ties += int(np.sum(levels[:, 1:] == levels[:, :-1]))
+    assert ties > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 31])
+def test_transfer_spectra_rows_get_their_own_bits_in_any_stack(n):
+    """Mirror-symmetric and other rows, shuffled and repeated in one stack,
+    each get the bits they get alone."""
+    fields = _kernel_rows(n)
+    order = np.random.default_rng(n).permutation(np.r_[np.arange(len(fields)), 0, 3])
+    levels, weights = transfer_spectra(fields[order])
+    for row, lam, w in zip(fields[order], levels, weights):
+        alone = transfer_spectra(row[None])
+        assert _same_bits(lam, alone[0][0]) and _same_bits(w, alone[1][0])
+
+
+def test_transfer_spectra_input_guards():
+    fields = _kernel_rows(6)
+    for bad in (np.inf, -np.inf, np.nan):
+        stack = fields.copy()
+        stack[2, 1] = bad
+        with pytest.raises(ValueError, match="local_fields must be finite"):
+            transfer_spectra(stack)
+    with pytest.raises(ValueError, match="stack"):
+        transfer_spectra(fields[0])
+    with pytest.raises(ValueError, match="n_sites"):
+        transfer_spectra(np.zeros((3, 1)))
+    levels, weights = transfer_spectra(np.zeros((0, 6)))
+    assert levels.shape == weights.shape == (0, 6)
 
 
 def test_tridiagonal_eigh_raises_on_lapack_failure():
