@@ -8,10 +8,15 @@ bleed onto their neighbors.
 
 Each sample's fields come from a counter-based Philox stream keyed by
 (seed, sample_index), so a sample's value depends on nothing but its own
-index.  ``monte_carlo`` runs every ensemble of one (chain, omega, window)
-as one stack: each sample draws its unit variates once per distinct
-affected-site set, so every bulk strength b maps the same draws to its own
-fields.  The stack solves each distinct sample once, in one
+index; a seed or index that is not an integer in [0, 2**64) is rejected
+by name before any draw.  ``monte_carlo`` runs every ensemble of one
+(chain, omega, window) as one stack: each sample draws its unit variates
+once per distinct affected-site set, so every bulk strength b maps the
+same draws to its own fields.  A stack draws through one Philox bit
+generator re-keyed to (seed, i) before each sample (``_unit_draws``),
+which gives sample i the stream a fresh ``Philox(key=[seed, i])`` gives
+(``sample_profile``, the reference path) without building one per
+sample.  The stack solves each distinct sample once, in one
 ``spectral.transfer_spectra`` call that returns only the levels and
 end-to-end weights a search needs: samples whose fields are equal byte
 for byte (every sample at b = 0, where each is the clean chain) share one
@@ -84,17 +89,53 @@ class DisorderModel:
         return np.zeros(4), np.array([near, next_near, next_near, near])
 
 
+def _check_key(name: str, value) -> None:
+    """Reject a Philox key word (seed or sample index) that is not an
+    integer in [0, 2**64), naming it; a bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= int(value) < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+
+
 def _sample_rng(seed: int, sample_index: int) -> np.random.Generator:
     key = np.array([seed, sample_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _unit_draws(seed: int, n_samples: int, size: int) -> np.ndarray:
+    """Unit variates of samples 0..n_samples-1, shaped (n_samples, size):
+    row i is bit for bit ``_sample_rng(seed, i).random(size)``.
+
+    Philox is counter based (Salmon et al., SC'11, "Parallel random
+    numbers: as easy as 1, 2, 3"): its stream is fixed by its key and
+    counter alone.  So one bit generator is set, before each sample, to
+    the state of a fresh ``Philox(key=[seed, i])``: the state a fresh
+    Philox(key=[seed, 0]) starts in (counter 0, an empty buffer, no stored
+    32-bit half) with the key's second word set to i.  That drops whatever
+    part of a four-word block the previous sample left buffered.
+    """
+    _check_key("seed", seed)
+    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    fresh = bit_generator.state
+    key = fresh["state"]["key"]
+    generator = np.random.Generator(bit_generator)
+    units = np.empty((n_samples, size))
+    for i in range(n_samples):
+        key[1] = i
+        bit_generator.state = fresh
+        generator.random(out=units[i])
+    return units
+
+
 def sample_profile(model: DisorderModel, base: FieldProfile, sample_index: int, seed: int) -> FieldProfile:
     """One disorder realization added to a base profile.
 
-    Deterministic in (seed, sample_index); the base barrier sites are never
-    touched by the bulk model.
+    Deterministic in (seed, sample_index), each an integer in [0, 2**64);
+    the base barrier sites are never touched by the bulk model.
     """
+    _check_key("seed", seed)
+    _check_key("sample_index", sample_index)
     spec = ChainSpec(len(base))
     sites = model.affected_sites(spec)
     low, high = model.bounds(spec)
@@ -111,7 +152,8 @@ def _ensemble_fields(models: Sequence[DisorderModel], base: FieldProfile, n_samp
     ``sample_profile(models[m], base, i, seed)``.
 
     Each sample draws its unit variates from its own (seed, index) Philox
-    stream once per distinct affected-site set, and each model applies the
+    stream once per distinct affected-site set, all samples through one
+    re-keyed bit generator (``_unit_draws``), and each model applies the
     map low + (high - low) u that ``Generator.uniform`` applies to them to
     every sample at once.
     """
@@ -121,7 +163,7 @@ def _ensemble_fields(models: Sequence[DisorderModel], base: FieldProfile, n_samp
     for model, model_fields in zip(models, fields):
         sites = model.affected_sites(spec)
         if sites not in units:
-            units[sites] = np.array([_sample_rng(seed, i).random(len(sites)) for i in range(n_samples)])
+            units[sites] = _unit_draws(seed, n_samples, len(sites))
         low, high = model.bounds(spec)
         model_fields[:, np.array(sites) - 1] += low + (high - low) * units[sites]
     return fields
@@ -183,8 +225,7 @@ def monte_carlo(
         raise ValueError(f"unknown metric {metric!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    _check_key("seed", seed)
     base = barrier_profile(chain, omega)
     t_max = _clean_rabi_time(chain, omega)
     fields = _ensemble_fields(models, base, n_samples, seed).reshape(-1, chain.n_sites)

@@ -248,6 +248,24 @@ def _product_error(per_factor: np.ndarray, ceilings: np.ndarray) -> np.ndarray:
     return _product_rule(change, roof) + 4.0 * ceilings.shape[1] * _UNIT * np.prod(roof, axis=1)
 
 
+def _row_maxima(coarse: np.ndarray, count: int, block: int) -> np.ndarray:
+    """Per chain and row of the blocked scan of ``count`` points, the
+    largest coarse value (``coarse`` (chains, points), point j at grid index
+    16j) at the ends of the cells the row meets; shape (chains, rows).
+
+    Cell c spans grid points 16c..16(c+1), end points included, so row r,
+    grid points rB..(r+1)B-1, meets the cells from the last coarse point
+    before rB, lower[r], to the first one after (r+1)B-1, upper[r] (the
+    last point for the last row).  The points lower[r]..lower[r+1]-1 are
+    one ``np.maximum.reduceat`` segment (to the end for the last row);
+    lower[r+1] = upper[r] - 1, so upper[r] - 1 and upper[r] are the rest.
+    """
+    edges = block * np.arange(-(-count // block) + 1) - 1
+    lower = np.maximum(edges[:-1], 0) // _PRUNE_STRIDE
+    upper = np.minimum(edges[1:] // _PRUNE_STRIDE + 1, coarse.shape[1] - 1)
+    return np.maximum(np.maximum.reduceat(coarse, lower, axis=1), np.maximum(coarse[:, upper - 1], coarse[:, upper]))
+
+
 def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, count: int, block: int) -> list[np.ndarray]:
     """Rows of each chain's blocked scan that can hold its grid maximum, for
     a stack of chains (``levels`` (S, N), ``weights`` (S, F, N)) that share
@@ -270,8 +288,13 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
     whole stack at once.  The coarse pass of the pruning chains is one
     stacked scan of ``spectral.phase_tables``, (chains, 1, N) levels
     against (chains, F, N) weights, per slice of the stack whose tables
-    hold at most _COARSE_ENTRIES entries.  Every step is per chain, so a
-    chain's rows do not depend on the stack it is in.
+    hold at most _COARSE_ENTRIES entries.  Each slice maps its coarse
+    values to rows once (``_row_maxima``, one ``np.maximum.reduceat``):
+    rounding is monotone, so a row's largest coarse value plus reach plus
+    margin is, bit for bit, the largest bound of the cells it meets, and a
+    row is kept when that reaches the floor.  One flat ``np.nonzero`` over
+    the slice gives every chain's rows.  Every step is per chain, so a chain's
+    rows do not depend on the stack it is in.
     """
     n_chains, n_levels = levels.shape
     n_factors = weights.shape[1]
@@ -296,12 +319,6 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
     coarse_rows = np.arange(-(-n_coarse // coarse_block))
     # coarse points past the last grid point only bound the final cell
     top = (count - 1) // _PRUNE_STRIDE + 1
-    # cell c spans grid points 16c..16(c+1), so rows first[c]..last[c];
-    # row r meets the cells lower[r] <= c < upper[r]
-    cells = np.arange(n_coarse - 1)
-    first = _PRUNE_STRIDE * cells // block
-    last = np.minimum(_PRUNE_STRIDE * (cells + 1), count - 1) // block
-    lower, upper = np.searchsorted(last, every, "left"), np.searchsorted(first, every, "right")
     per_chain = n_factors * coarse_rows.size * (n_levels + coarse_block) + n_levels * (coarse_rows.size + coarse_block)
     for chunk in _slices(pruning.size, per_chain):
         part = pruning[chunk]
@@ -310,11 +327,12 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
         margin = slack[part] + _product_error(tables.bound(weights[part]), ceilings[part])
         coarse = np.abs(sums.reshape(part.size, n_factors, -1)[:, :, :n_coarse]).prod(axis=1)
         floor = coarse[:, :top].max(axis=1) - margin
-        bound = np.maximum(coarse[:, :-1], coarse[:, 1:]) + reach[part, None] + margin[:, None]
-        covered = np.cumsum(bound >= floor[:, None], axis=1)
-        covered = np.concatenate([np.zeros((part.size, 1), dtype=covered.dtype), covered], axis=1)
-        for chain, hits in zip(part, covered[:, upper] > covered[:, lower]):
-            kept[chain] = np.flatnonzero(hits)
+        bound = _row_maxima(coarse, count, block) + reach[part, None] + margin[:, None]
+        hits = (bound >= floor[:, None]).ravel().nonzero()[0]
+        ends = np.searchsorted(hits, n_rows * np.arange(part.size + 1)).tolist()
+        rows = hits % n_rows
+        for i, chain in enumerate(part.tolist()):
+            kept[chain] = rows[ends[i] : ends[i + 1]]
     return kept
 
 
@@ -330,28 +348,39 @@ def _grid_argmax(
     point, the exact argmax lies within 2 eps of the approximate maximum,
     so only the points that do are recomputed exactly, all chains' points
     in one ``spectral.scan_points`` call, and each chain takes the earliest
-    of its exact maxima.
+    of its exact maxima.  Each slice's tables are indexed once, starts as
+    (rows, chains, N) and offsets as (chains, N, block), so a chain costs
+    one gather, multiply and matmul, an ``abs`` (and a product over its
+    factors when it has more than one), the end mask and one flat
+    ``np.nonzero``, whose points come in grid order.
     """
     n_chains, n_factors, n_levels = weights.shape
     if n_chains == 0:
         return np.empty(0), np.empty(0)
     n_rows = -(-count // block)
     ceilings = np.abs(weights).sum(axis=2)
-    owner, rows, columns = [], [], []
+    n_near = np.empty(n_chains, dtype=np.intp)
+    rows, columns = [], []
     for part in _slices(n_chains, n_levels * (n_rows + block)):
         tables = phase_tables(levels[part, None], lo, step, block, n_rows)
-        error = _product_error(tables.bound(weights[part]), ceilings[part])
+        tolerance = 2.0 * _product_error(tables.bound(weights[part]), ceilings[part])
+        # starts (rows, chains, N) and offsets (chains, N, block), indexed once a slice
+        starts = tables.starts[:, :, 0]
+        offsets = np.moveaxis(tables.offsets[:, :, 0], 0, -1)
         for i, chain in enumerate(range(part.start, part.stop)):
             chain_rows = kept[chain]
-            values = np.abs(tables[i].scan(weights[chain], chain_rows)).prod(axis=0)
+            sums = (starts[chain_rows, i] * weights[chain, :, None, :]) @ offsets[i]
+            values = np.abs(sums[0]) if n_factors == 1 else np.abs(sums).prod(axis=0)
             # points past the grid's end, in its last row, are never candidates,
             # however wide the bound
             values[-1, count - chain_rows[-1] * block :] = -np.inf
-            near = np.flatnonzero(values >= values.max() - 2.0 * error[i])
-            owner.append(np.full(near.size, chain))
-            rows.append(chain_rows[near // block])
-            columns.append(near % block)
-    owner, rows, columns = np.concatenate(owner), np.concatenate(rows), np.concatenate(columns)
+            # a flat np.nonzero: numpy's two-dimensional one is several times slower
+            near_rows, near_columns = np.divmod((values >= values.max() - tolerance[i]).ravel().nonzero()[0], block)
+            n_near[chain] = near_rows.size
+            rows.append(chain_rows[near_rows])
+            columns.append(near_columns)
+    owner = np.repeat(np.arange(n_chains), n_near)
+    rows, columns = np.concatenate(rows), np.concatenate(columns)
     exact = np.abs(scan_points(levels[owner], weights[owner], lo, step, block, rows, columns)).prod(axis=1)
     # each chain's points come in grid order, so its first hit of its maximum is the earliest
     segments = np.searchsorted(owner, np.arange(n_chains))

@@ -391,15 +391,11 @@ class PhaseTables:
     """Approximate phase tables of the blocked scan (module docstring):
     ``starts`` (rows, ..., N) and ``offsets`` (block, ..., N), and ``error``
     (..., N), per level a bound on the errors of one start and one offset
-    entry, approximate and exact tables together.  Indexing selects chains
-    of the stack."""
+    entry, approximate and exact tables together."""
 
     starts: np.ndarray
     offsets: np.ndarray
     error: np.ndarray
-
-    def __getitem__(self, index) -> PhaseTables:
-        return PhaseTables(self.starts[:, index], self.offsets[:, index], self.error[index])
 
     def scan(self, weights: np.ndarray, rows) -> np.ndarray:
         """The approximate table of ``scan_rows`` for the given rows: weights

@@ -91,6 +91,18 @@ def test_ensemble_fields_are_sample_profile_bit_for_bit(n, model):
         assert np.array_equal(fields[index], sample_profile(model, base, index, 2024).local_fields)
 
 
+@pytest.mark.parametrize("seed", [0, 2024, 2**63, 2**64 - 1])
+def test_rekeyed_draws_are_fresh_philox_draws(seed):
+    """One re-keyed bit generator gives sample i the draws of a fresh
+    Philox(key=[seed, i]) bit for bit, for every draw length 1..9: an odd
+    length leaves part of a four-word block buffered, which the re-key
+    must drop rather than hand to the next sample."""
+    keys = [np.array([seed, i], dtype=np.uint64) for i in range(1000)]
+    for size in range(1, 10):
+        expected = np.array([np.random.Generator(np.random.Philox(key=key)).random(size) for key in keys])
+        assert np.array_equal(disorder._unit_draws(seed, 1000, size), expected)
+
+
 def test_leakage_draws_are_one_sided():
     base = barrier_profile(N10, 40.0)
     model = DisorderModel(BARRIER_LEAKAGE, 40.0)
@@ -203,11 +215,47 @@ def test_monte_carlo_input_guards():
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_monte_carlo_names_an_out_of_range_seed_before_any_draw(seed, monkeypatch):
     draws = []
-    monkeypatch.setattr(disorder, "_sample_rng", lambda *key: draws.append(key))
+    monkeypatch.setattr(disorder, "_unit_draws", lambda *key: draws.append(key))
     model = DisorderModel(BULK_UNIFORM, 1.0)
     with pytest.raises(ValueError, match=rf"seed .*{seed}"):
         monte_carlo("max-fidelity", [model], N10, 20.0, WINDOW10, n_samples=2, seed=seed)
     assert draws == []
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, np.float64(3.0), True, np.bool_(False), "3", None])
+def test_a_non_integer_seed_or_index_is_named_before_any_draw(bad, monkeypatch):
+    """A seed or sample index that is not an integer (a bool included) is
+    rejected by name, not truncated to the integer below it, at every
+    entry point and before any draw."""
+    draws = []
+    monkeypatch.setattr(disorder, "_unit_draws", lambda *key: draws.append(key))
+    monkeypatch.setattr(disorder, "_sample_rng", lambda *key: draws.append(key))
+    model = DisorderModel(BULK_UNIFORM, 1.0)
+    base = barrier_profile(N10, 20.0)
+    with pytest.raises(ValueError, match=r"^seed must be an integer"):
+        monte_carlo("max-fidelity", [model], N10, 20.0, WINDOW10, n_samples=2, seed=bad)
+    with pytest.raises(ValueError, match=r"^seed must be an integer"):
+        sample_profile(model, base, sample_index=0, seed=bad)
+    with pytest.raises(ValueError, match=r"^sample_index must be an integer"):
+        sample_profile(model, base, sample_index=bad, seed=0)
+    assert draws == []
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"^seed must be an integer"):
+        disorder._unit_draws(bad, 2, 3)
+
+
+@pytest.mark.parametrize("index", [-1, 2**64])
+def test_sample_profile_names_an_out_of_range_index(index):
+    with pytest.raises(ValueError, match=rf"sample_index must lie in \[0, 2\*\*64\), got {index}"):
+        sample_profile(DisorderModel(BULK_UNIFORM, 1.0), barrier_profile(N10, 20.0), index, 0)
+
+
+def test_numpy_integer_keys_draw_as_python_ints():
+    model = DisorderModel(BULK_UNIFORM, 1.0)
+    base = barrier_profile(N10, 20.0)
+    expected = sample_profile(model, base, 3, 2**64 - 1).local_fields
+    assert np.array_equal(sample_profile(model, base, np.int64(3), np.uint64(2**64 - 1)).local_fields, expected)
+    assert np.array_equal(disorder._unit_draws(np.uint64(2**64 - 1), 4, 6), disorder._unit_draws(2**64 - 1, 4, 6))
 
 
 def test_monte_carlo_of_no_models_is_empty():
@@ -219,13 +267,13 @@ def test_stack_draws_once_per_site_set_and_searches_each_distinct_sample_once(mo
     model draws its own, and the clean chain at b = 0 is solved once
     for the whole stack."""
     keys = []
-    sample_rng = disorder._sample_rng
+    unit_draws = disorder._unit_draws
 
-    def counted(seed, index):
-        keys.append((seed, index))
-        return sample_rng(seed, index)
+    def counted(seed, n_samples, size):
+        keys.extend((seed, index) for index in range(n_samples))
+        return unit_draws(seed, n_samples, size)
 
-    monkeypatch.setattr(disorder, "_sample_rng", counted)
+    monkeypatch.setattr(disorder, "_unit_draws", counted)
     calls = _counting_solves(monkeypatch)
     models = [DisorderModel(BULK_UNIFORM, b) for b in (0.0, 1.0, 2.0)] + [DisorderModel(BARRIER_LEAKAGE, 20.0)]
     results = monte_carlo("max-concurrence", models, N10, 20.0, WINDOW10, n_samples=6, seed=4)

@@ -25,6 +25,7 @@ from barrierchain.metrics import (
     _kept_rows,
     _median_levels,
     _product_error,
+    _row_maxima,
     average_fidelity,
     bilocalized_pair_by_energy,
     golden_section,
@@ -649,6 +650,78 @@ def test_coarse_pass_memory_is_bounded_by_the_slice():
     assert count == 30254 and whole > 30e6
     assert sum(rows.size < block for rows in kept) > 900
     assert peak < 4 * metrics._COARSE_ENTRIES * np.dtype(complex).itemsize < whole / 2
+
+
+def _cells_meeting_rows(count, block):
+    """(cells, rows) booleans: cell c, grid points 16c..min(16(c+1), count-1),
+    meets row r, grid points rB..min((r+1)B, count)-1, when the two ranges
+    share a point."""
+    n_rows = -(-count // block)
+    n_cells = -(-(count - 1) // 16)
+    cell_first = 16 * np.arange(n_cells)
+    cell_last = np.minimum(cell_first + 16, count - 1)
+    row_first = block * np.arange(n_rows)
+    row_last = np.minimum(row_first + block, count) - 1
+    return (cell_first[:, None] <= row_last) & (row_first <= cell_last[:, None])
+
+
+def _cell_by_cell_row_maxima(coarse, count, block):
+    """Per row, the largest max(coarse[c], coarse[c+1]) over the cells c
+    that meet it, tested cell by cell."""
+    meets = _cells_meeting_rows(count, block)
+    cell = np.maximum(coarse[:, :-1], coarse[:, 1:])
+    return np.where(meets[None], cell[:, :, None], -np.inf).max(axis=1)
+
+
+@pytest.mark.parametrize("count", [2, 17, 100, 150, 224, 225, 226, 1000, 4097, 30254])
+def test_row_maxima_keep_the_rows_of_the_cell_by_cell_rule(count):
+    """Each row's largest coarse value equals a cell-by-cell reference, on
+    grids under 225 points (block < 16, where one cell spans several rows),
+    with a full or a partial last row; and since rounding is monotone,
+    adding reach and margin to a row's maximum keeps exactly the rows whose
+    cells' own bounds (max of the two ends + reach + margin, the per-cell
+    rule) reach the floor, ties included."""
+    rng = np.random.default_rng(count)
+    block = scan_block_length(count)
+    n_coarse = -(-(count - 1) // 16) + 1
+    coarse = rng.random((4, n_coarse))
+    maxima = _row_maxima(coarse, count, block)
+    assert maxima.shape == (4, -(-count // block))
+    assert np.array_equal(maxima, _cell_by_cell_row_maxima(coarse, count, block))
+    reach, margin = rng.random(4)[:, None], 1e-3 * rng.random(4)[:, None]
+    cell_bound = np.maximum(coarse[:, :-1], coarse[:, 1:]) + reach + margin
+    # floors at a cell's own bound (a tie), just above it, and at a quantile
+    floor = np.stack([
+        cell_bound[0, rng.integers(n_coarse - 1)],
+        np.nextafter(cell_bound[1, rng.integers(n_coarse - 1)], np.inf),
+        np.quantile(cell_bound[2], 0.9),
+        np.quantile(cell_bound[3], 0.5),
+    ])[:, None]
+    meets = _cells_meeting_rows(count, block)
+    expected = ((cell_bound >= floor)[:, :, None] & meets[None]).any(axis=1)
+    assert np.array_equal(maxima + reach + margin >= floor, expected)
+
+
+@pytest.mark.parametrize("count, step", [(150, 0.03), (226, 0.02), (4001, 0.01), (30254, 0.01)])
+def test_kept_rows_match_a_cell_by_cell_reference_on_random_stacks(monkeypatch, count, step):
+    """Random N = 4 stacks with one factor and with two (the e-bit pair
+    search's F = 2) keep the rows a cell-by-cell row map keeps, on grids
+    under 225 points and over, and some of their chains prune."""
+    rng = np.random.default_rng(count)
+    block = scan_block_length(count)
+    n_rows = -(-count // block)
+    for n_factors in (1, 2):
+        fields = rng.uniform(-0.3, 0.3, (6, 4))
+        decomps = [eigendecompose(SingleExcitationHamiltonian(row, -np.ones(3))) for row in fields]
+        levels = np.array([d.eigenvalues for d in decomps])
+        ends = [d.eigenvectors[-1] * d.eigenvectors[0] for d in decomps]
+        weights = np.array([[w * (1.0 + 0.5 * f) for f in range(n_factors)] for w in ends]) / n_factors
+        kept = _kept_rows(levels, weights, 0.0, step, count, block)
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_row_maxima", _cell_by_cell_row_maxima)
+            reference = _kept_rows(levels, weights, 0.0, step, count, block)
+        assert [rows.tolist() for rows in kept] == [rows.tolist() for rows in reference]
+        assert sum(rows.size < n_rows for rows in kept) >= 3
 
 
 def test_grid_count_and_points_match_arange():
