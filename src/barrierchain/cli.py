@@ -352,6 +352,11 @@ def _cmd_effective(args) -> list[str]:
 
 
 def _cmd_oracle_check(args) -> list[str]:
+    # a run that checks nothing must not report a pass
+    if args.pairs < 1:
+        raise ValueError(f"nothing to check: --pairs {args.pairs} gives no (omega, t) pairs")
+    if args.n_min > args.n_max:
+        raise ValueError(f"nothing to check: the N range {args.n_min}..{args.n_max} is empty")
     rng = np.random.default_rng(args.seed)
     errors = []
     for n in range(args.n_min, args.n_max + 1):

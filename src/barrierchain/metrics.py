@@ -8,13 +8,19 @@ about single-qubit transfer: the input-averaged fidelity
 the transferred concurrence C = |f| (one half of a singlet shared with an
 idle external qubit), and the Rabi transfer time t_MAX = pi / gap of the
 pair of eigenstates bi-localized on sender and receiver.
+
+Every peak over time goes through ``peak_search``, on a stack of chains at
+once.  Approximate phase tables (``spectral.phase_tables``) prune each
+chain's grid and pick its candidates; one exact evaluator,
+``_pointwise_product``, then gives the candidates' values, the
+golden-section refinement's probes and every returned value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -24,7 +30,6 @@ from .spectral import (
     decompose,
     phase_tables,
     scan_block_length,
-    scan_points,
     transition_amplitude,
     transition_weights,
 )
@@ -192,6 +197,32 @@ def golden_section(fun, lo, hi, tol: float = 1e-4):
     return float(best) if best.ndim == 0 else best
 
 
+def _pointwise_sums(levels: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_k w_ck exp(-i lambda_ck t_c) for C chains, each at its own time:
+    ``levels`` (C, N), ``weights`` (C, F, N) and ``times`` (C,); returns the
+    sums, shape (F, C).
+
+    Each chain's time is rounded once into its phases lambda t, one
+    exponential each, and per factor a stacked (C, 1, N) @ (C, N, 1) matmul
+    takes one dot per chain, so a chain's sum has the bits
+    ``weighted_amplitude`` gives it alone, whatever the stack.
+    """
+    phases = np.exp(-1j * (times[:, None] * levels))[:, None, :]
+    return np.array([(phases @ weights[:, f, :, None])[:, 0, 0] for f in range(weights.shape[1])])
+
+
+def _pointwise_product(levels: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """prod_f |sum_k w_cfk exp(-i lambda_ck t_c)|, one per chain, with the
+    bits of the product of abs(``weighted_amplitude``) over the factors.
+
+    This is ``peak_search``'s one exact evaluator: its grid candidates, its
+    refinement and the grid value the refinement is compared against all go
+    through it.  np.hypot gives |z| the bits of Python's abs; np.abs on
+    complex arrays and einsum round differently.
+    """
+    return reduce(np.multiply, (np.hypot(z.real, z.imag) for z in _pointwise_sums(levels, weights, times)))
+
+
 def _grid_point(lo: float, step: float, i: int) -> float:
     """Element i of ``np.arange(lo, stop, step)``, by numpy's own fill
     arithmetic: lo, lo + step, then lo + i ((lo + step) - lo)."""
@@ -277,11 +308,12 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
     cell), so a cell whose bound lies below the coarse maximum cannot hold
     the grid maximum.  |a_f| does not change under a global phase, so each
     factor's slope bound sum_k |w_fk| |lambda_k - c_f| is taken about its
-    weighted median level c_f.  ``slack`` covers the round-off of both
-    scans, whose phases (unshifted) err by about eps |lambda_k| t, plus
+    weighted median level c_f.  ``slack`` covers the round-off of the grid
+    values, whose phases (unshifted) err by about eps |lambda_k| t, plus
     the proven bound (``PhaseTables.bound``) on how far the coarse pass's
-    approximate phase tables move its values from the exact tables' ones;
-    the rows kept are thus a superset of those an exact coarse pass keeps.
+    approximate phase tables, built at the grid's own spacing, move its
+    values from the pointwise ones; the rows kept are thus a superset of
+    those a pointwise coarse pass keeps.
     A chain keeps every row when no cell could be dropped.
 
     Ceilings, reach, slack and the choice to prune are worked out for the
@@ -304,7 +336,7 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
     magnitudes = np.abs(weights)
     ceilings = magnitudes.sum(axis=2)
     offset = np.abs(levels[:, None, :] - _median_levels(levels, magnitudes)[:, :, None])
-    stride = _PRUNE_STRIDE * step
+    stride = _PRUNE_STRIDE * ((lo + step) - lo)
     reach = 0.5 * stride * _product_rule((magnitudes * offset).sum(axis=2), ceilings)
     pruning = np.flatnonzero(reach < np.prod(ceilings, axis=1))
     if n_rows < 2 or pruning.size == 0:
@@ -341,15 +373,16 @@ def _grid_argmax(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(times, values) of each chain's earliest maximum of prod_f |a_f| on
     the grid of ``count`` points, scanning only its ``kept`` rows of the
-    blocked scan, with the bits of ``spectral.scan_rows``'s exact tables.
+    blocked scan; each value is ``_pointwise_product`` at its grid time.
 
     The kept rows are scanned with ``spectral.phase_tables``, built per
-    slice of the stack.  If eps bounds |approximate - exact| at every grid
-    point, the exact argmax lies within 2 eps of the approximate maximum,
-    so only the points that do are recomputed exactly, all chains' points
-    in one ``spectral.scan_points`` call, and each chain takes the earliest
-    of its exact maxima.  Each slice's tables are indexed once, starts as
-    (rows, chains, N) and offsets as (chains, N, block), so a chain costs
+    slice of the stack at the grid's own spacing, (lo + step) - lo.  If eps
+    bounds |approximate - pointwise| at every grid point, the pointwise
+    argmax lies within 2 eps of the approximate maximum, so only the points
+    that do are recomputed, at their ``_grid_point`` times, all chains'
+    points in one ``_pointwise_product`` call, and each chain takes the
+    earliest of its maxima.  Each slice's tables are indexed once, starts
+    as (rows, chains, N) and offsets as (chains, N, block), so a chain costs
     one gather, multiply and matmul, an ``abs`` (and a product over its
     factors when it has more than one), the end mask and one flat
     ``np.nonzero``, whose points come in grid order.
@@ -360,9 +393,9 @@ def _grid_argmax(
     n_rows = -(-count // block)
     ceilings = np.abs(weights).sum(axis=2)
     n_near = np.empty(n_chains, dtype=np.intp)
-    rows, columns = [], []
+    candidates = []
     for part in _slices(n_chains, n_levels * (n_rows + block)):
-        tables = phase_tables(levels[part, None], lo, step, block, n_rows)
+        tables = phase_tables(levels[part, None], lo, (lo + step) - lo, block, n_rows)
         tolerance = 2.0 * _product_error(tables.bound(weights[part]), ceilings[part])
         # starts (rows, chains, N) and offsets (chains, N, block), indexed once a slice
         starts = tables.starts[:, :, 0]
@@ -377,17 +410,15 @@ def _grid_argmax(
             # a flat np.nonzero: numpy's two-dimensional one is several times slower
             near_rows, near_columns = np.divmod((values >= values.max() - tolerance[i]).ravel().nonzero()[0], block)
             n_near[chain] = near_rows.size
-            rows.append(chain_rows[near_rows])
-            columns.append(near_columns)
+            candidates.append(chain_rows[near_rows] * block + near_columns)
     owner = np.repeat(np.arange(n_chains), n_near)
-    rows, columns = np.concatenate(rows), np.concatenate(columns)
-    exact = np.abs(scan_points(levels[owner], weights[owner], lo, step, block, rows, columns)).prod(axis=1)
+    times = np.array([_grid_point(lo, step, i) for i in np.concatenate(candidates).tolist()])
+    exact = _pointwise_product(levels[owner], weights[owner], times)
     # each chain's points come in grid order, so its first hit of its maximum is the earliest
     segments = np.searchsorted(owner, np.arange(n_chains))
     hit = np.flatnonzero(exact == np.maximum.reduceat(exact, segments)[owner])
     best = hit[np.searchsorted(owner[hit], np.arange(n_chains))]
-    times = [_grid_point(lo, step, int(i)) for i in rows[best] * block + columns[best]]
-    return np.array(times, dtype=float), exact[best]
+    return times[best], exact[best]
 
 
 def peak_search(levels, weights, window: tuple[float, float], t_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -401,12 +432,14 @@ def peak_search(levels, weights, window: tuple[float, float], t_max: float | Non
     points above hi, with step min(0.25, t_max/200) when the Rabi time
     ``t_max`` is known and 0.25 otherwise.  Each chain's argmax (earliest on
     ties) is refined by one lockstep ``golden_section`` over +-1 step
-    clipped to [lo, hi], which evaluates the same weighted sums the scan
-    does, and a chain whose refinement ends below its grid value keeps the
-    grid point.  Returns the arrays (t*, product at t*), one entry per
-    chain; each product has the bits of prod_f |``weighted_amplitude``|.
+    clipped to [lo, hi], and a chain whose refinement ends below its grid
+    value keeps the grid point.  The grid values, the refinement and the
+    comparison all go through one evaluator, ``_pointwise_product``.
+    Returns the arrays (t*, product at t*), one entry per chain; each
+    product has the bits of prod_f |``weighted_amplitude``|.  ``t_max``,
+    when given, must be positive and finite.
 
-    Each chain scans only the blocks of ``scan_rows`` that can hold its
+    Each chain scans only the rows of the blocked scan that can hold its
     maximum.  |a_f| does not change under a global phase, so for any c,
     |d|a_f|/dt| <= L_f(c) = sum_k |w_fk| |lambda_k - c| (Shubert, SIAM J.
     Numer. Anal. 9 (1972) 379); c_f, the |w_f|-weighted median level,
@@ -415,37 +448,29 @@ def peak_search(levels, weights, window: tuple[float, float], t_max: float | Non
     stack, certifies which cells lie strictly below the grid maximum (see
     ``_kept_rows``).  Both passes scan approximate phase tables built by
     recurrence once per slice of the stack (``spectral.phase_tables``),
-    with a proven bound on how far they move each value from the exact
-    tables' one.  The coarse pass adds that bound to its slack; the fine
-    pass recomputes exactly only the points within twice the bound of a
+    with a proven bound on how far they move each value from the
+    pointwise one.  The coarse pass adds that bound to its slack; the fine
+    pass evaluates pointwise only the points within twice the bound of a
     chain's approximate maximum (``_grid_argmax``), so the argmax, the
     grid value the refinement is compared against and every returned bit
-    are those of the full scan.
+    are those of ``_pointwise_product`` on every grid point.
     """
     lo, hi = float(window[0]), float(window[1])
     if not -np.inf < lo < hi < np.inf:
         raise ValueError(f"window must be finite with positive length, got {(lo, hi)}")
+    if t_max is not None and not 0.0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
     count = _grid_count(lo, hi, step)
     block = scan_block_length(count)
     kept = _kept_rows(levels, weights, lo, step, count, block)
     t_grid, grid_value = _grid_argmax(levels, weights, kept, lo, step, count, block)
-
-    def product(t: np.ndarray) -> np.ndarray:
-        # per factor, a stacked (S, 1, N) @ (S, N, 1) matmul and np.hypot give
-        # each chain the bits of abs(weighted_amplitude(...)) at its time;
-        # np.abs on complex arrays and einsum round differently
-        phases = np.exp(-1j * (t[:, None] * levels))[:, None, :]
-        sums = ((phases @ weights[:, f, :, None])[:, 0, 0] for f in range(weights.shape[1]))
-        return reduce(np.multiply, (np.hypot(z.real, z.imag) for z in sums))
-
+    product = partial(_pointwise_product, levels, weights)
     t_best = golden_section(product, np.maximum(lo, t_grid - step), np.minimum(hi, t_grid + step))
     value = product(t_best)
+    # the grid value has the bits the same evaluator gives at t_grid
     fall = value < grid_value
-    if fall.any():
-        t_best = np.where(fall, t_grid, t_best)
-        value = np.where(fall, product(t_best), value)
-    return t_best, value
+    return np.where(fall, t_grid, t_best), np.where(fall, grid_value, value)
 
 
 def max_fidelity(

@@ -1,36 +1,55 @@
 """Full-grid peak searches kept as references for the pruned ``peak_search``.
 
 These are the searches as they stood before pruning and before the
-lockstep refinement: every grid point is scanned by ``scan_amplitude``,
-each peak is refined by the scalar golden section below, and the
-refinement objectives go through the public amplitude functions (the pair
-concurrence through ``weighted_amplitude`` on the weights of p_{N-1} and
-p_N that its scan uses).  Tests require the pruned, stacked search to
-return the same bits.
+lockstep refinement: every grid point is evaluated by ``scan_amplitude``,
+the search's own pointwise evaluator, each peak is refined by the scalar
+golden section below, and the refinement objectives go through the public
+amplitude functions (the pair concurrence through ``weighted_amplitude``
+on the weights of p_{N-1} and p_N that its scan uses).  Tests require the
+pruned, stacked search to return the same bits.
 """
 
 import numpy as np
 
-from barrierchain.metrics import average_fidelity
+from barrierchain.metrics import _pointwise_product, average_fidelity
 from barrierchain.spectral import (
     decompose,
-    scan_block_length,
-    scan_rows,
     transition_amplitude,
     transition_weights,
     weighted_amplitude,
 )
 
+# grid points evaluated per call, to bound the (points, N) phase table
+_CHUNK = 4096
+
+
+def grid_times(lo: float, step: float, count: int) -> np.ndarray:
+    """The first ``count`` points of the grid ``np.arange(lo, stop, step)``,
+    with the bits of ``metrics._grid_point``: lo, lo + step, then
+    lo + j ((lo + step) - lo)."""
+    times = lo + np.arange(count) * ((lo + step) - lo)
+    times[1:2] = lo + step
+    return times
+
 
 def scan_amplitude(decomp, weights, lo: float, step: float, count: int) -> np.ndarray:
-    """sum_k w_k exp(-i lambda_k (lo + j step)) for j = 0..count-1.
-
-    Every row of the blocked phase table of ``spectral.scan_rows``, trimmed
-    to ``count`` points; returns a complex array of length count.
+    """prod_f |sum_k w_fk exp(-i lambda_k t_j)| at every grid time t_j,
+    j = 0..count-1, by ``metrics._pointwise_product``; ``weights`` is one
+    weight vector (N,) or F of them (F, N).  Returns a real array of length
+    count.
     """
-    block = scan_block_length(count)
-    rows = np.arange(-(-count // block))
-    return scan_rows(decomp.eigenvalues, weights, lo, step, block, rows).reshape(-1)[:count]
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    levels = decomp.eigenvalues[None]
+    weights = np.asarray(weights).reshape(1, -1, decomp.n_sites)
+    times = grid_times(lo, step, count)
+    parts = []
+    for begin in range(0, count, _CHUNK):
+        chunk = times[begin : begin + _CHUNK]
+        # one copy of the chain per point, as the search stacks its candidates
+        owner = np.zeros(chunk.size, dtype=np.intp)
+        parts.append(_pointwise_product(levels[owner], weights[owner], chunk))
+    return np.concatenate(parts)
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float = 1e-4) -> float:
@@ -81,7 +100,7 @@ def full_grid_max_fidelity(decomp, window, t_max=None) -> tuple[float, float]:
     weights = transition_weights(decomp, 1, receiver)
 
     def scan(grid):
-        return np.abs(scan_amplitude(decomp, weights, lo, step, grid.size))
+        return scan_amplitude(decomp, weights, lo, step, grid.size)
 
     def objective(t):
         return abs(transition_amplitude(decomp, 1, receiver, t))
@@ -99,9 +118,7 @@ def full_grid_peak_pair_concurrence(spec, profile, state, window) -> tuple[float
     w_nm1, w_n = decomp.eigenvectors[-2, :] * start, decomp.eigenvectors[-1, :] * start
 
     def scan(grid):
-        p_nm1 = scan_amplitude(decomp, w_nm1, lo, step, grid.size)
-        p_n = scan_amplitude(decomp, w_n, lo, step, grid.size)
-        return 2.0 * np.abs(p_nm1) * np.abs(p_n)
+        return 2.0 * scan_amplitude(decomp, np.stack([w_nm1, w_n]), lo, step, grid.size)
 
     def objective(t):
         return 2.0 * abs(weighted_amplitude(decomp, w_nm1, t)) * abs(weighted_amplitude(decomp, w_n, t))

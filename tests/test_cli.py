@@ -1,6 +1,8 @@
 import json
 import os
 import runpy
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -272,6 +274,19 @@ def test_oracle_check_passes_and_fails(tmp_path, capsys):
         assert error["error"] == "ValueError"
         # the report is still written so the failure can be inspected
         assert json.loads((tmp_path / "strict.json").read_text())["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--pairs", "0"], "--pairs 0"), (["--n-min", "9", "--n-max", "8"], "N range 9..8 is empty")],
+)
+def test_oracle_check_fails_when_it_would_check_nothing(tmp_path, capsys, flags, named):
+    # zero checks used to write "checks": 0, "pass": true
+    captured = run(["oracle-check", *flags], tmp_path, capsys, expect=1)
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "ValueError"
+    assert "nothing to check" in error["message"] and named in error["message"]
+    assert not (tmp_path / "oracle-check.json").exists()
 
 
 def test_oracle_check_fails_on_a_nan_error(tmp_path, capsys, monkeypatch):
@@ -567,3 +582,36 @@ def test_unknown_subcommand_exits_2_with_the_choices(capsys):
     assert "argument experiment: invalid choice: 'bogus'" in err
     for name in SUBCOMMANDS:
         assert f"'{name}'" in err
+
+
+_THREAD_RUNS = """
+import sys
+from barrierchain.cli import main
+for argv in (
+    ["maxfid", "--n-min", "10", "--n-max", "100", "--n-step", "45", "--omega-steps", "3"],
+    ["disorder", "--n", "10", "--n-samples", "12"],
+):
+    if main(argv) != 0:
+        sys.exit(1)
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A small maxfid and disorder run, each in a fresh process with BLAS on
+    1 and on 2 threads, write byte-identical files."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    procs = {}
+    for threads in ("1", "2"):
+        outdir = tmp_path / threads
+        outdir.mkdir()
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env[ENV_OUTDIR] = str(outdir)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        procs[threads] = subprocess.Popen([sys.executable, "-c", _THREAD_RUNS], env=env, stderr=subprocess.PIPE)
+    for proc in procs.values():
+        assert proc.wait(timeout=60) == 0, proc.stderr.read().decode()
+        proc.stderr.close()
+    names = sorted(path.name for path in (tmp_path / "1").iterdir())
+    assert names == ["disorder.csv", "maxfid.csv"]
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

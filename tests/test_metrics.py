@@ -42,7 +42,6 @@ from barrierchain.spectral import (
     eigendecompose,
     phase_tables,
     scan_block_length,
-    scan_rows,
     transition_amplitude,
     transition_weights,
     weighted_amplitude,
@@ -309,17 +308,28 @@ def test_peak_search_rejects_a_non_finite_window(window):
         peak_search(decomp.eigenvalues[None], transition_weights(decomp, 1, 6)[None, None], window)
 
 
+@pytest.mark.parametrize("t_max", [0.0, -1.0, -0.0, np.nan, np.inf, -np.inf])
+def test_peak_search_rejects_a_t_max_that_is_not_positive_and_finite(t_max):
+    # t_max = 0 made the step 0, -1 made it negative, and NaN fell back to
+    # step 0.25 unseen
+    decomp = decompose(6, 4.0)
+    with pytest.raises(ValueError, match="t_max"):
+        peak_search(decomp.eigenvalues[None], transition_weights(decomp, 1, 6)[None, None], (0.0, 5.0), t_max)
+    with pytest.raises(ValueError, match="t_max"):
+        max_fidelity(decomp, (0.0, 5.0), t_max=t_max)
+
+
 @pytest.mark.parametrize("hi", [4000.0, 20000.0])
 def test_max_fidelity_matches_direct_scan(hi):
-    """Gate 6's N=11, omega=10 chain: the blocked scan picks the direct
+    """Gate 6's N=11, omega=10 chain: the pointwise scan picks the direct
     scan's grid argmax, and the same refinement then gives the same peak."""
     decomp = decompose(11, 10.0)
     step = 0.25
     grid = np.arange(0.0, hi + step, step)
     grid = grid[grid <= hi]
     direct = np.abs(transition_amplitude(decomp, 1, 11, grid))
-    blocked = np.abs(scan_amplitude(decomp, transition_weights(decomp, 1, 11), 0.0, step, grid.size))
-    assert int(np.argmax(blocked)) == int(np.argmax(direct))
+    pointwise = scan_amplitude(decomp, transition_weights(decomp, 1, 11), 0.0, step, grid.size)
+    assert int(np.argmax(pointwise)) == int(np.argmax(direct))
 
     def objective(t):
         return abs(transition_amplitude(decomp, 1, 11, t))
@@ -377,24 +387,22 @@ def _slow_pair(j):
     return decomp, transition_weights(decomp, 1, 2)
 
 
-def _kept_rows_match_full_scan(decomp, weights, hi):
+def _kept_rows_of(decomp, weights, hi):
+    """The kept rows of a one-chain search over (0, hi), and the row count."""
     count = _grid_count(0.0, hi, 0.25)
     block = scan_block_length(count)
     (rows,) = _kept_rows(decomp.eigenvalues[None], weights[None, None], 0.0, 0.25, count, block)
-    index = rows[:, None] * block + np.arange(block)
-    inside = index < count
-    kept = scan_rows(decomp.eigenvalues, weights, 0.0, 0.25, block, rows)[inside]
-    assert np.array_equal(kept, scan_amplitude(decomp, weights, 0.0, 0.25, count)[index[inside]])
     return rows, -(-count // block)
 
 
 def test_single_kept_block_gives_the_full_grid_bits():
     """|sin(1e-4 t)| still rises at the window's end, so only the last cells
     can hold the maximum and they all sit in the last block.  That lone
-    kept block is scanned alone and still gives the full grid's bits."""
+    kept block is scanned alone and the search still gives the full grid's
+    bits."""
     decomp, weights = _slow_pair(1e-4)
     hi = (110 * 110 - 1) * 0.25  # the last of 110 blocks is full
-    rows, n_rows = _kept_rows_match_full_scan(decomp, weights, hi)
+    rows, n_rows = _kept_rows_of(decomp, weights, hi)
     assert n_rows == 110
     assert rows.tolist() == [109]
     t_star, fbar = max_fidelity(decomp, (0.0, hi))
@@ -405,7 +413,7 @@ def test_single_kept_block_gives_the_full_grid_bits():
 def test_two_near_equal_peaks_in_separate_cells():
     # |sin(0.01 t)| peaks at 157.08 and 471.24; round-off decides between them
     decomp, weights = _slow_pair(0.01)
-    rows, n_rows = _kept_rows_match_full_scan(decomp, weights, 600.0)
+    rows, n_rows = _kept_rows_of(decomp, weights, 600.0)
     assert np.any(np.diff(rows) > 1) and rows.size < n_rows
     t_star, fbar = max_fidelity(decomp, (0.0, 600.0))
     assert (t_star, fbar) == full_grid_max_fidelity(decomp, (0.0, 600.0))
@@ -424,7 +432,7 @@ def test_peak_search_takes_any_weights(window):
         return abs(weighted_amplitude(decomp, weights, t))
 
     expected = _peak_search(
-        objective, lambda g: np.abs(scan_amplitude(decomp, weights, lo, 0.25, g.size)), lo, hi, 0.25
+        objective, lambda g: scan_amplitude(decomp, weights, lo, 0.25, g.size), lo, hi, 0.25
     )
 
     levels, stack = decomp.eigenvalues[None], weights[None, None]
@@ -456,7 +464,7 @@ def test_two_level_beat_keeps_the_peak_cell(gap, second, phase, hi):
         return abs(weighted_amplitude(decomp, weights, t))
 
     expected = _peak_search(
-        objective, lambda g: np.abs(scan_amplitude(decomp, weights, 0.0, 0.25, g.size)), 0.0, hi, 0.25
+        objective, lambda g: scan_amplitude(decomp, weights, 0.0, 0.25, g.size), 0.0, hi, 0.25
     )
     t_star, value = peak_search(levels[None], weights[None, None], (0.0, hi))
     assert (t_star[0], value[0]) == expected
@@ -465,18 +473,48 @@ def test_two_level_beat_keeps_the_peak_cell(gap, second, phase, hi):
 @pytest.mark.parametrize("lo, stride, count", [(0.0, 0.25, 16001), (211.3, 0.25, 30254), (211.3, 4.0, 1892)])
 def test_product_error_bounds_both_passes(lo, stride, count):
     """The values both passes compare, prod_f |a_f| from the approximate
-    tables, lie within ``_product_error`` of the exact tables' values on
-    random and barrier chains, N 4..100, with one factor (|f|) and two (the
-    pair concurrence): fine grids of 16k and 30k points, and the coarse
-    grid of a 30k-point search (stride 16 steps), past the origin."""
+    tables, lie within ``_product_error`` of the pointwise evaluator's
+    values on random and barrier chains, N 4..100, with one factor (|f|)
+    and two (the pair concurrence): fine grids of 16k and 30k points, and
+    the coarse grid of a 30k-point search (stride 16 steps), past the
+    origin."""
     block = scan_block_length(count)
     every = np.arange(-(-count // block))
     for decomp, weights in _bound_chains():
-        tables = phase_tables(decomp.eigenvalues[None], lo, stride, block, every.size)
-        approx = np.abs(tables.scan(weights, every)).prod(axis=0)
-        exact = np.abs(scan_rows(decomp.eigenvalues[None], weights, lo, stride, block, every)).prod(axis=0)
+        tables = phase_tables(decomp.eigenvalues[None], lo, (lo + stride) - lo, block, every.size)
+        approx = np.abs(tables.scan(weights, every)).prod(axis=0).reshape(-1)[:count]
+        pointwise = scan_amplitude(decomp, weights, lo, stride, count)
         error = _product_error(tables.bound(weights)[None], np.abs(weights).sum(axis=1)[None])[0]
-        assert np.max(np.abs(approx - exact)) <= error < 1e-9
+        assert np.max(np.abs(approx - pointwise)) <= error < 1e-9
+
+
+@pytest.mark.parametrize("n, omega, t_max", [(30, 20.0, 12.3456789), (55, 10.0, 12.3456789)])
+def test_fine_pass_tables_bound_the_pointwise_values_off_the_origin(monkeypatch, n, omega, t_max):
+    """Over (5000, 5000 + 20 t_max) at the step t_max / 200, numpy's grid
+    spacing (lo + step) - lo is not the step, and the grid times drift from
+    lo + j step by up to about j u lo, several times the tables' bound on
+    these chains.  The tables the fine pass scans, built at the spacing,
+    still lie within their bound of the pointwise value at every grid time,
+    and the search gives the full grid's bits."""
+    built = []
+
+    def recording(*args):
+        built.append((args, phase_tables(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(metrics, "phase_tables", recording)
+    decomp = decompose(n, omega)
+    weights = transition_weights(decomp, 1, n)[None]
+    lo, hi, step = 5000.0, 5000.0 + 20.0 * t_max, t_max / 200.0
+    assert (lo + step) - lo != step
+    peak_search(decomp.eigenvalues[None], weights[None], (lo, hi), t_max)
+    count = _grid_count(lo, hi, step)
+    block = scan_block_length(count)
+    (tables,) = [tables for args, tables in built if args[3] == block]
+    approx = np.abs(tables.scan(weights, np.arange(-(-count // block)))[0]).reshape(-1)[:count]
+    error = _product_error(tables.bound(weights)[None], np.abs(weights).sum(axis=1)[None])[0]
+    assert np.max(np.abs(approx - scan_amplitude(decomp, weights, lo, step, count))) <= error
+    assert max_fidelity(decomp, (lo, hi), t_max=t_max) == full_grid_max_fidelity(decomp, (lo, hi), t_max=t_max)
 
 
 def _beat(gap, phase, second=0.3):
@@ -487,15 +525,15 @@ def _beat(gap, phase, second=0.3):
 
 
 def _candidates(monkeypatch):
-    """Record how many points each ``scan_points`` call recomputes."""
+    """Record how many points each ``_pointwise_product`` call evaluates."""
     calls = []
-    original = metrics.scan_points
+    original = metrics._pointwise_product
 
     def counting(levels, *args):
         calls.append(levels.shape[0])
         return original(levels, *args)
 
-    monkeypatch.setattr(metrics, "scan_points", counting)
+    monkeypatch.setattr(metrics, "_pointwise_product", counting)
     return calls
 
 
@@ -506,15 +544,15 @@ def _candidates(monkeypatch):
 )
 def test_candidate_recompute_matches_the_full_grid_on_near_ties(monkeypatch, lo, count, tie):
     """Grid points whose values tie up to round-off are all candidates, and
-    the exact recompute picks the full scan's argmax and value.
+    the pointwise recompute picks the full scan's argmax and value.
 
     twin-peaks: a period of exactly 100 puts the grid points 0.1, 100.1 and
     200.1, in different rows, the same distance past a peak, so their
-    values are equal but for round-off.  The others put one peak
-    midway between grid points ``tie`` and ``tie`` + 1 of a 47-column table
-    (block mod 4 = 3, so the last group holds columns 40..46): both in the
-    last group, one either side of its start, and the grid's last two points
-    (the last row holds 35 of its 47 columns)."""
+    values are equal but for round-off (and at lo = 0.1 the grid's spacing
+    differs from its step).  The others put one peak midway between grid
+    points ``tie`` and ``tie`` + 1 of a 47-column table: columns 44 and 45
+    of a row, columns 39 and 40 of it, and the grid's last two points (the
+    last row holds 35 of its 47 columns)."""
     calls = _candidates(monkeypatch)
     step = 0.25
     hi = lo + (count - 1) * step
@@ -527,7 +565,7 @@ def test_candidate_recompute_matches_the_full_grid_on_near_ties(monkeypatch, lo,
     block = scan_block_length(count)
     assert _grid_count(lo, hi, step) == count and (tie is None or block == 47)
 
-    values = np.abs(scan_amplitude(decomp, weights, lo, step, count))
+    values = scan_amplitude(decomp, weights, lo, step, count)
     best = int(np.argmax(values))
     levels, stack = decomp.eigenvalues[None], weights[None, None]
     (kept,) = _kept_rows(levels, stack, lo, step, count, block)

@@ -11,7 +11,7 @@ from barrierchain.chain import (
     build_hamiltonian,
     ebit_barrier_profile,
 )
-from barrierchain.metrics import ipr
+from barrierchain.metrics import _grid_point, _pointwise_sums, ipr
 from barrierchain.spectral import (
     _fix_signs,
     _parity_eigh,
@@ -21,16 +21,15 @@ from barrierchain.spectral import (
     evolve_many,
     phase_tables,
     scan_block_length,
-    scan_points,
-    scan_rows,
     site_state,
     transfer_spectra,
     transition_amplitude,
     transition_weights,
     tridiagonal_eigh,
+    weighted_amplitude,
 )
 
-from _full_grid import scan_amplitude
+from _full_grid import grid_times, scan_amplitude
 
 
 def random_profile(n, seed, scale=3.0):
@@ -133,10 +132,15 @@ def test_scan_amplitude_matches_transition_amplitude(n):
             for lo in (0.0, 37.3):
                 scan = scan_amplitude(decomp, weights, lo, step, count)
                 assert scan.shape == (count,)
-                times = lo + step * np.arange(count)
+                times = grid_times(lo, step, count)
+                assert np.array_equal(times, np.arange(lo, lo + (count - 0.5) * step, step))
+                assert times[: min(count, 20)].tolist() == [_grid_point(lo, step, j) for j in range(min(count, 20))]
                 for a in range(0, count, 10000):  # bound the reference table
-                    direct = transition_amplitude(decomp, from_site, to_site, times[a : a + 10000])
+                    direct = np.abs(transition_amplitude(decomp, from_site, to_site, times[a : a + 10000]))
                     assert np.max(np.abs(scan[a : a + 10000] - direct)) <= 1e-11
+                # each point has the bits of the scalar amplitude at its grid time
+                for j in {0, count // 2, count - 1}:
+                    assert scan[j] == abs(weighted_amplitude(decomp, weights, times[j]))
     with pytest.raises(ValueError):
         scan_amplitude(decomp, weights, 0.0, step, 0)
 
@@ -152,77 +156,16 @@ def _rule_chains(n):
 
 @pytest.mark.parametrize("n", [2, 8, 30, 100])
 def test_any_rows_or_times_get_the_whole_tables_bits(n):
-    """numpy multiplies a lone row by gemv, which rounds unlike gemm; the
-    kernels hide that, so a single row, a scattered subset of rows, a
-    stacked call and a single time all give the whole table's bits."""
+    """numpy multiplies a lone row by gemv, which rounds unlike gemm;
+    ``evolve_many`` hides that, so a single time gives the whole table's
+    bits."""
     rng = np.random.default_rng(n)
-    decomps = _rule_chains(n)
-    count, lo, step = 2000, 3.7, 0.25
-    block = scan_block_length(count)
-    every = np.arange(-(-count // block))
-    scattered = np.sort(rng.choice(every, 7, replace=False))
-    for decomp in decomps:
-        weights = transition_weights(decomp, 1, n)
-        whole = scan_rows(decomp.eigenvalues, weights, lo, step, block, every)
-        for row in every:
-            assert np.array_equal(scan_rows(decomp.eigenvalues, weights, lo, step, block, [row]), whole[row : row + 1])
-        assert np.array_equal(scan_rows(decomp.eigenvalues, weights, lo, step, block, scattered), whole[scattered])
-
+    for decomp in _rule_chains(n):
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         times = rng.uniform(0.0, 500.0, 50)
         table = evolve_many(decomp, psi, times)
         for i, t in enumerate(times):
             assert np.array_equal(evolve_many(decomp, psi, [t]), table[i : i + 1])
-
-    # (S, F) stacks against per-chain, per-factor calls
-    levels = np.stack([d.eigenvalues for d in decomps])
-    weights = np.stack([[transition_weights(d, 1, n), transition_weights(d, 1, max(1, n - 1))] for d in decomps])
-    for rows in (every, scattered, every[-1:]):
-        stacked = scan_rows(levels[:, None], weights, lo, step, block, rows)
-        assert stacked.shape == (len(decomps), 2, rows.size, block)
-        for s, decomp in enumerate(decomps):
-            for f in range(2):
-                alone = scan_rows(decomp.eigenvalues, weights[s, f], lo, step, block, every)[rows]
-                assert np.array_equal(stacked[s, f], alone)
-
-
-@pytest.mark.parametrize("n", [2, 8, 30, 100])
-def test_column_groups_get_the_whole_tables_bits(n):
-    """OpenBLAS's zgemm takes columns in groups of four and a table's last
-    one to three by narrower kernels; ``scan_points`` multiplies each point's
-    aligned group, run to the table's end for the last one, and gets the
-    whole table's bits for every column of a lone row, for scattered
-    points and for stacked (S, F) calls, at every block mod 4 and for
-    blocks narrower than one group."""
-    rng = np.random.default_rng(n)
-    decomps = _rule_chains(n)
-    lo, step = 3.7, 0.25
-    # blocks 1, 2, 3, 4, 5 and 44..47 (block mod 4 = 0, 1, 2, 3)
-    counts = [1, 3, 7, 10, 17, 1900, 2000, 2070, 2150]
-    assert sorted({scan_block_length(c) % 4 for c in counts}) == [0, 1, 2, 3]
-    levels = np.stack([d.eigenvalues for d in decomps])
-    pair = np.stack([[transition_weights(d, 1, n), transition_weights(d, 1, max(1, n - 1))] for d in decomps])
-    for count in counts:
-        block = scan_block_length(count)
-        every = np.arange(-(-count // block))
-        wholes = [[scan_rows(d.eigenvalues, w, lo, step, block, every) for w in ws] for d, ws in zip(decomps, pair)]
-        for s, chain in enumerate(wholes):
-            whole = chain[0]
-            for row in {0, every[-1], int(rng.choice(every))}:
-                columns = np.arange(block)
-                points = scan_points(
-                    np.repeat(levels[s : s + 1], block, axis=0), np.repeat(pair[s : s + 1, :1], block, axis=0),
-                    lo, step, block, np.full(block, row), columns,
-                )
-                assert np.array_equal(points[:, 0], whole[row])
-        # scattered points of every chain and factor in one stacked call
-        owner = rng.integers(len(decomps), size=40)
-        rows, columns = rng.choice(every, 40), rng.integers(block, size=40)
-        points = scan_points(levels[owner], pair[owner], lo, step, block, rows, columns)
-        assert points.shape == (40, 2)
-        for c in range(40):
-            for f in range(2):
-                assert points[c, f] == wholes[owner[c]][f][rows[c], columns[c]]
 
 
 def _table_chains():
@@ -238,28 +181,44 @@ def _table_chains():
             yield decomp, np.stack([transition_weights(decomp, 1, n), v[-2] * start, v[-1] * start])
 
 
+def _pointwise_scan(decomp, weights, times):
+    """The pointwise sums of ``metrics._pointwise_sums`` at every time,
+    shape (F, len(times)), in chunks that bound the phase table."""
+    parts = []
+    for begin in range(0, times.size, 4096):
+        owner = np.zeros(min(4096, times.size - begin), dtype=np.intp)
+        parts.append(_pointwise_sums(decomp.eigenvalues[None][owner], weights[None][owner], times[begin : begin + owner.size]))
+    return np.concatenate(parts, axis=1)
+
+
 @pytest.mark.parametrize(
     "count, lo, stride",
-    [(120001, 37.3, 0.25), (7501, 37.3, 4.0), (16001, 1234.5, 0.25), (1001, 0.0, 4.0), (5, 2.0, 0.25)],
-    ids=["fine-120k", "coarse-120k", "fine-16k", "coarse-16k", "fine-5"],
+    [
+        (120001, 37.3, 0.25), (7501, 37.3, 4.0), (16001, 1234.5, 0.25), (1001, 0.0, 4.0), (5, 2.0, 0.25),
+        (1001, 0.1, 0.25), (401, 617.28394505, 6.1728394505),
+    ],
+    ids=["fine-120k", "coarse-120k", "fine-16k", "coarse-16k", "fine-5", "off-spacing", "rabi-step"],
 )
 def test_phase_table_bound_is_sound(count, lo, stride):
     """Every entry of the approximate tables' scan lies within
-    ``PhaseTables.bound`` of the exact tables' entry (``scan_rows``), for
-    the fine pass's grids (stride 0.25) and their coarse passes' (stride 16
+    ``PhaseTables.bound`` of the pointwise sum at its grid time, for the
+    fine pass's grids (stride 0.25) and their coarse passes' (stride 16
     steps), up to 120k points and past the origin; the bound stays far
-    below any difference a peak search resolves."""
+    below any difference a peak search resolves.  The tables are built at
+    the grid's own spacing, which differs from the step at lo = 0.1 and
+    at a Rabi-time step over (0.5 t_max, 2.5 t_max)."""
     block = scan_block_length(count)
     every = np.arange(-(-count // block))
+    spacing = (lo + stride) - lo
+    times = grid_times(lo, stride, count)
     for decomp, weights in _table_chains():
         if decomp.n_sites * count > 2.5e6:
             continue
-        tables = phase_tables(decomp.eigenvalues[None], lo, stride, block, every.size)
-        approx = tables.scan(weights, every)
-        exact = scan_rows(decomp.eigenvalues[None], weights, lo, stride, block, every)
+        tables = phase_tables(decomp.eigenvalues[None], lo, spacing, block, every.size)
+        approx = tables.scan(weights, every).reshape(3, -1)[:, :count]
         bound = tables.bound(weights)
         assert bound.shape == (3,)
-        err = np.abs(approx - exact).reshape(3, -1).max(axis=1)
+        err = np.abs(approx - _pointwise_scan(decomp, weights, times)).max(axis=1)
         assert np.all(err <= bound)
         assert np.all(bound <= 1e-8 * np.abs(weights).sum(axis=1))
     # a stack gives each chain its own tables and bounds
