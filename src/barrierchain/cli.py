@@ -22,14 +22,16 @@ directory.
 
 Most runs are short, so what a run pays before its handler starts counts.
 Importing this module loads `_csvio`, `chain`, `spectral`, `metrics`,
-`disorder`, `oracle` and `protocol`, with numpy and scipy.linalg, but not
-scipy.special (`protocol.field_at` imports it for smoothed runs) and not
-`ebit` or `effective`, which `_cmd_ebit` and `_cmd_effective` import.  The
+`disorder`, `oracle` and `protocol`, with numpy, the one runtime
+dependency (no module of the package imports scipy), but not `ebit` or
+`effective`, which `_cmd_ebit` and `_cmd_effective` import.  The
 benchmark tracer (`perfbench/spans.py`) reads `disorder`, `oracle` and
 `protocol` from `sys.modules` after importing this module, so they stay
 eager; importing `oracle` in its handler also measured 1.32× slower on the
 benchmark's `oracle` workload.  `main` builds the parser of the subcommand
 that argv names first, and the full parser otherwise (`build_parser`).
+A sweep whose grid is empty (no omega values, times or chain lengths) is
+refused before any file is opened.
 """
 
 from __future__ import annotations
@@ -137,6 +139,13 @@ def _write_json(path: str, args, payload: dict) -> None:
         fh.write(json.dumps(body, indent=2, sort_keys=True, default=float) + "\n")
 
 
+def _require_points(count: int, grid: str, what: str) -> None:
+    """Refuse an empty sweep before any file is opened: a file of headers
+    alone would read as a finished run."""
+    if count < 1:
+        raise ValueError(f"empty sweep: {grid} gives no {what}")
+
+
 def _barrier_fields(spec: ChainSpec, omegas) -> np.ndarray:
     """The barrier chain's fields at each omega, one row per omega."""
     return np.array([barrier_profile(spec, omega).local_fields for omega in omegas]).reshape(-1, spec.n_sites)
@@ -147,6 +156,7 @@ def _barrier_fields(spec: ChainSpec, omegas) -> np.ndarray:
 
 
 def _cmd_spectrum(args) -> list[str]:
+    _require_points(args.steps, f"--steps {args.steps}", "omega values")
     spec = ChainSpec(args.n)
     omegas = np.linspace(args.omega_min, args.omega_max, args.steps)
     lam, _ = transfer_spectra(_barrier_fields(spec, omegas))
@@ -163,6 +173,7 @@ def _cmd_spectrum(args) -> list[str]:
 def _cmd_ipr(args) -> list[str]:
     if args.omega_min <= 0:
         raise ValueError("ipr sweep needs omega_min > 0 (zero field has no barrier states)")
+    _require_points(args.steps, f"--steps {args.steps}", "omega values")
     spec = ChainSpec(args.n)
     omegas = np.linspace(args.omega_min, args.omega_max, args.steps)
     rows: dict[str, list] = {"omega": [], "role": [], "k": [], "lambda": [], "ipr": []}
@@ -182,6 +193,7 @@ def _cmd_ipr(args) -> list[str]:
 
 
 def _cmd_transfer(args) -> list[str]:
+    _require_points(args.points, f"--points {args.points}", "times")
     spec = ChainSpec(args.n)
     decomp = decompose(spec, barrier_profile(spec, args.omega))
     times = np.linspace(0.0, args.big_t, args.points)
@@ -192,14 +204,17 @@ def _cmd_maxfid(args) -> list[str]:
     """Peak average fidelity over [0, T] for every (N, omega) of the grid.
     Each chain length is one stack: ``transfer_spectra`` gives every omega's
     levels and site-1 -> N weights in one call, without a decomposition per
-    chain, and one ``peak_search`` finds all their peaks."""
+    chain, and one ``peak_search`` call finds the peaks of every stack."""
+    ns = range(args.n_min, args.n_max + 1, args.n_step)
+    _require_points(len(ns), f"the N range {args.n_min}..{args.n_max} (step {args.n_step})", "chain lengths")
+    _require_points(args.omega_steps, f"--omega-steps {args.omega_steps}", "omega values")
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
+    stacks = []
+    for n in ns:
+        levels, weights = transfer_spectra(_barrier_fields(ChainSpec(n), omegas))
+        stacks.append((levels, weights[:, None]))
     rows: dict[str, list] = {"n": [], "omega": [], "t_star": [], "max_avg_fidelity": []}
-    for n in range(args.n_min, args.n_max + 1, args.n_step):
-        spec = ChainSpec(n)
-        levels, weights = transfer_spectra(_barrier_fields(spec, omegas))
-        # one stacked peak search per chain size
-        t_star, abs_f = peak_search(levels, weights[:, None], (0.0, args.big_t))
+    for n, (t_star, abs_f) in zip(ns, peak_search(stacks, (0.0, args.big_t))):
         rows["n"].extend([n] * len(omegas))
         rows["omega"].extend(omegas)
         rows["t_star"].extend(t_star.tolist())
@@ -210,6 +225,7 @@ def _cmd_maxfid(args) -> list[str]:
 def _cmd_scaling(args) -> list[str]:
     if args.omega_min <= 0:
         raise ValueError("scaling sweep needs omega_min > 0")
+    _require_points(args.steps, f"--steps {args.steps}", "omega values")
     omegas = np.geomspace(args.omega_min, args.omega_max, args.steps)
     rows: dict[str, list] = {"n": [], "omega": [], "gap": [], "t_max": []}
     for n in args.n_list:
@@ -269,6 +285,7 @@ def _cmd_leakage(args) -> list[str]:
 def _cmd_ebit(args) -> list[str]:
     from .ebit import EbitState, ebit_window, evolve_ebit, pair_concurrence
 
+    _require_points(args.points, f"--points {args.points}", "times")
     spec = ChainSpec(args.n)
     state = EbitState(args.alpha, args.beta)
     paths = _sweep_outs(args, [f"omega{omega:g}" for omega in args.omega_list])
@@ -339,8 +356,10 @@ def _cmd_protocol(args) -> list[str]:
 def _cmd_effective(args) -> list[str]:
     from .effective import predicted_vs_exact_gap
 
+    ns = range(args.n_min, args.n_max + 1, args.n_step)
+    _require_points(len(ns), f"the N range {args.n_min}..{args.n_max} (step {args.n_step})", "chain lengths")
     rows: dict[str, list] = {"n": [], "omega": [], "gap_exact": [], "gap_effective": [], "ratio": []}
-    for n in range(args.n_min, args.n_max + 1, args.n_step):
+    for n in ns:
         for omega in args.omega_list:
             cmp = predicted_vs_exact_gap(n, omega)
             rows["n"].append(n)

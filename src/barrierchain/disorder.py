@@ -234,7 +234,7 @@ def monte_carlo(
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     levels, weights = transfer_spectra(fields[first])
     # peak concurrence is |f| at the peak (Fbar is monotone in |f|)
-    _, abs_f = peak_search(levels, weights[:, None], window, t_max=t_max)
+    [(_, abs_f)] = peak_search([(levels, weights[:, None])], window, t_max=t_max)
     abs_f = abs_f[inverse].reshape(len(models), n_samples)
     stack = abs_f if metric == MAX_CONCURRENCE else average_fidelity(abs_f)
     return [

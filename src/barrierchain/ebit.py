@@ -127,6 +127,6 @@ def peak_pair_concurrence(
     decomp = decompose(spec, profile)
     start = decomp.eigenvectors[0, :] * state.alpha + decomp.eigenvectors[1, :] * state.beta
     weights = np.stack([decomp.eigenvectors[-2, :] * start, decomp.eigenvectors[-1, :] * start])
-    t_star, product = peak_search(decomp.eigenvalues[None], weights[None], window)
+    [(t_star, product)] = peak_search([(decomp.eigenvalues[None], weights[None])], window)
     # 2 |p_{N-1}| |p_N|: doubling is exact, so it commutes with the search
     return float(t_star[0]), float(2.0 * product[0])

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .chain import ChainSpec
 from .metrics import barrier_report
@@ -96,7 +95,7 @@ def effective_dynamics(model: EffectiveModel, t) -> complex | np.ndarray:
     if model.parity == "even":
         result = 1j * np.sin(model.coupling_1n * t)
     else:
-        w, v = scipy.linalg.eigh(model.matrix())
+        w, v = np.linalg.eigh(model.matrix())
         weights = v[2, :] * v[0, :]
         phases = np.exp(-1j * np.multiply.outer(t, w))
         result = phases @ weights
@@ -111,7 +110,7 @@ def effective_gap(model: EffectiveModel) -> float:
     """
     if model.parity == "even":
         return 2.0 * model.coupling_1n
-    w = scipy.linalg.eigvalsh(model.matrix())
+    w = np.linalg.eigvalsh(model.matrix())
     return float(np.min(np.diff(w)))
 
 

@@ -9,18 +9,20 @@ the transferred concurrence C = |f| (one half of a singlet shared with an
 idle external qubit), and the Rabi transfer time t_MAX = pi / gap of the
 pair of eigenstates bi-localized on sender and receiver.
 
-Every peak over time goes through ``peak_search``, on a stack of chains at
-once.  Approximate phase tables (``spectral.phase_tables``) prune each
-chain's grid and pick its candidates; one exact evaluator,
-``_pointwise_product``, then gives the candidates' values, the
-golden-section refinement's probes and every returned value.
+Every peak over time goes through ``peak_search``, on stacks of chains
+that share a window (one stack per chain size).  Approximate phase tables
+(``spectral.phase_tables``) prune each chain's grid and pick its
+candidates, stack by stack; one exact evaluator, ``_pointwise_product``,
+then gives the candidates' values, the probes of one golden-section
+refinement over every stack, and every returned value.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -421,56 +423,75 @@ def _grid_argmax(
     return times[best], exact[best]
 
 
-def peak_search(levels, weights, window: tuple[float, float], t_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def peak_search(
+    stacks: Sequence[tuple[np.ndarray, np.ndarray]], window: tuple[float, float], t_max: float | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Maxima over a window (lo, hi) of prod_f |a_sf(t)|, a_sf(t) = sum_k w_sfk exp(-i lambda_sk t),
-    for a stack of S chains of one size.
+    for stacks of chains, each stack of one size.
 
-    ``levels`` holds each chain's eigenvalues, shape (S, N), and ``weights``
-    each chain's weight vectors, shape (S, F, N): one factor for |f|, two
-    for the pair concurrence 2 |p_{N-1}| |p_N| (whose factor 2 the caller
-    applies).  The grid is ``np.arange(lo, hi + step, step)`` without the
-    points above hi, with step min(0.25, t_max/200) when the Rabi time
-    ``t_max`` is known and 0.25 otherwise.  Each chain's argmax (earliest on
-    ties) is refined by one lockstep ``golden_section`` over +-1 step
-    clipped to [lo, hi], and a chain whose refinement ends below its grid
-    value keeps the grid point.  The grid values, the refinement and the
-    comparison all go through one evaluator, ``_pointwise_product``.
-    Returns the arrays (t*, product at t*), one entry per chain; each
-    product has the bits of prod_f |``weighted_amplitude``|.  ``t_max``,
-    when given, must be positive and finite.
+    ``stacks`` holds (levels, weights) pairs: one stack's eigenvalues, shape
+    (S, N), and its chains' weight vectors, shape (S, F, N): one factor for
+    |f|, two for the pair concurrence 2 |p_{N-1}| |p_N| (whose factor 2 the
+    caller applies).  Every stack shares the window and the grid, which is
+    ``np.arange(lo, hi + step, step)`` without the points above hi, with
+    step min(0.25, t_max/200) when the Rabi time ``t_max`` is known and
+    0.25 otherwise.  Each chain's argmax (earliest on ties) is refined over
+    +-1 step clipped to [lo, hi], every chain of every stack by one
+    lockstep ``golden_section`` whose probes evaluate each stack's brackets
+    together, and a chain whose refinement ends below its grid value keeps
+    the grid point.  The grid values, the refinement and the comparison
+    all go through one evaluator, ``_pointwise_product``.  Returns one pair
+    of arrays (t*, product at t*) per stack, one entry per chain; each
+    product has the bits of prod_f |``weighted_amplitude``|, whatever the
+    other chains and stacks of the call.  ``t_max``, when given, must be
+    positive and finite.
 
     Each chain scans only the rows of the blocked scan that can hold its
     maximum.  |a_f| does not change under a global phase, so for any c,
     |d|a_f|/dt| <= L_f(c) = sum_k |w_fk| |lambda_k - c| (Shubert, SIAM J.
     Numer. Anal. 9 (1972) 379); c_f, the |w_f|-weighted median level,
     minimizes it.  With |a_f| <= U_f = sum_k |w_fk| these bound the
-    product's slope, so a coarse pass, one stacked scan for the whole
-    stack, certifies which cells lie strictly below the grid maximum (see
+    product's slope, so a coarse pass, one stacked scan per stack,
+    certifies which cells lie strictly below the grid maximum (see
     ``_kept_rows``).  Both passes scan approximate phase tables built by
-    recurrence once per slice of the stack (``spectral.phase_tables``),
-    with a proven bound on how far they move each value from the
-    pointwise one.  The coarse pass adds that bound to its slack; the fine
-    pass evaluates pointwise only the points within twice the bound of a
-    chain's approximate maximum (``_grid_argmax``), so the argmax, the
-    grid value the refinement is compared against and every returned bit
-    are those of ``_pointwise_product`` on every grid point.
+    recurrence once per slice of a stack (``spectral.phase_tables``), with
+    a proven bound on how far they move each value from the pointwise one.
+    The coarse pass adds that bound to its slack; the fine pass evaluates
+    pointwise only the points within twice the bound of a chain's
+    approximate maximum (``_grid_argmax``), so the argmax, the grid value
+    the refinement is compared against and every returned bit are those of
+    ``_pointwise_product`` on every grid point.
     """
     lo, hi = float(window[0]), float(window[1])
     if not -np.inf < lo < hi < np.inf:
         raise ValueError(f"window must be finite with positive length, got {(lo, hi)}")
     if t_max is not None and not 0.0 < t_max < np.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    if not stacks:
+        return []
     step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
     count = _grid_count(lo, hi, step)
     block = scan_block_length(count)
-    kept = _kept_rows(levels, weights, lo, step, count, block)
-    t_grid, grid_value = _grid_argmax(levels, weights, kept, lo, step, count, block)
-    product = partial(_pointwise_product, levels, weights)
+    grid = [_grid_argmax(levels, weights, _kept_rows(levels, weights, lo, step, count, block), lo, step, count, block)
+            for levels, weights in stacks]
+    t_grid, grid_value = map(np.concatenate, zip(*grid))
+    # bracket entries ends[s]..ends[s+1]-1 belong to stack s
+    ends = np.cumsum([0, *(t.size for t, _ in grid)]).tolist()
+
+    def product(times: np.ndarray) -> np.ndarray:
+        if len(stacks) == 1:
+            # skips a copy per probe: 1% of an `ensemble` pass's searches
+            return _pointwise_product(*stacks[0], times)
+        return np.concatenate([
+            _pointwise_product(levels, weights, times[a:b]) for (levels, weights), a, b in zip(stacks, ends, ends[1:])
+        ])
+
     t_best = golden_section(product, np.maximum(lo, t_grid - step), np.minimum(hi, t_grid + step))
     value = product(t_best)
     # the grid value has the bits the same evaluator gives at t_grid
     fall = value < grid_value
-    return np.where(fall, t_grid, t_best), np.where(fall, grid_value, value)
+    t_star, peak = np.where(fall, t_grid, t_best), np.where(fall, grid_value, value)
+    return [(t_star[a:b], peak[a:b]) for a, b in zip(ends, ends[1:])]
 
 
 def max_fidelity(
@@ -488,7 +509,7 @@ def max_fidelity(
     ``peak_search`` on whole stacks.
     """
     weights = transition_weights(decomp, 1, decomp.n_sites)
-    t_star, abs_f = peak_search(decomp.eigenvalues[None], weights[None, None], window, t_max)
+    [(t_star, abs_f)] = peak_search([(decomp.eigenvalues[None], weights[None, None])], window, t_max)
     return float(t_star[0]), average_fidelity(abs_f[0])
 
 

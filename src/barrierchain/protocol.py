@@ -23,21 +23,21 @@ exact wherever the drive is constant.  Away from the switching windows,
 precision, and those stretches are propagated spectrally in one hop.  Ideal
 steps (tau_s = 0) get the same partition with zero-width windows, which are
 dropped, so they are propagated exactly as three spectral segments.
-The logistic is scipy.special's expit, which ``field_at`` imports on its
-smoothed branch alone: importing this module, and every run with ideal
-steps, leaves scipy.special unloaded (about 0.05 s of a fresh process).
+The logistic is 1 / (1 + exp(-x)) with libm's exp (``_logistic``), which
+gives scipy.special's expit bit for bit without importing scipy.
 
 A step's two factors depend on (t, h) alone, never on the state, so each
 pass plans a switching window in arrays before the state is touched: the
 step starts and sizes, one field_at call on every Gauss node, and each
-factor's two driven diagonal entries.  The loop over the state then runs,
-per factor, one LAPACK stevd eigensolve and two matvecs.  stevd is the
-routine scipy's eigh_tridiagonal selects by default, called directly
-without the wrapper's per-call checks, so it returns the same eigenpairs
-bit for bit.
-A factor whose diagonal equals the previous factor's bit for bit, as on
-flat logistic tails, reuses that eigenpair.  Eigenpairs are used as they
-are computed and never stored for a whole pass, so memory stays flat.
+factor's two driven diagonal entries.  The factors then go in chunks of
+_CHUNK_FACTORS.  Within a chunk, a factor whose diagonal equals the
+previous factor's bit for bit, as on flat logistic tails, reuses that
+eigenpair; the others are solved by one stacked ``tridiagonal_eigh``
+call, and one vectorized exponential gives the phases exp(-i h w) of
+every factor, so the loop over the state does only the two matvecs of
+each factor.  A vector's sign cancels in v (p * (v.T psi)) bit for bit.
+A chunk's eigenpairs and phases are dropped once its factors are
+applied, so memory stays flat.
 
 Smoothed runs halve the step until the final fidelity settles, and every
 pass but the accepted one is a probe: it only propagates, keeping each
@@ -56,6 +56,7 @@ so memory is bounded end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,10 @@ from .spectral import (
 
 # Logistic tails below exp(-45) ~ 3e-20 are treated as exactly constant.
 _TAIL_WIDTHS = 45.0
+# CF4 factors per chunk of a switching window (one stacked eigensolve of
+# its distinct factors); 64 and 128 were the fastest of 16-256 on a
+# 22k-factor run, and 64 holds less memory.
+_CHUNK_FACTORS = 64
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,29 @@ class SwitchingSchedule:
         return 1.0 / self.smoothing_timescale
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) elementwise, with libm's exp (``math.exp``): the
+    bits of scipy.special's expit, which computes that expression.
+
+    Above x = 40, exp(-x) < u, so the value is exactly 1.0; at or below
+    -709.8, exp(-x) overflows, and it is exactly 0.0.  Neither needs an
+    exponential.  Between -709.8 and -709 exp(-x) overflows only past
+    -709.78, so that band goes value by value, an OverflowError giving 0.0;
+    the rest is one ``math.exp`` map.  NaN stays NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.where(flat > 40.0, 1.0, np.where(flat <= -709.8, 0.0, np.nan))
+    mid = (flat >= -709.0) & (flat <= 40.0)
+    out[mid] = 1.0 / (1.0 + np.array(list(map(math.exp, (-flat[mid]).tolist()))))
+    for i in np.flatnonzero((flat > -709.8) & (flat < -709.0)).tolist():
+        try:
+            out[i] = 1.0 / (1.0 + math.exp(-flat[i]))
+        except OverflowError:
+            out[i] = 0.0
+    return out.reshape(x.shape)
+
+
 def field_at(schedule: SwitchingSchedule, t):
     """Drive fields (omega_2(t), omega_{N-1}(t)) on the two barrier sites.
 
@@ -135,10 +163,8 @@ def field_at(schedule: SwitchingSchedule, t):
         omega2 = np.where(t < t1, k1, np.where(t <= t2, k2, 0.0))
         omega_nm1 = np.where(t < t1, 0.0, np.where(t <= t2, k2, k1))
     else:
-        from scipy.special import expit  # loaded by smoothed runs alone
-
-        omega2 = k2 * expit(-alpha * (t - t2)) + (k1 - k2) * expit(-alpha * (t - t1))
-        omega_nm1 = k2 * expit(alpha * (t - t1)) + (k1 - k2) * expit(alpha * (t - t2))
+        omega2 = k2 * _logistic(-alpha * (t - t2)) + (k1 - k2) * _logistic(-alpha * (t - t1))
+        omega_nm1 = k2 * _logistic(alpha * (t - t1)) + (k1 - k2) * _logistic(alpha * (t - t2))
     if t.ndim == 0:
         return float(omega2), float(omega_nm1)
     return omega2, omega_nm1
@@ -247,7 +273,8 @@ def _integrate_active(
 ) -> list[np.ndarray]:
     """CF4-step from t_start through each checkpoint, landing exactly on
     every one; returns the state at each checkpoint.  The steps and factor
-    diagonals are planned as arrays first (see the module docstring)."""
+    diagonals are planned as arrays first, and the factors are solved in
+    stacked chunks (see the module docstring)."""
     n = spec.n_sites
     starts, sizes, counts = [], [], []
     t = t_start
@@ -273,22 +300,31 @@ def _integrate_active(
         [da * d[:, 0] + db * d[:, 1] for da, db in weights for d in (-omega2, -omega_nm1)], axis=1
     ).reshape(-1, 2)
     # a factor whose entries match the previous factor's bit for bit (flat
-    # logistic tails) reuses its eigenpair
+    # logistic tails) reuses its eigenpair, except as the first factor of a
+    # chunk, which solves it again with the same bits
     bits = factors.view(np.int64)
-    repeat = np.zeros(len(factors), dtype=bool)
-    repeat[1:] = np.all(bits[1:] == bits[:-1], axis=1)
-    repeat = repeat.tolist()
-
-    diag = np.zeros(n)
+    fresh = np.ones(len(factors), dtype=bool)
+    fresh[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    fresh[::_CHUNK_FACTORS] = True
+    diag = np.zeros((_CHUNK_FACTORS, n))
     off = np.full(n - 1, -(_WEIGHT_BIG + _WEIGHT_SMALL))
     states = []
     k = 0
     for n_sub in counts:
         for _ in range(2 * n_sub):
-            if not repeat[k]:
-                diag[1], diag[n - 2] = factors[k]
-                w, v = tridiagonal_eigh(diag, off)
-            psi = v @ (np.exp(-1j * sizes[k // 2] * w) * (v.T @ psi))
+            i = k % _CHUNK_FACTORS
+            if i == 0:
+                chunk = np.arange(k, min(k + _CHUNK_FACTORS, len(factors)))
+                rows = chunk[fresh[chunk]]
+                diag[: rows.size, [1, n - 2]] = factors[rows]
+                w, v = tridiagonal_eigh(diag[: rows.size], off)
+                # factor chunk[j] uses eigenpair slots[j] of the chunk's solves
+                slots = np.cumsum(fresh[chunk]) - 1
+                # each factor's phases, with the bits of -1j * h * w for it alone
+                phases = np.exp((-1j * sizes[chunk // 2])[:, None] * w[slots])
+                slot = slots.tolist()
+            u = v[slot[i]]
+            psi = u @ (phases[i] * (u.T @ psi))
             k += 1
         states.append(psi)
     return states

@@ -10,6 +10,12 @@ its minors Q_{k,s}(lambda) is the same expansion: by Cramer's rule the
 minors-over-dP/dlambda ratio at a simple eigenvalue equals the spectral
 projector element a_{k,s} a_{k,j}, so no determinants are ever computed.
 
+Every eigensolve goes through ``tridiagonal_eigh``, which hands a whole
+stack of tridiagonals, as dense lower bands, to one ``np.linalg.eigh``
+call: numpy is the package's one runtime dependency.  Its levels and the
+magnitudes of its vectors are those of LAPACK stevd bit for bit, which
+the tests check against scipy on every chain family the outputs use.
+
 A mirror-symmetric matrix (every clean barrier chain) commutes with site
 reversal R, and its barrier pair is a parity doublet whose splitting can
 be as small as round-off.  A whole-chain solver mixes such a doublet's
@@ -56,16 +62,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian, build_hamiltonian, hamiltonian_bands
 
-# LAPACK stevd, the routine scipy's eigh_tridiagonal selects by default,
-# called without the wrapper's per-call input checks and lookup
-_stevd = get_lapack_funcs("stevd", dtype=np.float64)
-
 # unit round-off u = eps / 2 of float64
 _UNIT = 0.5 * float(np.finfo(float).eps)
+# dense matrix entries one stacked eigensolve of ``transfer_spectra`` holds at most
+_EIGH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,15 +113,28 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
 
 
 def tridiagonal_eigh(diagonal: np.ndarray, off_diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) of a real symmetric tridiagonal matrix by LAPACK stevd.
+    """(w, v) of real symmetric tridiagonal matrices, ``diagonal`` (..., N)
+    and ``off_diagonal`` (..., N-1) broadcast against each other: levels
+    ascending (..., N), vectors as the columns of (..., N, N).
 
-    The same eigenpairs, bit for bit, as scipy's ``eigh_tridiagonal`` with
-    its default driver; raises LinAlgError when stevd reports failure.
+    The dense lower bands of the whole stack go to one ``np.linalg.eigh``
+    call, which raises LinAlgError when LAPACK fails.  Its stacked vectors
+    are C-ordered, and its levels and the magnitudes of its vectors equal
+    those of LAPACK stevd, scipy's default ``eigh_tridiagonal``, bit for
+    bit on every chain family the outputs use (``tests/test_spectral.py``);
+    a vector's sign may differ, which neither ``_fix_signs`` nor any product
+    of two of its entries sees.
     """
-    w, v, info = _stevd(diagonal, off_diagonal)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"stevd failed (info = {info})")
-    return w, v
+    d = np.asarray(diagonal, dtype=float)
+    e = np.asarray(off_diagonal, dtype=float)
+    n = d.shape[-1]
+    shape = np.broadcast_shapes(d.shape[:-1], e.shape[:-1])
+    dense = np.zeros(shape + (n, n))
+    # entry (i, i) of the flattened matrix is i (N + 1), entry (i + 1, i) N + i (N + 1)
+    band = dense.reshape(shape + (n * n,))
+    band[..., :: n + 1] = d
+    band[..., n :: n + 1] = e
+    return np.linalg.eigh(dense, UPLO="L")
 
 
 def _parity_blocks(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -130,25 +146,24 @@ def _parity_blocks(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray
     blocks are tridiagonals of m sites whose last diagonal entries are
     d_m + e_m and d_m - e_m at N = 2m.  At N = 2m+1 the even block also
     holds the centre site, coupled to it by sqrt2 e_m, and the odd block is
-    d[:m] with e[:m-1].  Each off-diagonal keeps at least one entry, as the
-    stevd wrapper wants, even for a block of one site.
+    d[:m] with e[:m-1].
     """
     n = d.shape[-1]
     m = n // 2
     k = n - m
-    d_even, e_even = d[..., :k].copy(), e[..., : max(k - 1, 1)].copy()
+    d_even, e_even = d[..., :k].copy(), e[..., : k - 1].copy()
     d_odd = d[..., :m].copy()
     if n % 2:
         e_even[..., m - 1] *= math.sqrt(2.0)
     else:
         d_even[..., m - 1] += e[..., m - 1]
         d_odd[..., m - 1] -= e[..., m - 1]
-    return d_even, e_even, d_odd, e[..., : max(m - 1, 1)]
+    return d_even, e_even, d_odd, e[..., : m - 1]
 
 
 def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, v) of a mirror-symmetric tridiagonal from its two parity blocks
-    (``_parity_blocks``), each solved by stevd.
+    (``_parity_blocks``), each solved by ``tridiagonal_eigh``.
 
     With k = N - m even levels, an even vector is [u[:m]/sqrt2, u_m (odd N
     only), u[:m] reversed/sqrt2], an odd one [u/sqrt2, 0 (odd N only), -u
@@ -171,13 +186,27 @@ def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
+def _end_rows(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levels and the first and last entries of every eigenvector of a stack
+    of tridiagonals (``d`` (S, n), ``e`` broadcast against it), each (S, n).
+    The stack is solved in row chunks of at most _EIGH_ENTRIES dense
+    entries, so its eigenvector matrices never exist all at once."""
+    n = d.shape[-1]
+    levels, first, last = np.empty(d.shape), np.empty(d.shape), np.empty(d.shape)
+    size = max(1, _EIGH_ENTRIES // (n * n))
+    for a in range(0, d.shape[0], size):
+        levels[a : a + size], v = tridiagonal_eigh(d[a : a + size], e)
+        first[a : a + size], last[a : a + size] = v[:, 0], v[:, -1]
+    return levels, first, last
+
+
 def eigendecompose(h: SingleExcitationHamiltonian) -> SpectralDecomposition:
     """Full decomposition, eigenvalues ascending, deterministic vector signs.
 
     A mirror-symmetric input (diagonal and couplings alike) is solved in
     its parity blocks (``_parity_eigh``): each eigenvector is exactly even
     or odd, and the even one of two equal levels comes first.  Any other
-    input gets stevd's (w, v) as returned.
+    input gets ``tridiagonal_eigh``'s (w, v) as returned.
     """
     d, e = h.diagonal, h.off_diagonal
     if np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
@@ -203,12 +232,13 @@ def transfer_spectra(fields) -> tuple[np.ndarray, np.ndarray]:
     in its parity blocks as ``_parity_eigh`` solves it: its end entries are
     u_1/sqrt2 and +-u_1/sqrt2 of a block vector u, so an even level weighs
     (u_1/sqrt2)(u_1/sqrt2) and an odd one (-u_1/sqrt2)(u_1/sqrt2), merged
-    by the same stable sort.  Any other row weighs v_N v_1 of stevd's
-    vectors.  ``_fix_signs`` flips whole vectors, which leaves both
-    products' bits unchanged.  The finite check, the symmetry test, the
-    block setup, the merge and the weights run once for the whole stack;
-    only the stevd calls go row by row.  A non-finite field raises the
-    ValueError that ``FieldProfile`` raises.
+    by the same stable sort.  Any other row weighs v_N v_1 of its
+    ``tridiagonal_eigh`` vectors.  ``_fix_signs`` flips whole vectors, which
+    leaves both products' bits unchanged.  The rows without mirror
+    symmetry and each parity block of the others are solved as stacks
+    (``_end_rows``), one ``tridiagonal_eigh`` call per chunk of rows, and no
+    step runs row by row.  A non-finite field raises the ValueError that
+    ``FieldProfile`` raises.
     """
     fields = np.asarray(fields, dtype=float)
     if fields.ndim != 2:
@@ -221,21 +251,16 @@ def transfer_spectra(fields) -> tuple[np.ndarray, np.ndarray]:
     mirror = np.all(d == d[:, ::-1], axis=1)
     levels = np.empty(fields.shape)
     weights = np.empty(fields.shape)
-    for i in np.flatnonzero(~mirror):
-        levels[i], v = tridiagonal_eigh(d[i], e)
-        weights[i] = v[-1] * v[0]
+    rows = np.flatnonzero(~mirror)
+    levels[rows], first, last = _end_rows(d[rows], e)
+    weights[rows] = last * first
     rows = np.flatnonzero(mirror)
     d_even, e_even, d_odd, e_odd = _parity_blocks(d[rows], e)
-    k = d_even.shape[-1]
-    w = np.empty((rows.size, n))
-    first = np.empty((rows.size, n))
-    for j in range(rows.size):
-        w[j, :k], u = tridiagonal_eigh(d_even[j], e_even)
-        first[j, :k] = u[0]
-        w[j, k:], u = tridiagonal_eigh(d_odd[j], e_odd)
-        first[j, k:] = u[0]
-    first /= math.sqrt(2.0)
-    parity = np.where(np.arange(n) < k, 1.0, -1.0)
+    w_even, first_even, _ = _end_rows(d_even, e_even)
+    w_odd, first_odd, _ = _end_rows(d_odd, e_odd)
+    w = np.concatenate([w_even, w_odd], axis=1)
+    first = np.concatenate([first_even, first_odd], axis=1) / math.sqrt(2.0)
+    parity = np.where(np.arange(n) < w_even.shape[1], 1.0, -1.0)
     order = np.argsort(w, axis=1, kind="stable")
     levels[rows] = np.take_along_axis(w, order, axis=1)
     weights[rows] = np.take_along_axis((parity * first) * first, order, axis=1)

@@ -289,6 +289,28 @@ def test_oracle_check_fails_when_it_would_check_nothing(tmp_path, capsys, flags,
     assert not (tmp_path / "oracle-check.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["maxfid", "--n-min", "12", "--n-max", "10"], "the N range 12..10 (step 1) gives no chain lengths"),
+        (["maxfid", "--omega-steps", "0"], "--omega-steps 0 gives no omega values"),
+        (["spectrum", "--steps", "0"], "--steps 0 gives no omega values"),
+        (["ipr", "--steps", "0"], "--steps 0 gives no omega values"),
+        (["scaling", "--steps", "0"], "--steps 0 gives no omega values"),
+        (["transfer", "--points", "0"], "--points 0 gives no times"),
+        (["ebit", "--points", "0"], "--points 0 gives no times"),
+        (["effective", "--n-min", "12", "--n-max", "10"], "the N range 12..10 (step 1) gives no chain lengths"),
+    ],
+)
+def test_empty_sweeps_fail_before_writing(tmp_path, capsys, argv, named):
+    # each used to write a header-only file (ebit three of them) and exit 0
+    captured = run(argv, tmp_path, capsys, expect=1)
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "ValueError"
+    assert error["message"] == f"empty sweep: {named}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_check_fails_on_a_nan_error(tmp_path, capsys, monkeypatch):
     # one NaN among finite errors: the report shows it and the run fails
     real, calls = cli.oracle_transition_amplitude, []

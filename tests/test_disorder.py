@@ -144,7 +144,7 @@ def _counting_solves(monkeypatch):
 
 def _one_chain_search(fields, window, t_max):
     decomp = decompose(N10, FieldProfile(fields))
-    _, abs_f = peak_search(decomp.eigenvalues[None], transition_weights(decomp, 1, 10)[None, None], window, t_max)
+    [(_, abs_f)] = peak_search([(decomp.eigenvalues[None], transition_weights(decomp, 1, 10)[None, None])], window, t_max)
     return abs_f[0]
 
 

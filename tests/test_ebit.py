@@ -172,10 +172,10 @@ def test_stacked_pair_search_gives_each_chain_its_own_bits():
     chains = [_pair_chain(spec, omega, state) for omega, state in cases]
     levels = np.array([decomp.eigenvalues for decomp, _ in chains])
     weights = np.array([w for _, w in chains])
-    t_star, value = peak_search(levels, weights, window)
+    [(t_star, value)] = peak_search([(levels, weights)], window)
     assert len(set(t_star.tolist())) == 3
     for s, ((omega, state), (decomp, w)) in enumerate(zip(cases, chains)):
-        alone_t, alone_value = peak_search(levels[s : s + 1], weights[s : s + 1], window)
+        [(alone_t, alone_value)] = peak_search([(levels[s : s + 1], weights[s : s + 1])], window)
         assert (t_star[s], value[s]) == (alone_t[0], alone_value[0])
         profile = ebit_barrier_profile(spec, omega)
         assert peak_pair_concurrence(spec, profile, state, window) == (t_star[s], 2.0 * value[s])

@@ -247,7 +247,7 @@ spec = ChainSpec(10)
 decomp = decompose(spec, barrier_profile(spec, 5.0))
 weights = transition_weights(decomp, 1, 10)
 for lo in (6e11, 4e11):
-    t_star, value = peak_search(decomp.eigenvalues[None], weights[None, None], (lo, lo + 50.0))
+    [(t_star, value)] = peak_search([(decomp.eigenvalues[None], weights[None, None])], (lo, lo + 50.0))
     assert lo <= t_star[0] <= lo + 50.0 and 0.0 < value[0] <= 1.0, (lo, t_star, value)
 # tol = 0 leaves only the cycle check to stop the search
 peak = golden_section(lambda x: -((x - 1.3) ** 2), 1.0, 1.5, tol=0.0)
@@ -305,7 +305,7 @@ def test_peak_search_rejects_a_non_finite_window(window):
     # NaN passes a plain hi <= lo test, and an infinite end has no grid
     decomp = decompose(6, 4.0)
     with pytest.raises(ValueError, match="finite"):
-        peak_search(decomp.eigenvalues[None], transition_weights(decomp, 1, 6)[None, None], window)
+        peak_search([(decomp.eigenvalues[None], transition_weights(decomp, 1, 6)[None, None])], window)
 
 
 @pytest.mark.parametrize("t_max", [0.0, -1.0, -0.0, np.nan, np.inf, -np.inf])
@@ -314,7 +314,7 @@ def test_peak_search_rejects_a_t_max_that_is_not_positive_and_finite(t_max):
     # step 0.25 unseen
     decomp = decompose(6, 4.0)
     with pytest.raises(ValueError, match="t_max"):
-        peak_search(decomp.eigenvalues[None], transition_weights(decomp, 1, 6)[None, None], (0.0, 5.0), t_max)
+        peak_search([(decomp.eigenvalues[None], transition_weights(decomp, 1, 6)[None, None])], (0.0, 5.0), t_max)
     with pytest.raises(ValueError, match="t_max"):
         max_fidelity(decomp, (0.0, 5.0), t_max=t_max)
 
@@ -436,14 +436,14 @@ def test_peak_search_takes_any_weights(window):
     )
 
     levels, stack = decomp.eigenvalues[None], weights[None, None]
-    t_star, value = peak_search(levels, stack, window)
+    [(t_star, value)] = peak_search([(levels, stack)], window)
     assert (t_star.tolist(), value.tolist()) == ([expected[0]], [expected[1]])
     count = _grid_count(lo, hi, 0.25)
     block = scan_block_length(count)
     (rows,) = _kept_rows(levels, stack, lo, 0.25, count, block)
     assert rows.size < -(-count // block)
     with pytest.raises(ValueError):
-        peak_search(levels, stack, (hi, hi))
+        peak_search([(levels, stack)], (hi, hi))
 
 
 @pytest.mark.parametrize(
@@ -466,7 +466,7 @@ def test_two_level_beat_keeps_the_peak_cell(gap, second, phase, hi):
     expected = _peak_search(
         objective, lambda g: scan_amplitude(decomp, weights, 0.0, 0.25, g.size), 0.0, hi, 0.25
     )
-    t_star, value = peak_search(levels[None], weights[None, None], (0.0, hi))
+    [(t_star, value)] = peak_search([(levels[None], weights[None, None])], (0.0, hi))
     assert (t_star[0], value[0]) == expected
 
 
@@ -507,7 +507,7 @@ def test_fine_pass_tables_bound_the_pointwise_values_off_the_origin(monkeypatch,
     weights = transition_weights(decomp, 1, n)[None]
     lo, hi, step = 5000.0, 5000.0 + 20.0 * t_max, t_max / 200.0
     assert (lo + step) - lo != step
-    peak_search(decomp.eigenvalues[None], weights[None], (lo, hi), t_max)
+    peak_search([(decomp.eigenvalues[None], weights[None])], (lo, hi), t_max)
     count = _grid_count(lo, hi, step)
     block = scan_block_length(count)
     (tables,) = [tables for args, tables in built if args[3] == block]
@@ -579,7 +579,7 @@ def test_candidate_recompute_matches_the_full_grid_on_near_ties(monkeypatch, lo,
         return abs(weighted_amplitude(decomp, weights, t))
 
     expected = _peak_search(objective, lambda g: values, lo, hi, step)
-    t_star, value = peak_search(levels, stack, (lo, hi))
+    [(t_star, value)] = peak_search([(levels, stack)], (lo, hi))
     assert (t_star[0], value[0]) == expected
 
 def test_peak_values_are_the_weighted_sums_at_t_star():
@@ -589,9 +589,35 @@ def test_peak_values_are_the_weighted_sums_at_t_star():
     levels = np.array([d.eigenvalues for d in decomps])
     weights = np.array([transition_weights(d, 1, 10) for d in decomps])[:, None, :]
     for t_max in (None, 30.0):
-        t_star, value = peak_search(levels, weights, (0.0, 400.0), t_max)
+        [(t_star, value)] = peak_search([(levels, weights)], (0.0, 400.0), t_max)
         for decomp, w, t, v in zip(decomps, weights, t_star, value):
             assert v == abs(weighted_amplitude(decomp, w[0], t))
+
+
+def test_one_call_over_several_stacks_keeps_each_stacks_bits():
+    """Stacks of different sizes in one call, one of them empty and one a
+    two-factor stack, share the window and one lockstep refinement; every
+    stack gets, bit for bit, what a call with it alone returns, and the
+    single-chain stacks what ``max_fidelity`` returns."""
+    stacks = []
+    for n in (10, 25, 40):
+        decomps = [decompose(n, omega) for omega in (0.0, 4.0, 20.0)]
+        levels = np.array([d.eigenvalues for d in decomps])
+        stacks.append((levels, np.array([transition_weights(d, 1, n) for d in decomps])[:, None, :]))
+    stacks.insert(1, (np.empty((0, 7)), np.empty((0, 1, 7))))
+    pair = decompose(12, 6.0)
+    vectors = pair.eigenvectors
+    stacks.append((pair.eigenvalues[None], np.array([[vectors[-2] * vectors[0], vectors[-1] * vectors[0]]])))
+    for t_max in (None, 40.0):
+        together = peak_search(stacks, (0.0, 300.0), t_max)
+        assert len(together) == len(stacks)
+        for stack, (t_star, value) in zip(stacks, together):
+            [(alone_t, alone_value)] = peak_search([stack], (0.0, 300.0), t_max)
+            assert t_star.tolist() == alone_t.tolist() and value.tolist() == alone_value.tolist()
+    assert peak_search([], (0.0, 300.0)) == []
+    t_star, abs_f = peak_search(stacks, (0.0, 300.0))[2]
+    decomp = decompose(25, 4.0)
+    assert max_fidelity(decomp, (0.0, 300.0)) == (t_star[1], average_fidelity(abs_f[1]))
 
 
 def _slope(levels, magnitudes, centre):
@@ -659,7 +685,7 @@ def test_stacked_kept_rows_are_each_chains_own(monkeypatch, entries):
     n_rows = -(-count // block)
     assert stacked[0].tolist() == list(range(n_rows))
     assert all(rows.size < n_rows for rows in stacked[1:])
-    t_star, abs_f = peak_search(levels, weights, window)
+    [(t_star, abs_f)] = peak_search([(levels, weights)], window)
     for decomp, t, value in zip(decomps, t_star.tolist(), abs_f.tolist()):
         assert (t, average_fidelity(value)) == full_grid_max_fidelity(decomp, window)
 

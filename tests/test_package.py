@@ -55,40 +55,62 @@ def test_modules_import_no_private_names_from_siblings():
 
 CLI_SURFACE = """
 import json, runpy, sys
-import numpy as np
 import barrierchain.cli
 wrapped = runpy.run_path(sys.argv[1])["WRAPPED"]
-before = {
-    "special": "scipy.special" in sys.modules,
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "lazy": sorted(m for m in ("barrierchain.ebit", "barrierchain.effective") if m in sys.modules),
     "unwrapped": sorted({module for _, module, _ in wrapped} - set(sys.modules)),
-}
-from barrierchain.protocol import SwitchingSchedule, field_at
-schedule = SwitchingSchedule(k1=60.0, k2=30.0, delta_t=40.0, t1=50.0, smoothing_timescale=0.5)
-t = np.linspace(40.0, 100.0, 2001)
-omega2, omega_nm1 = field_at(schedule, t)
-before["special_after_field_at"] = "scipy.special" in sys.modules
-from scipy.special import expit
-alpha, t1, t2 = 2.0, 50.0, 90.0
-same = (
-    np.array_equal(omega2, 30.0 * expit(-alpha * (t - t2)) + 30.0 * expit(-alpha * (t - t1)))
-    and np.array_equal(omega_nm1, 30.0 * expit(alpha * (t - t1)) + 30.0 * expit(alpha * (t - t2)))
-)
-print(json.dumps({**before, "bitwise": bool(same)}))
+}))
 """
+
+
+def _package_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    return env
 
 
 def test_cli_import_leaves_out_scipy_special_ebit_and_effective():
     """Importing the CLI loads every module the benchmark tracer wraps
-    (perfbench/spans.py reads them from sys.modules), but neither
-    scipy.special, which only smoothed field_at calls need, nor ebit and
-    effective, which their handlers import.  A smoothed field_at call then
-    gives scipy.special.expit's values bit for bit."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    (perfbench/spans.py reads them from sys.modules), but no scipy module
+    at all, and neither ebit nor effective, which their handlers import."""
     spans = ROOT / "perfbench" / "spans.py"
-    out = subprocess.run([sys.executable, "-c", CLI_SURFACE, str(spans)], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", CLI_SURFACE, str(spans)], env=_package_env(), check=True,
                          capture_output=True, text=True).stdout
-    assert json.loads(out) == {
-        "special": False, "lazy": [], "unwrapped": [], "special_after_field_at": True, "bitwise": True,
-    }
+    assert json.loads(out) == {"scipy": [], "lazy": [], "unwrapped": []}
+
+
+# one small run of every subcommand; a smoothed protocol run covers the logistic
+TINY_RUNS = (
+    ["spectrum", "--n", "6", "--steps", "3"],
+    ["ipr", "--n", "6", "--steps", "2"],
+    ["transfer", "--n", "6", "--omega", "2", "--T", "5", "--points", "5"],
+    ["maxfid", "--n-min", "6", "--n-max", "7", "--omega-steps", "2", "--T", "20"],
+    ["scaling", "--n-list", "6,7", "--steps", "2"],
+    ["disorder", "--n", "6", "--b-list", "0,1", "--n-samples", "3"],
+    ["leakage", "--n-list", "8", "--steps", "2", "--n-samples", "3"],
+    ["ebit", "--n", "8", "--omega-list", "5", "--points", "3"],
+    ["protocol", "--n", "6", "--k1", "4", "--k2", "2", "--delta-t", "3", "--t1", "5",
+     "--tau-s", "0.1", "--window", "2", "--sample-dt", "0.1"],
+    ["effective", "--n-min", "6", "--n-max", "7", "--omega-list", "5"],
+    ["oracle-check", "--n-min", "4", "--n-max", "5", "--pairs", "2"],
+)
+
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from barrierchain.cli import _SUBCOMMANDS, main
+runs = json.loads(sys.argv[1])
+assert sorted(argv[0] for argv in runs) == sorted(_SUBCOMMANDS), "a subcommand has no run"
+for i, argv in enumerate(runs):
+    status = main([*argv, "--out", f"{sys.argv[2]}/run{i}.csv"])
+    assert status == 0, argv
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """scipy is a test-only dependency: with every scipy import made to
+    fail, each subcommand still runs, in one process."""
+    subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(TINY_RUNS), str(tmp_path)],
+                   env=_package_env(), check=True, capture_output=True, text=True)

@@ -294,12 +294,13 @@ def test_planned_cf4_pass_is_bit_identical_to_per_step_kernel(case, monkeypatch)
 
     solves = []
 
-    def counted_stevd(d, e):
-        solves.append(d[[1, -2]].copy())
-        return stevd(d, e)
+    def counted_eigh(d, e):
+        # one entry per stacked row, each a solved factor's driven entries
+        solves.extend(d[:, [1, -2]].copy())
+        return eigh(d, e)
 
-    stevd = protocol.tridiagonal_eigh
-    monkeypatch.setattr(protocol, "tridiagonal_eigh", counted_stevd)
+    eigh = protocol.tridiagonal_eigh
+    monkeypatch.setattr(protocol, "tridiagonal_eigh", counted_eigh)
     planned = _propagate_then_sample(spec, sch, t_end, times, h0)
     steps = []
     monkeypatch.setattr(protocol, "_integrate_active",
@@ -317,16 +318,44 @@ def test_planned_cf4_pass_is_bit_identical_to_per_step_kernel(case, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [2, 6, 8, 30])
-def test_direct_stevd_matches_eigh_tridiagonal(n):
+def test_tridiagonal_eigh_matches_stevd(n):
+    """The protocol's eigensolver, numpy's eigh on a stack of dense bands,
+    gives scipy stevd's levels and the magnitudes of its vectors bit for
+    bit, on signed-zero diagonals too; the signs never reach a state,
+    since each factor applies v (p * (v.T psi))."""
     rng = np.random.default_rng(n)
-    for _ in range(20):
-        d = rng.normal(scale=30.0, size=n)
-        d[rng.random(n) < 0.3] = -0.0
-        e = rng.normal(size=n - 1)
-        w, v = protocol.tridiagonal_eigh(d, e)
-        w_ref, v_ref = eigh_tridiagonal(d, e, lapack_driver="stevd")
-        assert np.array_equal(w, w_ref)
-        assert np.array_equal(v, v_ref)
+    d = rng.normal(scale=30.0, size=(20, n))
+    d[rng.random((20, n)) < 0.3] = -0.0
+    e = rng.normal(size=(20, n - 1))
+    w, v = protocol.tridiagonal_eigh(d, e)
+    for i in range(20):
+        w_ref, v_ref = eigh_tridiagonal(d[i], e[i], lapack_driver="stevd")
+        assert np.array_equal(w[i], w_ref)
+        assert np.array_equal(np.abs(v[i]), np.abs(v_ref))
+
+
+def test_logistic_is_expit_bit_for_bit():
+    """``field_at``'s logistic gives scipy.special.expit's bits, across the
+    band where exp(-x) overflows (x near -709.78), the saturation at 40 and
+    the arguments of order 10^3 a switching window meets."""
+    from scipy.special import expit
+
+    rng = np.random.default_rng(11)
+    x = np.concatenate([
+        rng.uniform(-745.0, -700.0, 20000), rng.uniform(36.0, 41.0, 20000), rng.uniform(-3000.0, 3000.0, 20000),
+        rng.normal(scale=3.0, size=20000),
+        [-np.inf, -745.0, -709.8, -709.78, -709.0, -0.0, 0.0, 40.0, np.nextafter(40.0, 41.0), np.inf],
+    ])
+    assert np.array_equal(protocol._logistic(x).view(np.int64), expit(x).view(np.int64))
+    assert protocol._logistic(np.float64(-709.5)).shape == ()
+    schedule = SwitchingSchedule(k1=60.0, k2=30.0, delta_t=40.0, t1=50.0, smoothing_timescale=0.5)
+    t = np.linspace(-400.0, 500.0, 20001)
+    omega2, omega_nm1 = field_at(schedule, t)
+    alpha, t1, t2 = 2.0, 50.0, 90.0
+    # some of alpha (t - t1) fall in the band where exp(-x) nearly overflows
+    assert np.any((alpha * (t - t1) > -709.8) & (alpha * (t - t1) < -709.0))
+    assert np.array_equal(omega2, 30.0 * expit(-alpha * (t - t2)) + 30.0 * expit(-alpha * (t - t1)))
+    assert np.array_equal(omega_nm1, 30.0 * expit(alpha * (t - t1)) + 30.0 * expit(alpha * (t - t2)))
 
 
 def test_cf4_window_on_a_constant_drive_matches_the_exact_stage():

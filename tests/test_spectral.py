@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
+from barrierchain import protocol, spectral
 from barrierchain.chain import (
     ChainSpec,
     FieldProfile,
@@ -11,7 +14,9 @@ from barrierchain.chain import (
     build_hamiltonian,
     ebit_barrier_profile,
 )
+from barrierchain.disorder import BARRIER_LEAKAGE, BULK_UNIFORM, DisorderModel, _ensemble_fields
 from barrierchain.metrics import _grid_point, _pointwise_sums, ipr
+from barrierchain.protocol import SwitchingSchedule, field_at, optimal_interval
 from barrierchain.spectral import (
     _fix_signs,
     _parity_eigh,
@@ -323,7 +328,7 @@ def _deep_field_profile():
 
 def _presign_vectors(spec, profile):
     """Eigenvectors as ``eigendecompose`` holds them before the sign rule:
-    the parity blocks' for a mirror-symmetric chain, stevd's otherwise."""
+    the parity blocks' for a mirror-symmetric chain, scipy stevd's otherwise."""
     h = build_hamiltonian(spec, profile)
     if profile.is_mirror_symmetric():
         w, v = _parity_eigh(h.diagonal, h.off_diagonal)
@@ -376,11 +381,11 @@ def test_fix_signs_threshold_skips_round_off_entries():
 
 @pytest.mark.parametrize("n", [2, 3, 10, 55, 100])
 def test_eigendecompose_matches_eigh_tridiagonal_bit_for_bit(n):
-    """``eigendecompose`` calls LAPACK stevd directly.  On chains without
-    mirror symmetry, w and v before the sign rule are scipy's
-    ``eigh_tridiagonal`` bits, and so is the decomposition built from them.
+    """``tridiagonal_eigh`` (numpy's eigh on the dense band) gives w and v
+    with the bits of scipy's ``eigh_tridiagonal`` (stevd) here.  On chains
+    without mirror symmetry, so does the decomposition built from them.
     Mirror-symmetric chains are solved in their parity blocks instead: their
-    levels agree with the whole chain's stevd levels to round-off, and each
+    levels agree with the whole chain's levels to round-off, and each
     vector is exactly even or odd, bit for bit."""
     spec = ChainSpec(n)
     rng = np.random.default_rng(n)
@@ -442,7 +447,8 @@ def test_mirror_symmetric_chains_get_exact_parity_and_even_first_order():
 
 def test_mirror_symmetric_diagonal_with_unequal_couplings_is_solved_whole():
     """The parity split needs the couplings mirror-symmetric as well: a
-    mirror-symmetric diagonal with other couplings gets stevd's bits."""
+    mirror-symmetric diagonal with other couplings gets the whole-chain
+    ``tridiagonal_eigh`` bits."""
     diagonal = np.array([1.0, -2.0, 0.5, -2.0, 1.0])
     h = SingleExcitationHamiltonian(diagonal, np.array([-1.0, -0.5, -1.5, -1.0]))
     w, v = tridiagonal_eigh(h.diagonal, h.off_diagonal)
@@ -523,6 +529,26 @@ def test_transfer_spectra_rows_get_their_own_bits_in_any_stack(n):
         assert _same_bits(lam, alone[0][0]) and _same_bits(w, alone[1][0])
 
 
+def test_transfer_spectra_bits_and_memory_do_not_depend_on_the_stack_size(monkeypatch):
+    """The stack is solved in row chunks: a chunk of one or a few rows
+    gives every row its bits, and a 2,000-chain stack at N = 40 never holds
+    its 2,000 eigenvector matrices (25 MiB of them) at once."""
+    fields = _kernel_rows(10)
+    levels, weights = transfer_spectra(fields)
+    monkeypatch.setattr(spectral, "_EIGH_ENTRIES", 60)
+    small = transfer_spectra(fields)
+    assert _same_bits(small[0], levels) and _same_bits(small[1], weights)
+    monkeypatch.undo()
+    stack = np.random.default_rng(8).uniform(-3.0, 3.0, (2000, 40))
+    tracemalloc.start()
+    try:
+        transfer_spectra(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_transfer_spectra_input_guards():
     fields = _kernel_rows(6)
     for bad in (np.inf, -np.inf, np.nan):
@@ -541,6 +567,93 @@ def test_transfer_spectra_input_guards():
 def test_tridiagonal_eigh_raises_on_lapack_failure():
     with pytest.raises(np.linalg.LinAlgError):
         tridiagonal_eigh(np.array([0.0, np.nan, 1.0]), np.array([-1.0, -1.0]))
+    # a stack fails as a whole
+    with pytest.raises(np.linalg.LinAlgError):
+        tridiagonal_eigh(np.array([[0.0, 2.0, 1.0], [0.0, np.nan, 1.0]]), np.array([-1.0, -1.0]))
+
+
+def test_tridiagonal_eigh_stacks_broadcast_and_single_sites():
+    """A stack gives each matrix the bits it gets alone, with diagonals and
+    off-diagonals broadcast against each other; a one-site matrix needs no
+    off-diagonal entry."""
+    rng = np.random.default_rng(4)
+    d = rng.normal(scale=5.0, size=(2, 3, 7))
+    e = rng.normal(size=(3, 6))
+    w, v = tridiagonal_eigh(d, e)
+    assert w.shape == (2, 3, 7) and v.shape == (2, 3, 7, 7)
+    for i, j in np.ndindex(2, 3):
+        w_one, v_one = tridiagonal_eigh(d[i, j], e[j])
+        assert np.array_equal(w[i, j], w_one) and np.array_equal(v[i, j], v_one)
+    w, v = tridiagonal_eigh(np.array([[2.5], [-1.0]]), np.empty(0))
+    assert w.tolist() == [[2.5], [-1.0]] and v.tolist() == [[[1.0]], [[1.0]]]
+
+
+def _stevd_rows(d, e):
+    """``tridiagonal_eigh`` by one scipy stevd call per matrix, the solver the
+    package used before numpy's stacked eigh."""
+    d = np.asarray(d, dtype=float)
+    e = np.broadcast_to(e, d.shape[:-1] + (d.shape[-1] - 1,))
+    pairs = [eigh_tridiagonal(d[i], e[i], lapack_driver="stevd") for i in np.ndindex(d.shape[:-1])]
+    n = d.shape[-1]
+    w = np.array([w for w, _ in pairs]).reshape(d.shape)
+    v = np.array([v for _, v in pairs]).reshape(d.shape + (n,))
+    return w, v
+
+
+def _guard_stacks():
+    """Field stacks of the chain families the outputs are built from."""
+    for n in range(2, 101):
+        omegas = (0.0, 0.5, 4.0, 20.0, 100.0) if n >= 4 else ()
+        yield f"barrier{n}", np.array([np.zeros(n), *(barrier_profile(ChainSpec(n), w).local_fields for w in omegas)])
+    # strong barriers make the barrier pair exactly degenerate
+    for n in (*range(2, 14), 18, 55, 100):
+        halves = np.random.default_rng(200 + n).uniform(-3.0, 3.0, (3, n))
+        rows = [*(halves + halves[:, ::-1])]
+        if n >= 4:
+            rows += [barrier_profile(ChainSpec(n), omega).local_fields for omega in (50.0, 1e3, 1e4)]
+        yield f"mirror{n}", np.array(rows)
+    for n, model in ((10, DisorderModel(BULK_UNIFORM, 1.0)), (10, DisorderModel(BULK_UNIFORM, 4.0)),
+                     (30, DisorderModel(BARRIER_LEAKAGE, 20.0)), (33, DisorderModel(BULK_UNIFORM, 2.0))):
+        spec = ChainSpec(n)
+        (fields,) = _ensemble_fields([model], barrier_profile(spec, 20.0), 40, seed=2024)
+        yield f"disorder{n}", fields
+
+
+def test_levels_and_weights_match_scipy_stevd_bit_for_bit(monkeypatch):
+    """The outputs' bits rest on numpy's LAPACK solving each tridiagonal as
+    scipy's stevd did: ``transfer_spectra``'s levels and weights must equal,
+    bit for bit, those of the same kernel with every stacked eigensolve
+    replaced by one stevd call per matrix.  This fails loudly if a numpy or
+    LAPACK build ever computes otherwise."""
+    stacks = list(_guard_stacks())
+    got = [transfer_spectra(fields) for _, fields in stacks]
+    monkeypatch.setattr(spectral, "tridiagonal_eigh", _stevd_rows)
+    ties = 0
+    for (label, fields), (levels, weights) in zip(stacks, got):
+        want_levels, want_weights = transfer_spectra(fields)
+        assert _same_bits(levels, want_levels) and _same_bits(weights, want_weights), label
+        ties += int(np.sum(levels[:, 1:] == levels[:, :-1]))
+    assert ties > 0
+
+
+def test_cf4_factor_eigensolves_match_scipy_stevd_bit_for_bit():
+    """N = 30 CF4 factors as a smoothed protocol pass plans them (both
+    switching windows at tau_s = 0.5): one stacked ``tridiagonal_eigh``
+    gives stevd's levels and the magnitudes of its vectors, bit for bit."""
+    schedule = SwitchingSchedule(k1=60.0, k2=30.0, delta_t=optimal_interval(30, 30.0), smoothing_timescale=0.5)
+    starts = np.concatenate([np.arange(t - 22.5, t + 22.5, 0.0625) for t in (schedule.t1, schedule.t2)])
+    omega2, omega_nm1 = field_at(schedule, starts[:, None] + 0.0625 * protocol._NODES)
+    big, small = protocol._WEIGHT_BIG, protocol._WEIGHT_SMALL
+    d = np.zeros((2 * starts.size, 30))
+    d[:, 1] = np.concatenate([big * -omega2[:, 0] + small * -omega2[:, 1], small * -omega2[:, 0] + big * -omega2[:, 1]])
+    d[:, -2] = np.concatenate([big * -omega_nm1[:, 0] + small * -omega_nm1[:, 1],
+                               small * -omega_nm1[:, 0] + big * -omega_nm1[:, 1]])
+    off = np.full(29, -(big + small))
+    w, v = tridiagonal_eigh(d, off)
+    w_ref, v_ref = _stevd_rows(d, off)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(np.abs(v), np.abs(v_ref))
+    assert d.shape[0] > 2000
 
 
 def test_site_state_validation():
