@@ -46,6 +46,8 @@ _PRUNE_STRIDE = 16
 _COARSE_ENTRIES = 1 << 16
 _EPS = float(np.finfo(float).eps)
 _UNIT = 0.5 * _EPS
+# golden-section shrink factor
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def average_fidelity(abs_f):
@@ -150,6 +152,16 @@ def rabi_transfer_time(report: LocalizationReport) -> float:
     return float(np.pi / report.gap)
 
 
+def _check_from(width, tol: float) -> np.ndarray:
+    """The iteration from which ``golden_section`` compares a bracket of
+    ``width`` for cycles: one past the iterations a bracket shrinking by
+    inv_phi needs to reach ``tol``, elementwise; 0 where the width is
+    infinite or ``tol`` is not positive."""
+    finite = (tol > 0) & (width > tol) & (width < np.inf)
+    ratio = np.divide(width, tol, out=np.ones(np.shape(width)), where=finite)
+    return np.where(finite, np.ceil(np.log(ratio) / -math.log(_INV_PHI)) + 1, 0).astype(np.int64)
+
+
 def golden_section(fun, lo, hi, tol: float = 1e-4):
     """Deterministic golden-section maximizer of unimodal functions, in lockstep.
 
@@ -167,34 +179,41 @@ def golden_section(fun, lo, hi, tol: float = 1e-4):
     otherwise never repeats a state, so its bits do not change.  The states
     are compared with the one kept at the last power-of-two iteration
     (Brent's cycle detection, which catches every cycle), starting only once
-    the iterations a bracket shrinking by inv_phi needs have passed.
+    the iterations its own bracket needs have passed (``_check_from``), so
+    where a cycling bracket stops does not depend on the other brackets of
+    the call.  Those starts are worked out only if some bracket is still
+    active one iteration before the narrowest bracket's.
     """
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
     fc, fd = fun(c), fun(d)
-    active = b - a > tol
-    widest = float(np.max(b - a, initial=tol))
-    check_from = math.ceil(math.log(widest / tol) / -math.log(inv_phi)) + 1 if 0 < tol < widest < math.inf else 0
+    width = b - a
+    active = width > tol
+    # one less than the narrowest active bracket's start, against rounding
+    narrowest = float(np.min(width, where=active, initial=np.inf))
+    first_check = math.ceil(math.log(narrowest / tol) / -math.log(_INV_PHI)) if 0 < tol < narrowest < math.inf else 0
+    check_from = None
     iteration = 0
     while active.any():
         # left: the maximum lies in [a, d], and c becomes the new d
         left = active & (fc >= fd)
         right = active & ~left
         a, b = np.where(right, c, a), np.where(left, d, b)
-        probe = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        probe = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
         value = fun(probe)
         c, d = np.where(left, probe, np.where(right, d, c)), np.where(left, c, np.where(right, probe, d))
         fc, fd = np.where(left, value, np.where(right, fd, fc)), np.where(left, fc, np.where(right, value, fd))
         active &= b - a > tol
         iteration += 1
-        if iteration >= check_from:
+        if iteration >= first_check and active.any():
+            if check_from is None:
+                check_from, kept = _check_from(width, tol), (a, b, c, d)
             since = iteration - check_from
-            if since & (since - 1) == 0:  # since = 0, 1, 2, 4, 8, ...
-                kept = a, b, c, d
-            else:
-                active &= (a != kept[0]) | (b != kept[1]) | (c != kept[2]) | (d != kept[3])
+            keep = (since >= 0) & (since & (since - 1) == 0)  # since = 0, 1, 2, 4, 8, ...
+            compare = (since > 0) & ~keep
+            active &= ~compare | (a != kept[0]) | (b != kept[1]) | (c != kept[2]) | (d != kept[3])
+            kept = tuple(np.where(keep, now, old) for now, old in zip((a, b, c, d), kept))
     best = np.where(fc >= fd, c, d)
     return float(best) if best.ndim == 0 else best
 
@@ -479,9 +498,6 @@ def peak_search(
     ends = np.cumsum([0, *(t.size for t, _ in grid)]).tolist()
 
     def product(times: np.ndarray) -> np.ndarray:
-        if len(stacks) == 1:
-            # skips a copy per probe: 1% of an `ensemble` pass's searches
-            return _pointwise_product(*stacks[0], times)
         return np.concatenate([
             _pointwise_product(levels, weights, times[a:b]) for (levels, weights), a, b in zip(stacks, ends, ends[1:])
         ])

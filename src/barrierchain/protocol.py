@@ -30,9 +30,10 @@ A step's two factors depend on (t, h) alone, never on the state, so each
 pass plans a switching window in arrays before the state is touched: the
 step starts and sizes, one field_at call on every Gauss node, and each
 factor's two driven diagonal entries.  The factors then go in chunks of
-_CHUNK_FACTORS.  Within a chunk, a factor whose diagonal equals the
-previous factor's bit for bit, as on flat logistic tails, reuses that
-eigenpair; the others are solved by one stacked ``tridiagonal_eigh``
+``spectral.stack_rows`` factors, the row budget of every stacked
+eigensolve (72 at N = 30).  Within a chunk, a factor whose diagonal
+equals the previous factor's bit for bit, as on flat logistic tails,
+reuses that eigenpair; the others are solved by one stacked ``tridiagonal_eigh``
 call, and one vectorized exponential gives the phases exp(-i h w) of
 every factor, so the loop over the state does only the two matvecs of
 each factor.  A vector's sign cancels in v (p * (v.T psi)) bit for bit.
@@ -69,15 +70,12 @@ from .spectral import (
     evolve,
     evolve_many,
     site_state,
+    stack_rows,
     tridiagonal_eigh,
 )
 
 # Logistic tails below exp(-45) ~ 3e-20 are treated as exactly constant.
 _TAIL_WIDTHS = 45.0
-# CF4 factors per chunk of a switching window (one stacked eigensolve of
-# its distinct factors); 64 and 128 were the fastest of 16-256 on a
-# 22k-factor run, and 64 holds less memory.
-_CHUNK_FACTORS = 64
 
 
 @dataclass(frozen=True)
@@ -276,6 +274,7 @@ def _integrate_active(
     diagonals are planned as arrays first, and the factors are solved in
     stacked chunks (see the module docstring)."""
     n = spec.n_sites
+    per_chunk = stack_rows(n)
     starts, sizes, counts = [], [], []
     t = t_start
     for tc in checkpoints:
@@ -305,16 +304,16 @@ def _integrate_active(
     bits = factors.view(np.int64)
     fresh = np.ones(len(factors), dtype=bool)
     fresh[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-    fresh[::_CHUNK_FACTORS] = True
-    diag = np.zeros((_CHUNK_FACTORS, n))
+    fresh[::per_chunk] = True
+    diag = np.zeros((per_chunk, n))
     off = np.full(n - 1, -(_WEIGHT_BIG + _WEIGHT_SMALL))
     states = []
     k = 0
     for n_sub in counts:
         for _ in range(2 * n_sub):
-            i = k % _CHUNK_FACTORS
+            i = k % per_chunk
             if i == 0:
-                chunk = np.arange(k, min(k + _CHUNK_FACTORS, len(factors)))
+                chunk = np.arange(k, min(k + per_chunk, len(factors)))
                 rows = chunk[fresh[chunk]]
                 diag[: rows.size, [1, n - 2]] = factors[rows]
                 w, v = tridiagonal_eigh(diag[: rows.size], off)

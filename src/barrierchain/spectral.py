@@ -67,7 +67,7 @@ from .chain import ChainSpec, FieldProfile, SingleExcitationHamiltonian, build_h
 
 # unit round-off u = eps / 2 of float64
 _UNIT = 0.5 * float(np.finfo(float).eps)
-# dense matrix entries one stacked eigensolve of ``transfer_spectra`` holds at most
+# dense matrix entries one stacked eigensolve holds at most (``stack_rows``)
 _EIGH_ENTRIES = 1 << 16
 
 
@@ -186,14 +186,20 @@ def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
+def stack_rows(n: int) -> int:
+    """Rows of n-site tridiagonals one stacked ``tridiagonal_eigh`` call
+    takes: at most _EIGH_ENTRIES dense entries, and at least one row, so
+    a stack's eigenvector matrices never exist all at once."""
+    return max(1, _EIGH_ENTRIES // (n * n))
+
+
 def _end_rows(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Levels and the first and last entries of every eigenvector of a stack
     of tridiagonals (``d`` (S, n), ``e`` broadcast against it), each (S, n).
-    The stack is solved in row chunks of at most _EIGH_ENTRIES dense
-    entries, so its eigenvector matrices never exist all at once."""
+    The stack is solved in chunks of ``stack_rows`` rows."""
     n = d.shape[-1]
     levels, first, last = np.empty(d.shape), np.empty(d.shape), np.empty(d.shape)
-    size = max(1, _EIGH_ENTRIES // (n * n))
+    size = stack_rows(n)
     for a in range(0, d.shape[0], size):
         levels[a : a + size], v = tridiagonal_eigh(d[a : a + size], e)
         first[a : a + size], last[a : a + size] = v[:, 0], v[:, -1]

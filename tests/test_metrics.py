@@ -237,6 +237,26 @@ def test_golden_section_cycle_check_keeps_the_bits_of_brackets_that_end():
     assert peaks[centres < 1.0].tolist() == expected[:3]
 
 
+def test_golden_section_cycling_bracket_keeps_its_bits_beside_wider_ones():
+    """Near 6e11 floats are 1.2e-4 apart, so a bracket there cycles instead
+    of ending; its cycle check starts from its own width, so it stops where
+    it stops alone, beside brackets of any width."""
+    base = 6e11 + np.array([0.0, 0.25, 0.5])
+    centres = base + np.array([0.1234, 0.3, 0.0])
+
+    def alone(k):
+        return lambda x: np.cos(3e4 * (x - centres[k])) - (x - centres[k]) ** 2
+
+    expected = [golden_section(alone(k), base[k], base[k] + 0.5) for k in range(base.size)]
+    for wide in (1e3, 2e3, 1e6):
+        lo, hi = np.append(base, 0.0), np.append(base + 0.5, wide)
+
+        def stacked(x):
+            return np.append(np.cos(3e4 * (x[:3] - centres)) - (x[:3] - centres) ** 2, -((x[3] - 3.3) ** 2))
+
+        assert golden_section(stacked, lo, hi)[:3].tolist() == expected
+
+
 _FAR_WINDOW = """
 import numpy as np
 from barrierchain.chain import ChainSpec, barrier_profile
