@@ -29,16 +29,32 @@ gives scipy.special's expit bit for bit without importing scipy.
 A step's two factors depend on (t, h) alone, never on the state, so each
 pass plans a switching window in arrays before the state is touched: the
 step starts and sizes, one field_at call on every Gauss node, and each
-factor's two driven diagonal entries.  The factors then go in chunks of
-``spectral.stack_rows`` factors, the row budget of every stacked
-eigensolve (72 at N = 30).  Within a chunk, a factor whose diagonal
+factor's two driven diagonal entries.  The factors then go in tasks of
+``spectral.stack_rows(N) // W`` factors, ``stack_rows`` being the row
+budget of every stacked eigensolve (72 at N = 30) and W the number of
+CPUs the process may run on.  Within a task, a factor whose diagonal
 equals the previous factor's bit for bit, as on flat logistic tails,
 reuses that eigenpair; the others are solved by one stacked ``tridiagonal_eigh``
 call, and one vectorized exponential gives the phases exp(-i h w) of
 every factor, so the loop over the state does only the two matvecs of
 each factor.  A vector's sign cancels in v (p * (v.T psi)) bit for bit.
-A chunk's eigenpairs and phases are dropped once its factors are
+A task's eigenpairs and phases are dropped once its factors are
 applied, so memory stays flat.
+
+A smoothed run solves its factors on W threads (``_factor_pool``): one
+worker per CPU past the first, made once per simulate_protocol call and
+shut down on every way out of it.  While this thread applies one task's
+factors, the workers solve the tasks after it; this thread solves every
+W-th task itself, and a worker's next task is submitted only when its last
+one is taken, so at most W tasks are in flight, one ``stack_rows`` budget
+of eigendata in all.  numpy's stacked eigh releases the interpreter lock,
+so the solves run in parallel with the Python loop over the state.  Each
+matrix of a stack is solved on its own, and a task's first factor is
+always solved, so the states have the same bits at any W; with one CPU
+everything runs inline, with no thread.  A run's CPU seconds rise while
+its wall time falls: eigensolves running at once each run slower, smaller
+tasks pay the per-call cost of a stacked eigensolve more often, and tasks
+and the interpreter lock pass between threads.
 
 Smoothed runs halve the step until the final fidelity settles, and every
 pass but the accepted one is a probe: it only propagates, keeping each
@@ -57,7 +73,10 @@ so memory is bounded end to end.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,6 +280,76 @@ def _switch_regions(schedule: SwitchingSchedule, t_end: float) -> list[tuple[flo
     return regions
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# (executor, W) of the enclosing ``_factor_pool`` block, or None.  The pool
+# belongs to one simulate_protocol call and reaches the window integrations
+# of every pass through this variable, so a call in another thread never
+# sees it.
+_FACTOR_POOL: contextvars.ContextVar = contextvars.ContextVar("factor_pool", default=None)
+
+
+@contextlib.contextmanager
+def _factor_pool():
+    """Solve the factors of every ``_integrate_active`` call in the block on
+    W = ``_cpu_count()`` threads: this one and W - 1 workers, which exist
+    only while the block runs.  With one CPU there is no worker and no
+    thread."""
+    workers = _cpu_count()
+    if workers == 1:
+        yield
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="cf4-factors") as pool:
+        token = _FACTOR_POOL.set((pool, workers))
+        try:
+            yield
+        finally:
+            _FACTOR_POOL.reset(token)
+
+
+def _solve_factors(n, factors, fresh, sizes, a, b):
+    """(v, slot, phases) of the n-site factors a..b-1, a task: one stacked
+    ``tridiagonal_eigh`` call solves its fresh factors (``fresh[a]`` is
+    set), factor a + j uses eigenvectors v[slot[j]], and one vectorized
+    exponential gives every factor's phases, with the bits of -1j * h * w
+    for it alone."""
+    task = np.arange(a, b)
+    rows = task[fresh[task]]
+    diag = np.zeros((rows.size, n))
+    diag[:, [1, n - 2]] = factors[rows]
+    w, v = tridiagonal_eigh(diag, np.full(n - 1, -(_WEIGHT_BIG + _WEIGHT_SMALL)))
+    slots = np.cumsum(fresh[task]) - 1
+    return v, slots.tolist(), np.exp((-1j * sizes[task // 2])[:, None] * w[slots])
+
+
+def _solved_tasks(solve, bounds, pool, workers):
+    """solve(a, b) of every task (a, b) in ``bounds``, in order.  Task k is
+    solved on this thread when k % workers == 0 and by ``pool`` otherwise,
+    submitted once task k - workers is taken, so at most ``workers`` tasks
+    are solved and not yet taken at any time."""
+    pending = {k: pool.submit(solve, *bounds[k]) for k in range(1, min(workers, len(bounds)))}
+    try:
+        for k, (a, b) in enumerate(bounds):
+            if k % workers == 0:
+                yield solve(a, b)
+                continue
+            solved = pending.pop(k).result()
+            if k + workers < len(bounds):
+                pending[k + workers] = pool.submit(solve, *bounds[k + workers])
+            yield solved
+    finally:
+        for future in pending.values():
+            future.cancel()
+
+
 def _integrate_active(
     spec: ChainSpec,
     schedule: SwitchingSchedule,
@@ -272,9 +361,11 @@ def _integrate_active(
     """CF4-step from t_start through each checkpoint, landing exactly on
     every one; returns the state at each checkpoint.  The steps and factor
     diagonals are planned as arrays first, and the factors are solved in
-    stacked chunks (see the module docstring)."""
+    stacked tasks, on the threads of the enclosing ``_factor_pool`` if
+    there is one (see the module docstring)."""
     n = spec.n_sites
-    per_chunk = stack_rows(n)
+    pool, workers = _FACTOR_POOL.get() or (None, 1)
+    per_task = max(1, stack_rows(n) // workers)
     starts, sizes, counts = [], [], []
     t = t_start
     for tc in checkpoints:
@@ -300,28 +391,20 @@ def _integrate_active(
     ).reshape(-1, 2)
     # a factor whose entries match the previous factor's bit for bit (flat
     # logistic tails) reuses its eigenpair, except as the first factor of a
-    # chunk, which solves it again with the same bits
+    # task, which solves it again with the same bits
     bits = factors.view(np.int64)
     fresh = np.ones(len(factors), dtype=bool)
     fresh[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-    fresh[::per_chunk] = True
-    diag = np.zeros((per_chunk, n))
-    off = np.full(n - 1, -(_WEIGHT_BIG + _WEIGHT_SMALL))
+    fresh[::per_task] = True
+    bounds = [(a, min(a + per_task, len(factors))) for a in range(0, len(factors), per_task)]
+    tasks = _solved_tasks(lambda a, b: _solve_factors(n, factors, fresh, sizes, a, b), bounds, pool, workers)
     states = []
     k = 0
     for n_sub in counts:
         for _ in range(2 * n_sub):
-            i = k % per_chunk
+            i = k % per_task
             if i == 0:
-                chunk = np.arange(k, min(k + per_chunk, len(factors)))
-                rows = chunk[fresh[chunk]]
-                diag[: rows.size, [1, n - 2]] = factors[rows]
-                w, v = tridiagonal_eigh(diag[: rows.size], off)
-                # factor chunk[j] uses eigenpair slots[j] of the chunk's solves
-                slots = np.cumsum(fresh[chunk]) - 1
-                # each factor's phases, with the bits of -1j * h * w for it alone
-                phases = np.exp((-1j * sizes[chunk // 2])[:, None] * w[slots])
-                slot = slots.tolist()
+                v, slot, phases = next(tasks)
             u = v[slot[i]]
             psi = u @ (phases[i] * (u.T @ psi))
             k += 1
@@ -445,6 +528,8 @@ def simulate_protocol(
         raise ValueError(f"t_end must be finite and lie beyond the release time t2, got {t_end}")
     if not 0 < sample_dt < np.inf:
         raise ValueError(f"sample_dt must be positive and finite, got {sample_dt}")
+    if not 0 <= step_tolerance < np.inf:
+        raise ValueError(f"step_tolerance must be finite and >= 0, got {step_tolerance}")
     sample_times = _sample_grid(schedule, t_end, sample_dt)
 
     if schedule.smoothing_timescale == 0:
@@ -456,20 +541,21 @@ def simulate_protocol(
         # Sampling already caps the effective step at sample_dt; start at or
         # below it so each halving genuinely refines the integration.
         h = min(h, sample_dt)
-        regions, psi = _propagate(spec, schedule, t_end, sample_times, h)
-        previous = average_fidelity(np.abs(psi[-1]))
-        for _ in range(14):
-            h /= 2.0
+        with _factor_pool():
             regions, psi = _propagate(spec, schedule, t_end, sample_times, h)
-            current = average_fidelity(np.abs(psi[-1]))
-            if abs(current - previous) < step_tolerance:
-                break
-            previous = current
-        else:
-            raise StepControlError(
-                f"step halving did not converge to {step_tolerance:g} "
-                f"(last step {h:g})"
-            )
+            previous = average_fidelity(np.abs(psi[-1]))
+            for _ in range(14):
+                h /= 2.0
+                regions, psi = _propagate(spec, schedule, t_end, sample_times, h)
+                current = average_fidelity(np.abs(psi[-1]))
+                if abs(current - previous) < step_tolerance:
+                    break
+                previous = current
+            else:
+                raise StepControlError(
+                    f"step halving did not converge to {step_tolerance:g} "
+                    f"(last step {h:g})"
+                )
 
     site_n, presend = _sample(schedule, regions)
     abs_f = np.abs(site_n)

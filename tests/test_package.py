@@ -59,6 +59,7 @@ import barrierchain.cli
 wrapped = runpy.run_path(sys.argv[1])["WRAPPED"]
 print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "concurrent": sorted(m for m in sys.modules if m.split(".")[0] == "concurrent"),
     "lazy": sorted(m for m in ("barrierchain.ebit", "barrierchain.effective") if m in sys.modules),
     "unwrapped": sorted({module for _, module, _ in wrapped} - set(sys.modules)),
 }))
@@ -74,11 +75,12 @@ def _package_env() -> dict:
 def test_cli_import_leaves_out_scipy_special_ebit_and_effective():
     """Importing the CLI loads every module the benchmark tracer wraps
     (perfbench/spans.py reads them from sys.modules), but no scipy module
-    at all, and neither ebit nor effective, which their handlers import."""
+    at all, neither ebit nor effective, which their handlers import, and
+    no concurrent.futures, which only a smoothed protocol run imports."""
     spans = ROOT / "perfbench" / "spans.py"
     out = subprocess.run([sys.executable, "-c", CLI_SURFACE, str(spans)], env=_package_env(), check=True,
                          capture_output=True, text=True).stdout
-    assert json.loads(out) == {"scipy": [], "lazy": [], "unwrapped": []}
+    assert json.loads(out) == {"scipy": [], "concurrent": [], "lazy": [], "unwrapped": []}
 
 
 # one small run of every subcommand; a smoothed protocol run covers the logistic

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -114,7 +115,9 @@ def test_interval_formulas_reject_bad_k2(k2):
 @pytest.mark.parametrize(
     "kwargs",
     [dict(t_end=np.nan), dict(t_end=np.inf), dict(sample_dt=np.nan), dict(sample_dt=np.inf),
-     dict(step_hint=np.nan), dict(step_hint=np.inf), dict(step_hint=0.0)],
+     dict(step_hint=np.nan), dict(step_hint=np.inf), dict(step_hint=0.0),
+     dict(step_tolerance=np.nan), dict(step_tolerance=np.inf), dict(step_tolerance=-np.inf),
+     dict(step_tolerance=-1.0)],
 )
 def test_protocol_run_rejects_non_finite_inputs(kwargs):
     sch = schedule8(smoothing_timescale=0.5)
@@ -315,6 +318,106 @@ def test_planned_cf4_pass_is_bit_identical_to_per_step_kernel(case, monkeypatch)
     assert len(solves) < 2 * len(steps)
     if zero_tails:
         assert any(np.any(d == 0.0) for d in solves)
+
+
+def _threaded_solves(monkeypatch, workers):
+    """Run the factor solves of a ``_factor_pool`` block on ``workers``
+    threads; returns the list that records, per stacked solve, whether it
+    ran on a worker thread."""
+    monkeypatch.setattr(protocol, "_cpu_count", lambda: workers)
+    on_worker = []
+
+    def recorded(d, e):
+        on_worker.append(threading.current_thread() is not threading.main_thread())
+        return eigh(d, e)
+
+    eigh = protocol.tridiagonal_eigh
+    monkeypatch.setattr(protocol, "tridiagonal_eigh", recorded)
+    return on_worker
+
+
+# (spec, schedule, psi's seed, t_start, checkpoints, h0): the window around
+# t1 of the n30-smoothed run below, 3,600 factors, 50 tasks on one thread
+# and 150 on three
+LONG_WINDOW = (ChainSpec(30), SwitchingSchedule(k1=60.0, k2=30.0, delta_t=optimal_interval(30, 30.0), t1=50.0,
+                                                smoothing_timescale=0.5),
+               3, 27.5, np.arange(28.0, 73.0, 0.5), 0.025)
+
+
+@pytest.mark.parametrize("case", [*CF4_CASES, "n30-long-window"])
+def test_factor_solves_keep_every_bit_on_any_thread_count(case, monkeypatch):
+    """Every checkpoint state of ``_integrate_active`` is the same on one,
+    two and three factor-solving threads: tasks differ only in where their
+    stacked solves run and where they split the factors."""
+    if case == "n30-long-window":
+        spec, sch, seed, t_start, checkpoints, h0 = LONG_WINDOW
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites)
+        psi /= np.linalg.norm(psi)
+
+        def windows():
+            return protocol._integrate_active(spec, sch, psi, t_start, checkpoints, h0)
+    else:
+        spec, sch, tail, sample_dt, h0, zero_tails = CF4_CASES[case]
+        if zero_tails:
+            monkeypatch.setattr(protocol, "field_at", _zero_tails)
+        t_end = sch.t2 + tail
+        times = protocol._sample_grid(sch, t_end, sample_dt)
+
+        def windows():
+            regions, _ = protocol._propagate(spec, sch, t_end, times, h0)
+            return [state for *_, decomp, states in regions if decomp is None for state in states]
+
+    runs = {}
+    for workers in (1, 2, 3):
+        on_worker = _threaded_solves(monkeypatch, workers)
+        with protocol._factor_pool():
+            runs[workers] = windows()
+        # one thread solves everything; more threads share the solves
+        assert any(on_worker) == (workers > 1)
+        assert not all(on_worker)
+    assert runs[1]
+    for workers in (2, 3):
+        assert len(runs[workers]) == len(runs[1])
+        assert all(np.array_equal(a, b) for a, b in zip(runs[workers], runs[1]))
+    if case == "n30-long-window":
+        assert len(on_worker) == 150
+
+
+def test_factor_threads_end_with_the_call(monkeypatch):
+    """The worker threads exist only inside simulate_protocol: they are
+    gone after a return, after a StepControlError and after a worker's
+    LinAlgError, which surfaces from the call."""
+    on_worker = _threaded_solves(monkeypatch, 3)
+    before = threading.active_count()
+    sch = schedule8(smoothing_timescale=0.1)
+    simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
+    assert any(on_worker)
+    assert threading.active_count() == before
+
+    # fidelities that never settle: every halving pass runs, then the error
+    fidelities = iter(np.arange(100.0))
+    monkeypatch.setattr(protocol, "average_fidelity", lambda f: next(fidelities))
+    on_worker.clear()
+    tiny = SwitchingSchedule(k1=2.0, k2=1.0, delta_t=0.1, t1=0.05, smoothing_timescale=0.001)
+    with pytest.raises(StepControlError):
+        simulate_protocol(ChainSpec(6), tiny, t_end=0.2, sample_dt=1.0, step_hint=1.0)
+    assert any(on_worker)
+    assert threading.active_count() == before
+    monkeypatch.undo()
+
+    solve = protocol.tridiagonal_eigh
+
+    def failing(d, e):
+        if threading.current_thread() is not threading.main_thread():
+            raise np.linalg.LinAlgError("injected")
+        return solve(d, e)
+
+    monkeypatch.setattr(protocol, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(protocol, "tridiagonal_eigh", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("n", [2, 6, 8, 30])

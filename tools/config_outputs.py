@@ -14,7 +14,8 @@ outputs under OUTDIR (new or empty) and prints ``sha256  name`` for every
 file written, sorted by name.  Two checkouts produce byte-identical outputs
 when this script prints the same lines on both, so compare them with
 ``diff``.  Each run's wall time, from
-process start to exit, and its peak resident memory (the child's own
+process start to exit, its CPU time (user plus system, every thread of the
+child) and its peak resident memory (the child's own ru_utime, ru_stime and
 ru_maxrss, read by wait4) go to stderr, so stdout stays comparable.
 """
 
@@ -76,7 +77,8 @@ def main(argv: list[str]) -> int:
         if proc.returncode:
             raise subprocess.CalledProcessError(proc.returncode, argv)
         label = " ".join(Path(arg).name if os.sep in arg else arg for arg in args)
-        print(f"{wall:7.2f} s  {usage.ru_maxrss / 1024:6.1f} MiB  {label}", file=sys.stderr)
+        cpu = usage.ru_utime + usage.ru_stime
+        print(f"{wall:7.2f} s  {cpu:7.2f} cpu-s  {usage.ru_maxrss / 1024:6.1f} MiB  {label}", file=sys.stderr)
     for path in sorted(outdir.iterdir()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     return 0
