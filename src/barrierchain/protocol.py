@@ -32,29 +32,33 @@ step starts and sizes, one field_at call on every Gauss node, and each
 factor's two driven diagonal entries.  The factors then go in tasks of
 ``spectral.stack_rows(N) // W`` factors, ``stack_rows`` being the row
 budget of every stacked eigensolve (72 at N = 30) and W the number of
-CPUs the process may run on.  Within a task, a factor whose diagonal
-equals the previous factor's bit for bit, as on flat logistic tails,
-reuses that eigenpair; the others are solved by one stacked ``tridiagonal_eigh``
-call, and one vectorized exponential gives the phases exp(-i h w) of
+threads that solve them, 1 or 2 (below).  Within a task, a factor whose
+diagonal equals the previous factor's bit for bit, as on flat logistic
+tails, reuses that eigenpair; the others are solved by one stacked
+``tridiagonal_eigh`` call, and one vectorized exponential gives the phases exp(-i h w) of
 every factor, so the loop over the state does only the two matvecs of
 each factor.  A vector's sign cancels in v (p * (v.T psi)) bit for bit.
 A task's eigenpairs and phases are dropped once its factors are
 applied, so memory stays flat.
 
-A smoothed run solves its factors on W threads (``_factor_pool``): one
-worker per CPU past the first, made once per simulate_protocol call and
-shut down on every way out of it.  While this thread applies one task's
-factors, the workers solve the tasks after it; this thread solves every
-W-th task itself, and a worker's next task is submitted only when its last
-one is taken, so at most W tasks are in flight, one ``stack_rows`` budget
-of eigendata in all.  numpy's stacked eigh releases the interpreter lock,
-so the solves run in parallel with the Python loop over the state.  Each
-matrix of a stack is solved on its own, and a task's first factor is
-always solved, so the states have the same bits at any W; with one CPU
-everything runs inline, with no thread.  A run's CPU seconds rise while
-its wall time falls: eigensolves running at once each run slower, smaller
-tasks pay the per-call cost of a stacked eigensolve more often, and tasks
-and the interpreter lock pass between threads.
+A smoothed run solves its factors on W = 2 threads when the process may
+run on two CPUs or more, and on W = 1, inline with no thread, otherwise
+(``_factor_pool``, ``_FACTOR_THREADS``).  Two is the only count measured:
+a host with more CPUs still runs two threads, since more would cut the
+tasks toward one row each, every one paying a stacked eigensolve's
+per-call cost.  The one worker is made once per simulate_protocol call,
+handed to each pass, and shut down on every way out of the call.  While
+this thread applies one task's factors, the worker solves the next; this
+thread solves every W-th task itself, and the worker's next task is
+submitted only when its last one is taken, so at most W tasks are in
+flight, one ``stack_rows`` budget of eigendata in all.  numpy's stacked
+eigh releases the interpreter lock, so the solves run in parallel with
+the Python loop over the state.  Each matrix of a stack is solved on its
+own, and a task's first factor is always solved, so the states have the
+same bits at any W.  A run's CPU seconds rise while its wall time falls:
+eigensolves running at once each run slower, smaller tasks pay the
+per-call cost of a stacked eigensolve more often, and tasks and the
+interpreter lock pass between threads.
 
 Smoothed runs halve the step until the final fidelity settles, and every
 pass but the accepted one is a probe: it only propagates, keeping each
@@ -74,7 +78,6 @@ so memory is bounded end to end.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import math
 import os
 from dataclasses import dataclass
@@ -288,31 +291,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# (executor, W) of the enclosing ``_factor_pool`` block, or None.  The pool
-# belongs to one simulate_protocol call and reaches the window integrations
-# of every pass through this variable, so a call in another thread never
-# sees it.
-_FACTOR_POOL: contextvars.ContextVar = contextvars.ContextVar("factor_pool", default=None)
+# Factor-solving threads of a smoothed run when the process may run on that
+# many CPUs: this thread and one worker.  Two is the only count measured
+# (BENCH_28.json); past it, tasks of stack_rows(N) // W rows shrink toward
+# one row and each pays a stacked eigensolve's per-call cost, so a host
+# with more CPUs still runs two threads.
+_FACTOR_THREADS = 2
 
 
-@contextlib.contextmanager
 def _factor_pool():
-    """Solve the factors of every ``_integrate_active`` call in the block on
-    W = ``_cpu_count()`` threads: this one and W - 1 workers, which exist
-    only while the block runs.  With one CPU there is no worker and no
-    thread."""
-    workers = _cpu_count()
-    if workers == 1:
-        yield
-        return
+    """The worker pool of one simulate_protocol call, a context manager:
+    ``_FACTOR_THREADS - 1`` workers if the process may run on that many
+    CPUs, else a null context that gives None and starts no thread."""
+    if _cpu_count() < _FACTOR_THREADS:
+        return contextlib.nullcontext()
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers - 1, thread_name_prefix="cf4-factors") as pool:
-        token = _FACTOR_POOL.set((pool, workers))
-        try:
-            yield
-        finally:
-            _FACTOR_POOL.reset(token)
+    return ThreadPoolExecutor(_FACTOR_THREADS - 1, thread_name_prefix="cf4-factors")
 
 
 def _solve_factors(n, factors, fresh, sizes, a, b):
@@ -357,14 +352,15 @@ def _integrate_active(
     t_start: float,
     checkpoints: np.ndarray,
     h0: float,
+    pool=None,
 ) -> list[np.ndarray]:
     """CF4-step from t_start through each checkpoint, landing exactly on
     every one; returns the state at each checkpoint.  The steps and factor
     diagonals are planned as arrays first, and the factors are solved in
-    stacked tasks, on the threads of the enclosing ``_factor_pool`` if
-    there is one (see the module docstring)."""
+    stacked tasks, shared with ``pool``, a ``_factor_pool``, if there is
+    one (see the module docstring)."""
     n = spec.n_sites
-    pool, workers = _FACTOR_POOL.get() or (None, 1)
+    workers = 1 if pool is None else _FACTOR_THREADS
     per_task = max(1, stack_rows(n) // workers)
     starts, sizes, counts = [], [], []
     t = t_start
@@ -441,8 +437,10 @@ def _propagate(
     t_end: float,
     sample_times: np.ndarray,
     h0: float,
+    pool=None,
 ) -> tuple[list[tuple], np.ndarray]:
-    """One pass at base step h0 that propagates without sampling.
+    """One pass at base step h0 that propagates without sampling; its
+    switching windows share their factor solves with ``pool``, if given.
 
     Returns (regions, final_psi), final_psi being the pass's last sample
     row, the state at t_end.  Each region is a tuple
@@ -455,7 +453,7 @@ def _propagate(
     for lo, hi, active in _switch_regions(schedule, t_end):
         inside = sample_times[(sample_times >= lo) & ((sample_times < hi) | (hi == t_end))]
         if active:
-            states = _integrate_active(spec, schedule, psi, lo, _checkpoints(inside, hi), h0)
+            states = _integrate_active(spec, schedule, psi, lo, _checkpoints(inside, hi), h0, pool)
             regions.append((lo, hi, inside, None, states))
             psi = states[-1]
         else:
@@ -541,12 +539,12 @@ def simulate_protocol(
         # Sampling already caps the effective step at sample_dt; start at or
         # below it so each halving genuinely refines the integration.
         h = min(h, sample_dt)
-        with _factor_pool():
-            regions, psi = _propagate(spec, schedule, t_end, sample_times, h)
+        with _factor_pool() as pool:
+            regions, psi = _propagate(spec, schedule, t_end, sample_times, h, pool)
             previous = average_fidelity(np.abs(psi[-1]))
             for _ in range(14):
                 h /= 2.0
-                regions, psi = _propagate(spec, schedule, t_end, sample_times, h)
+                regions, psi = _propagate(spec, schedule, t_end, sample_times, h, pool)
                 current = average_fidelity(np.abs(psi[-1]))
                 if abs(current - previous) < step_tolerance:
                     break

@@ -306,8 +306,9 @@ def test_planned_cf4_pass_is_bit_identical_to_per_step_kernel(case, monkeypatch)
     monkeypatch.setattr(protocol, "tridiagonal_eigh", counted_eigh)
     planned = _propagate_then_sample(spec, sch, t_end, times, h0)
     steps = []
+    # the last argument is the pass's factor pool, None here
     monkeypatch.setattr(protocol, "_integrate_active",
-                        lambda *args: _reference_integrate_active(*args, steps))
+                        lambda *args: _reference_integrate_active(*args[:-1], steps))
     reference = _propagate_then_sample(spec, sch, t_end, times, h0)
 
     for got, want in zip(planned, reference):
@@ -321,10 +322,11 @@ def test_planned_cf4_pass_is_bit_identical_to_per_step_kernel(case, monkeypatch)
 
 
 def _threaded_solves(monkeypatch, workers):
-    """Run the factor solves of a ``_factor_pool`` block on ``workers``
-    threads; returns the list that records, per stacked solve, whether it
-    ran on a worker thread."""
+    """Make ``_factor_pool`` give ``workers`` factor-solving threads, even
+    past the two a run is capped at; returns the list that records, per
+    stacked solve, whether it ran on a worker thread."""
     monkeypatch.setattr(protocol, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(protocol, "_FACTOR_THREADS", max(workers, 2))
     on_worker = []
 
     def recorded(d, e):
@@ -355,8 +357,8 @@ def test_factor_solves_keep_every_bit_on_any_thread_count(case, monkeypatch):
         psi = rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites)
         psi /= np.linalg.norm(psi)
 
-        def windows():
-            return protocol._integrate_active(spec, sch, psi, t_start, checkpoints, h0)
+        def windows(pool):
+            return protocol._integrate_active(spec, sch, psi, t_start, checkpoints, h0, pool)
     else:
         spec, sch, tail, sample_dt, h0, zero_tails = CF4_CASES[case]
         if zero_tails:
@@ -364,15 +366,15 @@ def test_factor_solves_keep_every_bit_on_any_thread_count(case, monkeypatch):
         t_end = sch.t2 + tail
         times = protocol._sample_grid(sch, t_end, sample_dt)
 
-        def windows():
-            regions, _ = protocol._propagate(spec, sch, t_end, times, h0)
+        def windows(pool):
+            regions, _ = protocol._propagate(spec, sch, t_end, times, h0, pool)
             return [state for *_, decomp, states in regions if decomp is None for state in states]
 
     runs = {}
     for workers in (1, 2, 3):
         on_worker = _threaded_solves(monkeypatch, workers)
-        with protocol._factor_pool():
-            runs[workers] = windows()
+        with protocol._factor_pool() as pool:
+            runs[workers] = windows(pool)
         # one thread solves everything; more threads share the solves
         assert any(on_worker) == (workers > 1)
         assert not all(on_worker)
@@ -388,7 +390,7 @@ def test_factor_threads_end_with_the_call(monkeypatch):
     """The worker threads exist only inside simulate_protocol: they are
     gone after a return, after a StepControlError and after a worker's
     LinAlgError, which surfaces from the call."""
-    on_worker = _threaded_solves(monkeypatch, 3)
+    on_worker = _threaded_solves(monkeypatch, 2)
     before = threading.active_count()
     sch = schedule8(smoothing_timescale=0.1)
     simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
@@ -413,11 +415,29 @@ def test_factor_threads_end_with_the_call(monkeypatch):
             raise np.linalg.LinAlgError("injected")
         return solve(d, e)
 
-    monkeypatch.setattr(protocol, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(protocol, "_cpu_count", lambda: 2)
     monkeypatch.setattr(protocol, "tridiagonal_eigh", failing)
     with pytest.raises(np.linalg.LinAlgError, match="injected"):
         simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
     assert threading.active_count() == before
+
+
+def test_factor_threads_stay_at_two_on_a_larger_host(monkeypatch):
+    """A process that may run on eight CPUs still solves its factors on
+    two threads, this one and one worker: two is the count measured."""
+    monkeypatch.setattr(protocol, "_cpu_count", lambda: 8)
+    solvers = set()
+    solve = protocol.tridiagonal_eigh
+
+    def recorded(d, e):
+        solvers.add(threading.current_thread().name)
+        return solve(d, e)
+
+    monkeypatch.setattr(protocol, "tridiagonal_eigh", recorded)
+    sch = schedule8(smoothing_timescale=0.1)
+    simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
+    assert len(solvers) == 2
+    assert threading.current_thread().name in solvers
 
 
 @pytest.mark.parametrize("n", [2, 6, 8, 30])
@@ -548,7 +568,7 @@ def test_probe_passes_keep_every_bit_of_the_full_table_passes(case, monkeypatch)
     integrate = protocol._integrate_active
 
     def counted(*args):
-        steps.append(args[-1])
+        steps.append(args[5])  # h0
         return integrate(*args)
 
     monkeypatch.setattr(protocol, "_integrate_active", counted)
