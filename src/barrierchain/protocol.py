@@ -30,35 +30,36 @@ A step's two factors depend on (t, h) alone, never on the state, so each
 pass plans a switching window in arrays before the state is touched: the
 step starts and sizes, one field_at call on every Gauss node, and each
 factor's two driven diagonal entries.  The factors then go in tasks of
-``spectral.stack_rows(N) // W`` factors, ``stack_rows`` being the row
-budget of every stacked eigensolve (72 at N = 30) and W the number of
-threads that solve them, 1 or 2 (below).  Within a task, a factor whose
-diagonal equals the previous factor's bit for bit, as on flat logistic
-tails, reuses that eigenpair; the others are solved by one stacked
-``tridiagonal_eigh`` call, and one vectorized exponential gives the phases exp(-i h w) of
-every factor, so the loop over the state does only the two matvecs of
-each factor.  A vector's sign cancels in v (p * (v.T psi)) bit for bit.
-A task's eigenpairs and phases are dropped once its factors are
-applied, so memory stays flat.
+``spectral.stack_rows(N)`` factors, the row budget of every stacked
+eigensolve (72 at N = 30), whichever threads solve them.  Within a task, a
+factor whose diagonal equals the previous factor's bit for bit, as on flat
+logistic tails, reuses that eigenpair; the others are solved by one stacked
+``tridiagonal_eigh`` call, and one vectorized exponential gives the phases
+exp(-i h w) of every factor, so the loop over the state does only the two
+matvecs of each factor.  A vector's sign cancels in v (p * (v.T psi)) bit
+for bit.  A task's eigenpairs and phases are dropped once its factors are
+applied.
 
-A smoothed run solves its factors on W = 2 threads when the process may
-run on two CPUs or more, and on W = 1, inline with no thread, otherwise
-(``_factor_pool``, ``_FACTOR_THREADS``).  Two is the only count measured:
-a host with more CPUs still runs two threads, since more would cut the
-tasks toward one row each, every one paying a stacked eigensolve's
-per-call cost.  The one worker is made once per simulate_protocol call,
-handed to each pass, and shut down on every way out of the call.  While
-this thread applies one task's factors, the worker solves the next; this
-thread solves every W-th task itself, and the worker's next task is
-submitted only when its last one is taken, so at most W tasks are in
-flight, one ``stack_rows`` budget of eigendata in all.  numpy's stacked
-eigh releases the interpreter lock, so the solves run in parallel with
-the Python loop over the state.  Each matrix of a stack is solved on its
-own, and a task's first factor is always solved, so the states have the
-same bits at any W.  A run's CPU seconds rise while its wall time falls:
-eigensolves running at once each run slower, smaller tasks pay the
-per-call cost of a stacked eigensolve more often, and tasks and the
-interpreter lock pass between threads.
+A smoothed run solves its factors on two threads when the process may run
+on two CPUs or more, and inline with no thread otherwise (``_factor_pool``,
+``_FACTOR_THREADS``).  Two is the only count measured, so a host with more
+CPUs still runs two.  The one worker is made once per simulate_protocol
+call, handed to each pass, and shut down on every way out of the call.
+Within a window, the two threads share the tasks on demand
+(``_solved_tasks``): both claim tasks in order from one cursor, and a task
+is claimed only among the ``_LOOKAHEAD`` (3) tasks from the next one the
+state loop needs.  The worker keeps claiming and solving up to that bound.
+The state loop takes the next task once it is solved; until then it claims
+and solves the next unclaimed task itself, and it waits only when every
+task within the bound is claimed.  So at most ``_LOOKAHEAD`` tasks are
+solved and not yet taken, and with the task being applied a window holds at
+most ``_LOOKAHEAD + 1`` tasks of eigendata, about 2.2 MB at N = 30.  A
+worker's error is handed to the state loop and raised from the call, and
+the worker is stopped and waited for on every way out of the window.
+numpy's stacked eigh releases the interpreter lock, so the solves run in
+parallel with the Python loop over the state.  Each matrix of a stack is
+solved on its own, and a task's first factor is always solved, so the
+states have the same bits whoever solves a task.
 
 Smoothed runs halve the step until the final fidelity settles, and every
 pass but the accepted one is a probe: it only propagates, keeping each
@@ -80,6 +81,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,9 +295,8 @@ def _cpu_count() -> int:
 
 # Factor-solving threads of a smoothed run when the process may run on that
 # many CPUs: this thread and one worker.  Two is the only count measured
-# (BENCH_28.json); past it, tasks of stack_rows(N) // W rows shrink toward
-# one row and each pays a stacked eigensolve's per-call cost, so a host
-# with more CPUs still runs two threads.
+# (BENCH_28.json, BENCH_29.json), so a host with more CPUs still runs two
+# threads.
 _FACTOR_THREADS = 2
 
 
@@ -325,24 +326,87 @@ def _solve_factors(n, factors, fresh, sizes, a, b):
     return v, slots.tolist(), np.exp((-1j * sizes[task // 2])[:, None] * w[slots])
 
 
-def _solved_tasks(solve, bounds, pool, workers):
-    """solve(a, b) of every task (a, b) in ``bounds``, in order.  Task k is
-    solved on this thread when k % workers == 0 and by ``pool`` otherwise,
-    submitted once task k - workers is taken, so at most ``workers`` tasks
-    are solved and not yet taken at any time."""
-    pending = {k: pool.submit(solve, *bounds[k]) for k in range(1, min(workers, len(bounds)))}
+# Tasks that may be claimed at once, counted from the next one the state
+# loop needs (BENCH_29.json: 2 was slower, 4 no faster than 3).
+_LOOKAHEAD = 3
+
+
+class _TaskCursor:
+    """Shared progress through one window's ``count`` factor tasks: how many
+    are claimed, how many the state loop has taken, and the solved ones not
+    yet taken, with a condition that guards them all.  A task is claimed
+    only among the ``_LOOKAHEAD`` tasks from the next one the state loop
+    needs, so at most ``_LOOKAHEAD`` tasks are solved and not yet taken."""
+
+    def __init__(self, count):
+        self.count = count
+        self.claimed = 0
+        self.taken = 0
+        self.solved = {}
+        self.closed = False
+        self.changed = threading.Condition()
+
+    def claim(self):
+        """The next unclaimed task within the look-ahead, or None; call with
+        ``changed`` held."""
+        if self.closed or self.claimed >= min(self.count, self.taken + _LOOKAHEAD):
+            return None
+        self.claimed += 1
+        return self.claimed - 1
+
+
+def _solve_ahead(cursor, solve, bounds):
+    """The worker: claim and solve tasks in order until none is left or the
+    cursor is closed.  A failed solve is stored as its exception, raised
+    again where the state loop takes that task, and ends the worker."""
+    while True:
+        with cursor.changed:
+            while (k := cursor.claim()) is None:
+                if cursor.closed or cursor.claimed == cursor.count:
+                    return
+                cursor.changed.wait()
+        try:
+            solved = solve(*bounds[k])
+        except BaseException as error:  # raised again on the state loop's thread
+            solved = error
+        with cursor.changed:
+            cursor.solved[k] = solved
+            cursor.changed.notify_all()
+        if isinstance(solved, BaseException):
+            return
+
+
+def _solved_tasks(solve, bounds, pool):
+    """solve(a, b) of every task (a, b) in ``bounds``, in order.  With a
+    ``pool``, its worker solves ahead (``_solve_ahead``); while the next
+    task is not solved, this thread claims and solves the next unclaimed
+    one itself, and waits only when every task within the look-ahead is
+    claimed.  The worker is stopped and joined on every way out."""
+    cursor = _TaskCursor(len(bounds))
+    worker = None if pool is None else pool.submit(_solve_ahead, cursor, solve, bounds)
     try:
-        for k, (a, b) in enumerate(bounds):
-            if k % workers == 0:
-                yield solve(a, b)
-                continue
-            solved = pending.pop(k).result()
-            if k + workers < len(bounds):
-                pending[k + workers] = pool.submit(solve, *bounds[k + workers])
+        for k in range(len(bounds)):
+            while True:
+                with cursor.changed:
+                    while k not in cursor.solved and (j := cursor.claim()) is None:
+                        cursor.changed.wait()
+                    if k in cursor.solved:
+                        solved = cursor.solved.pop(k)
+                        cursor.taken = k + 1
+                        cursor.changed.notify_all()
+                        break
+                solved = solve(*bounds[j])
+                with cursor.changed:
+                    cursor.solved[j] = solved
+            if isinstance(solved, BaseException):
+                raise solved
             yield solved
     finally:
-        for future in pending.values():
-            future.cancel()
+        if worker is not None:
+            with cursor.changed:
+                cursor.closed = True
+                cursor.changed.notify_all()
+            worker.result()
 
 
 def _integrate_active(
@@ -360,8 +424,7 @@ def _integrate_active(
     stacked tasks, shared with ``pool``, a ``_factor_pool``, if there is
     one (see the module docstring)."""
     n = spec.n_sites
-    workers = 1 if pool is None else _FACTOR_THREADS
-    per_task = max(1, stack_rows(n) // workers)
+    per_task = stack_rows(n)
     starts, sizes, counts = [], [], []
     t = t_start
     for tc in checkpoints:
@@ -393,18 +456,19 @@ def _integrate_active(
     fresh[1:] = np.any(bits[1:] != bits[:-1], axis=1)
     fresh[::per_task] = True
     bounds = [(a, min(a + per_task, len(factors))) for a in range(0, len(factors), per_task)]
-    tasks = _solved_tasks(lambda a, b: _solve_factors(n, factors, fresh, sizes, a, b), bounds, pool, workers)
+    tasks = _solved_tasks(lambda a, b: _solve_factors(n, factors, fresh, sizes, a, b), bounds, pool)
     states = []
     k = 0
-    for n_sub in counts:
-        for _ in range(2 * n_sub):
-            i = k % per_task
-            if i == 0:
-                v, slot, phases = next(tasks)
-            u = v[slot[i]]
-            psi = u @ (phases[i] * (u.T @ psi))
-            k += 1
-        states.append(psi)
+    with contextlib.closing(tasks):
+        for n_sub in counts:
+            for _ in range(2 * n_sub):
+                i = k % per_task
+                if i == 0:
+                    v, slot, phases = next(tasks)
+                u = v[slot[i]]
+                psi = u @ (phases[i] * (u.T @ psi))
+                k += 1
+            states.append(psi)
     return states
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -321,44 +324,60 @@ def test_planned_cf4_pass_is_bit_identical_to_per_step_kernel(case, monkeypatch)
         assert any(np.any(d == 0.0) for d in solves)
 
 
-def _threaded_solves(monkeypatch, workers):
-    """Make ``_factor_pool`` give ``workers`` factor-solving threads, even
-    past the two a run is capped at; returns the list that records, per
-    stacked solve, whether it ran on a worker thread."""
-    monkeypatch.setattr(protocol, "_cpu_count", lambda: workers)
-    monkeypatch.setattr(protocol, "_FACTOR_THREADS", max(workers, 2))
-    on_worker = []
+def _on_main():
+    return threading.current_thread() is threading.main_thread()
+
+
+def _schedule(monkeypatch, schedule):
+    """Make the next runs solve their factor tasks under one schedule and
+    return the list that records, per stacked solve, whether the state-loop
+    thread ran it.  "inline": one CPU, so no worker and this thread solves
+    every task; "worker": this thread never claims a task, so the worker
+    solves them all; "slow-worker": each of the worker's solves first
+    sleeps, so this thread solves most tasks."""
+    monkeypatch.setattr(protocol, "_cpu_count", lambda: 1 if schedule == "inline" else 2)
+    if schedule == "worker":
+        claim = protocol._TaskCursor.claim
+        monkeypatch.setattr(protocol._TaskCursor, "claim", lambda cursor: None if _on_main() else claim(cursor))
+    on_main = []
 
     def recorded(d, e):
-        on_worker.append(threading.current_thread() is not threading.main_thread())
+        on_main.append(_on_main())
+        if schedule == "slow-worker" and not on_main[-1]:
+            time.sleep(0.02)
         return eigh(d, e)
 
     eigh = protocol.tridiagonal_eigh
     monkeypatch.setattr(protocol, "tridiagonal_eigh", recorded)
-    return on_worker
+    return on_main
 
 
 # (spec, schedule, psi's seed, t_start, checkpoints, h0): the window around
-# t1 of the n30-smoothed run below, 3,600 factors, 50 tasks on one thread
-# and 150 on three
+# t1 of the n30-smoothed run below, 3,600 factors in 50 tasks of 72
 LONG_WINDOW = (ChainSpec(30), SwitchingSchedule(k1=60.0, k2=30.0, delta_t=optimal_interval(30, 30.0), t1=50.0,
                                                 smoothing_timescale=0.5),
                3, 27.5, np.arange(28.0, 73.0, 0.5), 0.025)
 
 
+def _long_window_run():
+    """``_integrate_active`` over LONG_WINDOW from a random state, given
+    the pass's factor pool."""
+    spec, sch, seed, t_start, checkpoints, h0 = LONG_WINDOW
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites)
+    psi /= np.linalg.norm(psi)
+    return lambda pool: protocol._integrate_active(spec, sch, psi, t_start, checkpoints, h0, pool)
+
+
 @pytest.mark.parametrize("case", [*CF4_CASES, "n30-long-window"])
 def test_factor_solves_keep_every_bit_on_any_thread_count(case, monkeypatch):
-    """Every checkpoint state of ``_integrate_active`` is the same on one,
-    two and three factor-solving threads: tasks differ only in where their
-    stacked solves run and where they split the factors."""
+    """Every checkpoint state of ``_integrate_active`` is the same whoever
+    solves the factor tasks: this thread alone, the worker alone, or mostly
+    this thread beside a slowed worker.  Tasks are stack_rows(N) factors
+    under every schedule, so they differ only in where their stacked
+    solves run."""
     if case == "n30-long-window":
-        spec, sch, seed, t_start, checkpoints, h0 = LONG_WINDOW
-        rng = np.random.default_rng(seed)
-        psi = rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites)
-        psi /= np.linalg.norm(psi)
-
-        def windows(pool):
-            return protocol._integrate_active(spec, sch, psi, t_start, checkpoints, h0, pool)
+        windows = _long_window_run()
     else:
         spec, sch, tail, sample_dt, h0, zero_tails = CF4_CASES[case]
         if zero_tails:
@@ -370,55 +389,157 @@ def test_factor_solves_keep_every_bit_on_any_thread_count(case, monkeypatch):
             regions, _ = protocol._propagate(spec, sch, t_end, times, h0, pool)
             return [state for *_, decomp, states in regions if decomp is None for state in states]
 
-    runs = {}
-    for workers in (1, 2, 3):
-        on_worker = _threaded_solves(monkeypatch, workers)
-        with protocol._factor_pool() as pool:
-            runs[workers] = windows(pool)
-        # one thread solves everything; more threads share the solves
-        assert any(on_worker) == (workers > 1)
-        assert not all(on_worker)
-    assert runs[1]
-    for workers in (2, 3):
-        assert len(runs[workers]) == len(runs[1])
-        assert all(np.array_equal(a, b) for a, b in zip(runs[workers], runs[1]))
+    runs, solvers = {}, {}
+    for schedule in ("inline", "worker", "slow-worker"):
+        with pytest.MonkeyPatch.context() as patched:
+            solvers[schedule] = _schedule(patched, schedule)
+            with protocol._factor_pool() as pool:
+                assert (pool is None) == (schedule == "inline")
+                runs[schedule] = windows(pool)
+    assert all(solvers["inline"])
+    assert not any(solvers["worker"])
+    assert len(solvers["worker"]) == len(solvers["inline"])
+    assert runs["inline"]
+    for schedule in ("worker", "slow-worker"):
+        assert len(runs[schedule]) == len(runs["inline"])
+        assert all(np.array_equal(a, b) for a, b in zip(runs[schedule], runs["inline"]))
     if case == "n30-long-window":
-        assert len(on_worker) == 150
+        assert len(solvers["inline"]) == 50
+        assert sum(solvers["slow-worker"]) > 25
+
+
+def test_factor_worker_holds_at_most_the_lookahead(monkeypatch):
+    """The worker never claims past the ``_LOOKAHEAD`` tasks from the next
+    one the state loop needs, however slow that loop is: at most
+    ``_LOOKAHEAD`` tasks are solved and not yet taken, read here as
+    ``_LOOKAHEAD + 1`` because a take is counted just after the worker may
+    claim again.  That bounds the eigendata a window holds."""
+    on_main = _schedule(monkeypatch, "worker")
+    lock = threading.Lock()
+    live, peak = [0], [0]
+    solve = protocol._solve_factors
+
+    def counted(*args):
+        solved = solve(*args)
+        with lock:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        return solved
+
+    tasks = protocol._solved_tasks
+
+    def slow_state_loop(*args):
+        with contextlib.closing(tasks(*args)) as inner:
+            for solved in inner:
+                with lock:
+                    live[0] -= 1
+                time.sleep(0.01)
+                yield solved
+
+    monkeypatch.setattr(protocol, "_solve_factors", counted)
+    monkeypatch.setattr(protocol, "_solved_tasks", slow_state_loop)
+    with protocol._factor_pool() as pool:
+        _long_window_run()(pool)
+    assert len(on_main) == 50 and not any(on_main)
+    assert protocol._LOOKAHEAD <= peak[0] <= protocol._LOOKAHEAD + 1
+    assert live[0] == 0
+
+
+def test_factor_worker_stops_when_the_tasks_are_closed_early():
+    """Closing the task generator after one task stops the worker: the
+    pool's one thread is free for a new job, and no task is solved past the
+    look-ahead of the task taken."""
+    solved = []
+
+    def solve(a, b):
+        time.sleep(0.002)
+        solved.append(a)
+        return a
+
+    with protocol._factor_pool() as pool:
+        if pool is None:
+            pytest.skip("one CPU: no worker")
+        tasks = protocol._solved_tasks(solve, [(k, k + 1) for k in range(40)], pool)
+        assert next(tasks) == 0
+        tasks.close()
+        assert pool.submit(len, solved).result(timeout=10) <= protocol._LOOKAHEAD + 1
+    assert len(solved) <= protocol._LOOKAHEAD + 1
+
+
+def test_factor_tasks_are_each_solved_once_under_fast_thread_switching(monkeypatch):
+    """With the interpreter switching threads every microsecond, each task
+    is still claimed by one thread only: every task is solved exactly once
+    and taken in order."""
+    monkeypatch.setattr(protocol, "_cpu_count", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            calls = []
+
+            def solve(a, b):
+                time.sleep(0)  # let the other thread run, so both claim tasks
+                calls.append(a)
+                return a
+
+            with protocol._factor_pool() as pool:
+                taken = list(protocol._solved_tasks(solve, [(k, k + 1) for k in range(300)], pool))
+            assert taken == list(range(300))
+            assert sorted(calls) == taken
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_factor_threads_end_with_the_call(monkeypatch):
-    """The worker threads exist only inside simulate_protocol: they are
-    gone after a return, after a StepControlError and after a worker's
-    LinAlgError, which surfaces from the call."""
-    on_worker = _threaded_solves(monkeypatch, 2)
+    """The worker thread exists only inside simulate_protocol: it is gone
+    after a return, after a StepControlError and after a worker's
+    LinAlgError, which surfaces from the call; an error in the state loop
+    stops it too.
+    This thread claims no task, so the worker solves every one."""
+    on_main = _schedule(monkeypatch, "worker")
     before = threading.active_count()
     sch = schedule8(smoothing_timescale=0.1)
     simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
-    assert any(on_worker)
+    assert on_main and not any(on_main)
     assert threading.active_count() == before
 
     # fidelities that never settle: every halving pass runs, then the error
-    fidelities = iter(np.arange(100.0))
-    monkeypatch.setattr(protocol, "average_fidelity", lambda f: next(fidelities))
-    on_worker.clear()
-    tiny = SwitchingSchedule(k1=2.0, k2=1.0, delta_t=0.1, t1=0.05, smoothing_timescale=0.001)
-    with pytest.raises(StepControlError):
-        simulate_protocol(ChainSpec(6), tiny, t_end=0.2, sample_dt=1.0, step_hint=1.0)
-    assert any(on_worker)
-    assert threading.active_count() == before
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patched:
+        fidelities = iter(np.arange(100.0))
+        patched.setattr(protocol, "average_fidelity", lambda f: next(fidelities))
+        on_main.clear()
+        tiny = SwitchingSchedule(k1=2.0, k2=1.0, delta_t=0.1, t1=0.05, smoothing_timescale=0.001)
+        with pytest.raises(StepControlError):
+            simulate_protocol(ChainSpec(6), tiny, t_end=0.2, sample_dt=1.0, step_hint=1.0)
+        assert on_main and not any(on_main)
+        assert threading.active_count() == before
 
     solve = protocol.tridiagonal_eigh
 
     def failing(d, e):
-        if threading.current_thread() is not threading.main_thread():
+        if not _on_main():
             raise np.linalg.LinAlgError("injected")
         return solve(d, e)
 
-    monkeypatch.setattr(protocol, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(protocol, "tridiagonal_eigh", failing)
-    with pytest.raises(np.linalg.LinAlgError, match="injected"):
-        simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(protocol, "tridiagonal_eigh", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
+        assert threading.active_count() == before
+
+    # a task whose second factor has no eigenvectors: the state loop fails
+    # applying the first of a window's 25 tasks, with the worker waiting at
+    # the look-ahead bound while the error passes through the pool's exit
+    solve_factors = protocol._solve_factors
+
+    def short(*args):
+        v, slot, phases = solve_factors(*args)
+        return v, slot[:1], phases
+
+    monkeypatch.setattr(protocol, "_solve_factors", short)
+    spec, sch = LONG_WINDOW[:2]
+    with pytest.raises(IndexError):
+        simulate_protocol(spec, sch, t_end=sch.t2 + 1.0)
     assert threading.active_count() == before
 
 
@@ -426,18 +547,20 @@ def test_factor_threads_stay_at_two_on_a_larger_host(monkeypatch):
     """A process that may run on eight CPUs still solves its factors on
     two threads, this one and one worker: two is the count measured."""
     monkeypatch.setattr(protocol, "_cpu_count", lambda: 8)
-    solvers = set()
+    before = threading.active_count()
+    solvers, alive = set(), set()
     solve = protocol.tridiagonal_eigh
 
     def recorded(d, e):
         solvers.add(threading.current_thread().name)
+        alive.add(threading.active_count())
         return solve(d, e)
 
     monkeypatch.setattr(protocol, "tridiagonal_eigh", recorded)
     sch = schedule8(smoothing_timescale=0.1)
     simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
-    assert len(solvers) == 2
-    assert threading.current_thread().name in solvers
+    assert alive == {before + 1}
+    assert len(solvers - {threading.current_thread().name}) <= 1
 
 
 @pytest.mark.parametrize("n", [2, 6, 8, 30])
