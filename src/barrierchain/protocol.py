@@ -29,37 +29,25 @@ gives scipy.special's expit bit for bit without importing scipy.
 A step's two factors depend on (t, h) alone, never on the state, so each
 pass plans a switching window in arrays before the state is touched: the
 step starts and sizes, one field_at call on every Gauss node, and each
-factor's two driven diagonal entries.  The factors then go in tasks of
-``spectral.stack_rows(N)`` factors, the row budget of every stacked
-eigensolve (72 at N = 30), whichever threads solve them.  Within a task, a
-factor whose diagonal equals the previous factor's bit for bit, as on flat
-logistic tails, reuses that eigenpair; the others are solved by one stacked
-``tridiagonal_eigh`` call, and one vectorized exponential gives the phases
-exp(-i h w) of every factor, so the loop over the state does only the two
-matvecs of each factor.  A vector's sign cancels in v (p * (v.T psi)) bit
-for bit.  A task's eigenpairs and phases are dropped once its factors are
-applied.
-
-A smoothed run solves its factors on two threads when the process may run
-on two CPUs or more, and inline with no thread otherwise (``_factor_pool``,
-``_FACTOR_THREADS``).  Two is the only count measured, so a host with more
-CPUs still runs two.  The one worker is made once per simulate_protocol
-call, handed to each pass, and shut down on every way out of the call.
-Within a window, the two threads share the tasks on demand
-(``_solved_tasks``): both claim tasks in order from one cursor, and a task
-is claimed only among the ``_LOOKAHEAD`` (3) tasks from the next one the
-state loop needs.  The worker keeps claiming and solving up to that bound.
-The state loop takes the next task once it is solved; until then it claims
-and solves the next unclaimed task itself, and it waits only when every
-task within the bound is claimed.  So at most ``_LOOKAHEAD`` tasks are
-solved and not yet taken, and with the task being applied a window holds at
-most ``_LOOKAHEAD + 1`` tasks of eigendata, about 2.2 MB at N = 30.  A
-worker's error is handed to the state loop and raised from the call, and
-the worker is stopped and waited for on every way out of the window.
-numpy's stacked eigh releases the interpreter lock, so the solves run in
-parallel with the Python loop over the state.  Each matrix of a stack is
-solved on its own, and a task's first factor is always solved, so the
-states have the same bits whoever solves a task.
+factor's two driven diagonal entries.  A factor is E = exp(-iB) with
+B = hM, M tridiagonal with off-diagonal -1/2 and the two driven entries.
+With X = B^2, E = cos B - i B (sin B / B), and both are Taylor polynomials
+in X, evaluated by Paterson-Stockmeyer with stacked real matmuls
+(``_exponentials``).  The degree, and a squaring count used only when
+theta > 2, come from theta, the largest ||hM||_1 of the whole window's
+factors (``_series_plan``): the smallest degree whose remainder bound is
+below the unit round-off, at most 11 in X.  The shipped smoothed runs
+(K1 = 60, first step 0.05) have theta <= 1.55 and never square.  The
+factors go in chunks of ``_factor_rows(N)`` rows, at most 2^14 entries per
+(rows, N, N) array (18 at N = 30).  Within a chunk, a factor whose driven
+entries and step h both equal the previous factor's bit for bit, as on
+flat logistic tails within one checkpoint span, reuses its exponential;
+the others go to one kernel call.  The loop over the state then does one
+complex matvec per factor.  Every step of the kernel is a stacked matmul,
+computed matrix by matrix, or elementwise, and theta never comes from a
+chunk, so a factor's bits depend on its own entries, its step and the
+window alone: the states are the same at any chunk size.  The whole path
+runs on the calling thread.
 
 Smoothed runs halve the step until the final fidelity settles, and every
 pass but the accepted one is a probe: it only propagates, keeping each
@@ -78,25 +66,14 @@ so memory is bounded end to end.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainSpec, FieldProfile
 from .metrics import average_fidelity, golden_section
-from .spectral import (
-    SpectralDecomposition,
-    decompose,
-    evolve,
-    evolve_many,
-    site_state,
-    stack_rows,
-    tridiagonal_eigh,
-)
+from .spectral import SpectralDecomposition, decompose, evolve, evolve_many, site_state
 
 # Logistic tails below exp(-45) ~ 3e-20 are treated as exactly constant.
 _TAIL_WIDTHS = 45.0
@@ -285,128 +262,92 @@ def _switch_regions(schedule: SwitchingSchedule, t_end: float) -> list[tuple[flo
     return regions
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+# unit round-off u = eps / 2 of float64
+_UNIT = 0.5 * float(np.finfo(float).eps)
+# Entries of one (rows, N, N) array of the factor kernel, which holds about
+# a dozen such arrays at once: 18 rows at N = 30, the smallest chunk of the
+# 18-36 row range where the cost per factor is flat; 9 and 72 rows cost
+# more (BENCH_30.json).
+_FACTOR_ENTRIES = 1 << 14
+# The series is used on B with ||B||_1 <= _THETA_LIMIT; above it, B is
+# halved until it is, and the result squared back by double angles.
+_THETA_LIMIT = 2.0
 
 
-# Factor-solving threads of a smoothed run when the process may run on that
-# many CPUs: this thread and one worker.  Two is the only count measured
-# (BENCH_28.json, BENCH_29.json), so a host with more CPUs still runs two
-# threads.
-_FACTOR_THREADS = 2
+def _factor_rows(n: int) -> int:
+    """Factors per chunk of the n-site factor kernel: at most
+    _FACTOR_ENTRIES entries per matrix stack, and at least one row."""
+    return max(1, _FACTOR_ENTRIES // (n * n))
 
 
-def _factor_pool():
-    """The worker pool of one simulate_protocol call, a context manager:
-    ``_FACTOR_THREADS - 1`` workers if the process may run on that many
-    CPUs, else a null context that gives None and starts no thread."""
-    if _cpu_count() < _FACTOR_THREADS:
-        return contextlib.nullcontext()
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(_FACTOR_THREADS - 1, thread_name_prefix="cf4-factors")
-
-
-def _solve_factors(n, factors, fresh, sizes, a, b):
-    """(v, slot, phases) of the n-site factors a..b-1, a task: one stacked
-    ``tridiagonal_eigh`` call solves its fresh factors (``fresh[a]`` is
-    set), factor a + j uses eigenvectors v[slot[j]], and one vectorized
-    exponential gives every factor's phases, with the bits of -1j * h * w
-    for it alone."""
-    task = np.arange(a, b)
-    rows = task[fresh[task]]
-    diag = np.zeros((rows.size, n))
-    diag[:, [1, n - 2]] = factors[rows]
-    w, v = tridiagonal_eigh(diag, np.full(n - 1, -(_WEIGHT_BIG + _WEIGHT_SMALL)))
-    slots = np.cumsum(fresh[task]) - 1
-    return v, slots.tolist(), np.exp((-1j * sizes[task // 2])[:, None] * w[slots])
+def _series_plan(theta: float) -> tuple[int, int]:
+    """(degree, squarings) of the factor kernel for factors B with
+    ||B||_1 <= theta.  B is halved ``squarings`` times, to at most
+    _THETA_LIMIT; ``degree`` is the smallest q whose Taylor remainder of
+    exp(-iB) past the degree-(2q + 1) term, sum_{j >= 2q+2} t^j / j! <=
+    t^(2q+2) / (2q+2)! / (1 - t / (2q+3)) for the halved norm t, is at most
+    the unit round-off.  At t <= 2 that is q <= 11."""
+    squarings = math.ceil(math.log2(theta / _THETA_LIMIT)) if theta > _THETA_LIMIT else 0
+    t = math.ldexp(theta, -squarings)
+    q = 0
+    while t ** (2 * q + 2) / math.factorial(2 * q + 2) > _UNIT * (1.0 - t / (2 * q + 3)):
+        q += 1
+    return q, squarings
 
 
-# Tasks that may be claimed at once, counted from the next one the state
-# loop needs (BENCH_29.json: 2 was slower, 4 no faster than 3).
-_LOOKAHEAD = 3
+def _exponentials(n: int, entries: np.ndarray, h: np.ndarray, plan: tuple[int, int]) -> np.ndarray:
+    """exp(-iB) of every factor B = hM, (rows, n, n) complex: M has
+    off-diagonal -1/2 and the driven entries ``entries[k]`` on sites 2 and
+    N-1, h is ``h[k]``, and ``plan`` is _series_plan's (degree, squarings).
 
+    With X = B^2, cos B and sin B / B are polynomials of that degree in X,
+    each evaluated by Paterson-Stockmeyer: the powers X^1..X^s, s =
+    ceil(sqrt(degree + 1)), then Horner in X^s over blocks of s terms, the
+    top block taking up to s + 1.  Every step is a stacked real matmul or
+    an elementwise operation, so a factor's bits depend on its own entries,
+    h and the plan alone, never on the other rows of the stack.  Squarings
+    use cos 2B = 2 cos^2 B - 1 and sin 2B = 2 sin B cos B.
+    """
+    degree, squarings = plan
+    rows = len(entries)
+    scale = np.ldexp(h, -squarings)
+    b = np.zeros((rows, n, n))
+    flat = b.reshape(rows, n * n)
+    flat[:, [n + 1, (n - 2) * (n + 1)]] = scale[:, None] * entries
+    off = (-(_WEIGHT_BIG + _WEIGHT_SMALL) * scale)[:, None]
+    flat[:, 1 :: n + 1] = off
+    flat[:, n :: n + 1] = off
+    x = b @ b
+    s = math.isqrt(degree) + 1
+    powers = [x]
+    while len(powers) < min(s, degree):
+        powers.append(powers[-1] @ x)
+    starts = list(range(0, degree + 1, s))
+    if len(starts) > 1 and degree % s == 0:
+        # a top block of one constant joins the block below as its X^s term
+        starts.pop()
 
-class _TaskCursor:
-    """Shared progress through one window's ``count`` factor tasks: how many
-    are claimed, how many the state loop has taken, and the solved ones not
-    yet taken, with a condition that guards them all.  A task is claimed
-    only among the ``_LOOKAHEAD`` tasks from the next one the state loop
-    needs, so at most ``_LOOKAHEAD`` tasks are solved and not yet taken."""
+    def series(coefficients):
+        acc = None
+        for j in reversed(starts):
+            top = degree if acc is None else j + s - 1
+            block = coefficients[j + 1] * powers[0] if top > j else np.zeros((rows, n, n))
+            for i in range(2, top - j + 1):
+                block += coefficients[j + i] * powers[i - 1]
+            block.reshape(rows, n * n)[:, :: n + 1] += coefficients[j]
+            acc = block if acc is None else acc @ powers[s - 1] + block
+        return acc
 
-    def __init__(self, count):
-        self.count = count
-        self.claimed = 0
-        self.taken = 0
-        self.solved = {}
-        self.closed = False
-        self.changed = threading.Condition()
-
-    def claim(self):
-        """The next unclaimed task within the look-ahead, or None; call with
-        ``changed`` held."""
-        if self.closed or self.claimed >= min(self.count, self.taken + _LOOKAHEAD):
-            return None
-        self.claimed += 1
-        return self.claimed - 1
-
-
-def _solve_ahead(cursor, solve, bounds):
-    """The worker: claim and solve tasks in order until none is left or the
-    cursor is closed.  A failed solve is stored as its exception, raised
-    again where the state loop takes that task, and ends the worker."""
-    while True:
-        with cursor.changed:
-            while (k := cursor.claim()) is None:
-                if cursor.closed or cursor.claimed == cursor.count:
-                    return
-                cursor.changed.wait()
-        try:
-            solved = solve(*bounds[k])
-        except BaseException as error:  # raised again on the state loop's thread
-            solved = error
-        with cursor.changed:
-            cursor.solved[k] = solved
-            cursor.changed.notify_all()
-        if isinstance(solved, BaseException):
-            return
-
-
-def _solved_tasks(solve, bounds, pool):
-    """solve(a, b) of every task (a, b) in ``bounds``, in order.  With a
-    ``pool``, its worker solves ahead (``_solve_ahead``); while the next
-    task is not solved, this thread claims and solves the next unclaimed
-    one itself, and waits only when every task within the look-ahead is
-    claimed.  The worker is stopped and joined on every way out."""
-    cursor = _TaskCursor(len(bounds))
-    worker = None if pool is None else pool.submit(_solve_ahead, cursor, solve, bounds)
-    try:
-        for k in range(len(bounds)):
-            while True:
-                with cursor.changed:
-                    while k not in cursor.solved and (j := cursor.claim()) is None:
-                        cursor.changed.wait()
-                    if k in cursor.solved:
-                        solved = cursor.solved.pop(k)
-                        cursor.taken = k + 1
-                        cursor.changed.notify_all()
-                        break
-                solved = solve(*bounds[j])
-                with cursor.changed:
-                    cursor.solved[j] = solved
-            if isinstance(solved, BaseException):
-                raise solved
-            yield solved
-    finally:
-        if worker is not None:
-            with cursor.changed:
-                cursor.closed = True
-                cursor.changed.notify_all()
-            worker.result()
+    cos = series([(-1) ** k / math.factorial(2 * k) for k in range(degree + 1)])
+    sin = b @ series([(-1) ** k / math.factorial(2 * k + 1) for k in range(degree + 1)])
+    for _ in range(squarings):
+        sin = 2.0 * (sin @ cos)
+        cos = 2.0 * (cos @ cos)
+        cos.reshape(rows, n * n)[:, :: n + 1] -= 1.0
+    e = np.empty((rows, n, n), dtype=complex)
+    e.real = cos
+    e.imag = -sin
+    return e
 
 
 def _integrate_active(
@@ -416,15 +357,13 @@ def _integrate_active(
     t_start: float,
     checkpoints: np.ndarray,
     h0: float,
-    pool=None,
 ) -> list[np.ndarray]:
     """CF4-step from t_start through each checkpoint, landing exactly on
     every one; returns the state at each checkpoint.  The steps and factor
-    diagonals are planned as arrays first, and the factors are solved in
-    stacked tasks, shared with ``pool``, a ``_factor_pool``, if there is
-    one (see the module docstring)."""
+    entries are planned as arrays first, and the factors are exponentiated
+    in stacked chunks (see the module docstring)."""
     n = spec.n_sites
-    per_task = stack_rows(n)
+    per_chunk = _factor_rows(n)
     starts, sizes, counts = [], [], []
     t = t_start
     for tc in checkpoints:
@@ -448,27 +387,30 @@ def _integrate_active(
     factors = np.stack(
         [da * d[:, 0] + db * d[:, 1] for da, db in weights for d in (-omega2, -omega_nm1)], axis=1
     ).reshape(-1, 2)
-    # a factor whose entries match the previous factor's bit for bit (flat
-    # logistic tails) reuses its eigenpair, except as the first factor of a
-    # task, which solves it again with the same bits
-    bits = factors.view(np.int64)
+    steps = np.repeat(sizes, 2)
+    # ||hM||_1 = h (1 + max |driven entry|), the driven sites being interior
+    plan = _series_plan(float(np.max(steps * (1.0 + np.max(np.abs(factors), axis=1)))))
+    # a factor whose entries and step match the previous factor's bit for
+    # bit (flat logistic tails, one checkpoint span) reuses its exponential,
+    # except as the first factor of a chunk, which computes it again with
+    # the same bits
+    keys = np.column_stack([factors, steps]).view(np.int64)
     fresh = np.ones(len(factors), dtype=bool)
-    fresh[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-    fresh[::per_task] = True
-    bounds = [(a, min(a + per_task, len(factors))) for a in range(0, len(factors), per_task)]
-    tasks = _solved_tasks(lambda a, b: _solve_factors(n, factors, fresh, sizes, a, b), bounds, pool)
+    fresh[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    fresh[::per_chunk] = True
     states = []
     k = 0
-    with contextlib.closing(tasks):
-        for n_sub in counts:
-            for _ in range(2 * n_sub):
-                i = k % per_task
-                if i == 0:
-                    v, slot, phases = next(tasks)
-                u = v[slot[i]]
-                psi = u @ (phases[i] * (u.T @ psi))
-                k += 1
-            states.append(psi)
+    for n_sub in counts:
+        for _ in range(2 * n_sub):
+            i = k % per_chunk
+            if i == 0:
+                chunk = np.arange(k, min(k + per_chunk, len(factors)))
+                rows = chunk[fresh[chunk]]
+                e = _exponentials(n, factors[rows], steps[rows], plan)
+                slot = (np.cumsum(fresh[chunk]) - 1).tolist()
+            psi = e[slot[i]] @ psi
+            k += 1
+        states.append(psi)
     return states
 
 
@@ -501,10 +443,8 @@ def _propagate(
     t_end: float,
     sample_times: np.ndarray,
     h0: float,
-    pool=None,
 ) -> tuple[list[tuple], np.ndarray]:
-    """One pass at base step h0 that propagates without sampling; its
-    switching windows share their factor solves with ``pool``, if given.
+    """One pass at base step h0 that propagates without sampling.
 
     Returns (regions, final_psi), final_psi being the pass's last sample
     row, the state at t_end.  Each region is a tuple
@@ -517,7 +457,7 @@ def _propagate(
     for lo, hi, active in _switch_regions(schedule, t_end):
         inside = sample_times[(sample_times >= lo) & ((sample_times < hi) | (hi == t_end))]
         if active:
-            states = _integrate_active(spec, schedule, psi, lo, _checkpoints(inside, hi), h0, pool)
+            states = _integrate_active(spec, schedule, psi, lo, _checkpoints(inside, hi), h0)
             regions.append((lo, hi, inside, None, states))
             psi = states[-1]
         else:
@@ -603,21 +543,20 @@ def simulate_protocol(
         # Sampling already caps the effective step at sample_dt; start at or
         # below it so each halving genuinely refines the integration.
         h = min(h, sample_dt)
-        with _factor_pool() as pool:
-            regions, psi = _propagate(spec, schedule, t_end, sample_times, h, pool)
-            previous = average_fidelity(np.abs(psi[-1]))
-            for _ in range(14):
-                h /= 2.0
-                regions, psi = _propagate(spec, schedule, t_end, sample_times, h, pool)
-                current = average_fidelity(np.abs(psi[-1]))
-                if abs(current - previous) < step_tolerance:
-                    break
-                previous = current
-            else:
-                raise StepControlError(
-                    f"step halving did not converge to {step_tolerance:g} "
-                    f"(last step {h:g})"
-                )
+        regions, psi = _propagate(spec, schedule, t_end, sample_times, h)
+        previous = average_fidelity(np.abs(psi[-1]))
+        for _ in range(14):
+            h /= 2.0
+            regions, psi = _propagate(spec, schedule, t_end, sample_times, h)
+            current = average_fidelity(np.abs(psi[-1]))
+            if abs(current - previous) < step_tolerance:
+                break
+            previous = current
+        else:
+            raise StepControlError(
+                f"step halving did not converge to {step_tolerance:g} "
+                f"(last step {h:g})"
+            )
 
     site_n, presend = _sample(schedule, regions)
     abs_f = np.abs(site_n)

@@ -76,7 +76,7 @@ def test_cli_import_leaves_out_scipy_special_ebit_and_effective():
     """Importing the CLI loads every module the benchmark tracer wraps
     (perfbench/spans.py reads them from sys.modules), but no scipy module
     at all, neither ebit nor effective, which their handlers import, and
-    no concurrent.futures, which only a smoothed protocol run imports."""
+    no concurrent.futures, which no module of the package imports."""
     spans = ROOT / "perfbench" / "spans.py"
     out = subprocess.run([sys.executable, "-c", CLI_SURFACE, str(spans)], env=_package_env(), check=True,
                          capture_output=True, text=True).stdout

@@ -1,7 +1,4 @@
-import contextlib
-import sys
-import threading
-import time
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,7 +20,7 @@ from barrierchain.protocol import (
     storage_fidelity,
     two_level_interval,
 )
-from barrierchain.spectral import evolve, evolve_many, site_state
+from barrierchain.spectral import evolve, evolve_many, site_state, tridiagonal_eigh
 
 _CHUNK = protocol._CHUNK_ROWS
 
@@ -236,23 +233,25 @@ def test_protocol_needs_six_sites():
         simulate_protocol(ChainSpec(5), schedule8())
 
 
-def _reference_cf4_step(spec, schedule, psi, t, h):
-    """The per-step CF4 kernel the planned pass replaced: both Gauss-node
-    fields, two eigh_tridiagonal factors, two matvecs each."""
-    omega2, omega_nm1 = protocol.field_at(schedule, t + h * protocol._NODES)
-    d1 = protocol._drive_diagonal(spec, omega2[0], omega_nm1[0])
-    d2 = protocol._drive_diagonal(spec, omega2[1], omega_nm1[1])
-    big, small = protocol._WEIGHT_BIG, protocol._WEIGHT_SMALL
-    off = np.full(spec.n_sites - 1, -(big + small))
-    for da, db in ((big, small), (small, big)):
-        w, v = eigh_tridiagonal(da * d1 + db * d2, off, lapack_driver="stevd")
-        psi = v @ (np.exp(-1j * h * w) * (v.T @ psi))
-    return psi
+_UNIT = 2.0**-53
+
+
+def _factor_matrix(n, entries, h):
+    """The dense factor h M: off-diagonal -1/2, ``entries`` on sites 2 and N-1."""
+    m = np.diag(np.full(n - 1, -(protocol._WEIGHT_BIG + protocol._WEIGHT_SMALL)), 1)
+    m = m + m.T
+    m[1, 1], m[n - 2, n - 2] = entries
+    return h * m
 
 
 def _reference_integrate_active(spec, schedule, psi, t_start, checkpoints, h0, steps):
-    """The per-step loop the planned pass replaced; appends each step's t to steps."""
-    states = []
+    """The per-step loop the planned pass replaced, with the factor kernel
+    applied one factor at a time: both Gauss-node fields of each step, the
+    full diagonals of its two factors, and the window's plan from the
+    largest dense 1-norm of its factors.  Appends each step's t to steps."""
+    n = spec.n_sites
+    big, small = protocol._WEIGHT_BIG, protocol._WEIGHT_SMALL
+    factors = []
     t = t_start
     for tc in checkpoints:
         span = tc - t
@@ -260,10 +259,22 @@ def _reference_integrate_active(spec, schedule, psi, t_start, checkpoints, h0, s
             n_sub = max(1, int(np.ceil(span / h0 - 1e-12)))
             h = span / n_sub
             for j in range(n_sub):
-                psi = _reference_cf4_step(spec, schedule, psi, t + j * h, h)
+                omega2, omega_nm1 = protocol.field_at(schedule, t + j * h + h * protocol._NODES)
+                d1 = protocol._drive_diagonal(spec, omega2[0], omega_nm1[0])
+                d2 = protocol._drive_diagonal(spec, omega2[1], omega_nm1[1])
+                for da, db in ((big, small), (small, big)):
+                    factors.append(((da * d1 + db * d2)[[1, n - 2]], h))
                 steps.append(t + j * h)
             t = tc
-        states.append(psi)
+        factors.append(None)  # checkpoint reached
+    theta = max(np.abs(_factor_matrix(n, *f)).sum(axis=0).max() for f in factors if f is not None)
+    plan = protocol._series_plan(theta)
+    states = []
+    for f in factors:
+        if f is None:
+            states.append(psi)
+        else:
+            psi = protocol._exponentials(n, f[0][None], np.array([f[1]]), plan)[0] @ psi
     return states
 
 
@@ -299,85 +310,51 @@ def test_planned_cf4_pass_is_bit_identical_to_per_step_kernel(case, monkeypatch)
     times = protocol._sample_grid(sch, t_end, sample_dt)
 
     solves = []
+    kernel = protocol._exponentials
 
-    def counted_eigh(d, e):
-        # one entry per stacked row, each a solved factor's driven entries
-        solves.extend(d[:, [1, -2]].copy())
-        return eigh(d, e)
+    def counted(n, entries, h, plan):
+        # one entry per stacked row, each a computed factor's driven entries
+        solves.extend(entries.copy())
+        return kernel(n, entries, h, plan)
 
-    eigh = protocol.tridiagonal_eigh
-    monkeypatch.setattr(protocol, "tridiagonal_eigh", counted_eigh)
+    monkeypatch.setattr(protocol, "_exponentials", counted)
     planned = _propagate_then_sample(spec, sch, t_end, times, h0)
+    monkeypatch.setattr(protocol, "_exponentials", kernel)
     steps = []
-    # the last argument is the pass's factor pool, None here
-    monkeypatch.setattr(protocol, "_integrate_active",
-                        lambda *args: _reference_integrate_active(*args[:-1], steps))
+    monkeypatch.setattr(protocol, "_integrate_active", lambda *args: _reference_integrate_active(*args, steps))
     reference = _propagate_then_sample(spec, sch, t_end, times, h0)
 
     for got, want in zip(planned, reference):
         assert np.array_equal(got, want)
     assert planned[1].size > 0
-    # the case exercises eigenpair reuse, and with zero tails a factor whose
-    # driven entry is a signed zero built from a zero field
+    # the case exercises reuse, and with zero tails a factor whose driven
+    # entry is a signed zero built from a zero field
     assert len(solves) < 2 * len(steps)
     if zero_tails:
         assert any(np.any(d == 0.0) for d in solves)
 
 
-def _on_main():
-    return threading.current_thread() is threading.main_thread()
-
-
-def _schedule(monkeypatch, schedule):
-    """Make the next runs solve their factor tasks under one schedule and
-    return the list that records, per stacked solve, whether the state-loop
-    thread ran it.  "inline": one CPU, so no worker and this thread solves
-    every task; "worker": this thread never claims a task, so the worker
-    solves them all; "slow-worker": each of the worker's solves first
-    sleeps, so this thread solves most tasks."""
-    monkeypatch.setattr(protocol, "_cpu_count", lambda: 1 if schedule == "inline" else 2)
-    if schedule == "worker":
-        claim = protocol._TaskCursor.claim
-        monkeypatch.setattr(protocol._TaskCursor, "claim", lambda cursor: None if _on_main() else claim(cursor))
-    on_main = []
-
-    def recorded(d, e):
-        on_main.append(_on_main())
-        if schedule == "slow-worker" and not on_main[-1]:
-            time.sleep(0.02)
-        return eigh(d, e)
-
-    eigh = protocol.tridiagonal_eigh
-    monkeypatch.setattr(protocol, "tridiagonal_eigh", recorded)
-    return on_main
-
-
 # (spec, schedule, psi's seed, t_start, checkpoints, h0): the window around
-# t1 of the n30-smoothed run below, 3,600 factors in 50 tasks of 72
+# t1 of the n30-smoothed run below, 3,600 factors
 LONG_WINDOW = (ChainSpec(30), SwitchingSchedule(k1=60.0, k2=30.0, delta_t=optimal_interval(30, 30.0), t1=50.0,
                                                 smoothing_timescale=0.5),
                3, 27.5, np.arange(28.0, 73.0, 0.5), 0.025)
 
 
-def _long_window_run():
-    """``_integrate_active`` over LONG_WINDOW from a random state, given
-    the pass's factor pool."""
-    spec, sch, seed, t_start, checkpoints, h0 = LONG_WINDOW
-    rng = np.random.default_rng(seed)
-    psi = rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites)
-    psi /= np.linalg.norm(psi)
-    return lambda pool: protocol._integrate_active(spec, sch, psi, t_start, checkpoints, h0, pool)
-
-
 @pytest.mark.parametrize("case", [*CF4_CASES, "n30-long-window"])
-def test_factor_solves_keep_every_bit_on_any_thread_count(case, monkeypatch):
-    """Every checkpoint state of ``_integrate_active`` is the same whoever
-    solves the factor tasks: this thread alone, the worker alone, or mostly
-    this thread beside a slowed worker.  Tasks are stack_rows(N) factors
-    under every schedule, so they differ only in where their stacked
-    solves run."""
+def test_window_states_keep_every_bit_on_any_chunk_size(case, monkeypatch):
+    """Every checkpoint state of a switching window is the same whatever
+    the chunk size: one factor per kernel call (so no reuse at all), 7,
+    and the budget's own size.  The window's plan never comes from a
+    chunk, and each factor of a stack is computed on its own."""
     if case == "n30-long-window":
-        windows = _long_window_run()
+        spec, sch, seed, t_start, checkpoints, h0 = LONG_WINDOW
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites)
+        psi /= np.linalg.norm(psi)
+
+        def windows():
+            return protocol._integrate_active(spec, sch, psi, t_start, checkpoints, h0)
     else:
         spec, sch, tail, sample_dt, h0, zero_tails = CF4_CASES[case]
         if zero_tails:
@@ -385,195 +362,158 @@ def test_factor_solves_keep_every_bit_on_any_thread_count(case, monkeypatch):
         t_end = sch.t2 + tail
         times = protocol._sample_grid(sch, t_end, sample_dt)
 
-        def windows(pool):
-            regions, _ = protocol._propagate(spec, sch, t_end, times, h0, pool)
+        def windows():
+            regions, _ = protocol._propagate(spec, sch, t_end, times, h0)
             return [state for *_, decomp, states in regions if decomp is None for state in states]
 
-    runs, solvers = {}, {}
-    for schedule in ("inline", "worker", "slow-worker"):
+    budget = protocol._factor_rows(spec.n_sites)
+    runs, stacks = {}, {}
+    kernel = protocol._exponentials
+    for rows in (1, 7, budget):
+        calls = []
+
+        def counted(n, entries, h, plan):
+            calls.append(len(entries))
+            return kernel(n, entries, h, plan)
+
         with pytest.MonkeyPatch.context() as patched:
-            solvers[schedule] = _schedule(patched, schedule)
-            with protocol._factor_pool() as pool:
-                assert (pool is None) == (schedule == "inline")
-                runs[schedule] = windows(pool)
-    assert all(solvers["inline"])
-    assert not any(solvers["worker"])
-    assert len(solvers["worker"]) == len(solvers["inline"])
-    assert runs["inline"]
-    for schedule in ("worker", "slow-worker"):
-        assert len(runs[schedule]) == len(runs["inline"])
-        assert all(np.array_equal(a, b) for a, b in zip(runs[schedule], runs["inline"]))
-    if case == "n30-long-window":
-        assert len(solvers["inline"]) == 50
-        assert sum(solvers["slow-worker"]) > 25
+            patched.setattr(protocol, "_factor_rows", lambda n: rows)
+            patched.setattr(protocol, "_exponentials", counted)
+            runs[rows] = windows()
+        stacks[rows] = calls
+    assert budget == (18 if spec.n_sites == 30 else 256)
+    assert runs[budget]
+    assert max(stacks[1]) == 1 and max(stacks[7]) <= 7
+    assert len(stacks[1]) > sum(stacks[budget]) and len(stacks[7]) > len(stacks[budget])
+    for rows in (1, 7):
+        assert len(runs[rows]) == len(runs[budget])
+        assert all(np.array_equal(a, b) for a, b in zip(runs[rows], runs[budget]))
 
 
-def test_factor_worker_holds_at_most_the_lookahead(monkeypatch):
-    """The worker never claims past the ``_LOOKAHEAD`` tasks from the next
-    one the state loop needs, however slow that loop is: at most
-    ``_LOOKAHEAD`` tasks are solved and not yet taken, read here as
-    ``_LOOKAHEAD + 1`` because a take is counted just after the worker may
-    claim again.  That bounds the eigendata a window holds."""
-    on_main = _schedule(monkeypatch, "worker")
-    lock = threading.Lock()
-    live, peak = [0], [0]
-    solve = protocol._solve_factors
-
-    def counted(*args):
-        solved = solve(*args)
-        with lock:
-            live[0] += 1
-            peak[0] = max(peak[0], live[0])
-        return solved
-
-    tasks = protocol._solved_tasks
-
-    def slow_state_loop(*args):
-        with contextlib.closing(tasks(*args)) as inner:
-            for solved in inner:
-                with lock:
-                    live[0] -= 1
-                time.sleep(0.01)
-                yield solved
-
-    monkeypatch.setattr(protocol, "_solve_factors", counted)
-    monkeypatch.setattr(protocol, "_solved_tasks", slow_state_loop)
-    with protocol._factor_pool() as pool:
-        _long_window_run()(pool)
-    assert len(on_main) == 50 and not any(on_main)
-    assert protocol._LOOKAHEAD <= peak[0] <= protocol._LOOKAHEAD + 1
-    assert live[0] == 0
-
-
-def test_factor_worker_stops_when_the_tasks_are_closed_early():
-    """Closing the task generator after one task stops the worker: the
-    pool's one thread is free for a new job, and no task is solved past the
-    look-ahead of the task taken."""
-    solved = []
-
-    def solve(a, b):
-        time.sleep(0.002)
-        solved.append(a)
-        return a
-
-    with protocol._factor_pool() as pool:
-        if pool is None:
-            pytest.skip("one CPU: no worker")
-        tasks = protocol._solved_tasks(solve, [(k, k + 1) for k in range(40)], pool)
-        assert next(tasks) == 0
-        tasks.close()
-        assert pool.submit(len, solved).result(timeout=10) <= protocol._LOOKAHEAD + 1
-    assert len(solved) <= protocol._LOOKAHEAD + 1
-
-
-def test_factor_tasks_are_each_solved_once_under_fast_thread_switching(monkeypatch):
-    """With the interpreter switching threads every microsecond, each task
-    is still claimed by one thread only: every task is solved exactly once
-    and taken in order."""
-    monkeypatch.setattr(protocol, "_cpu_count", lambda: 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            calls = []
-
-            def solve(a, b):
-                time.sleep(0)  # let the other thread run, so both claim tasks
-                calls.append(a)
-                return a
-
-            with protocol._factor_pool() as pool:
-                taken = list(protocol._solved_tasks(solve, [(k, k + 1) for k in range(300)], pool))
-            assert taken == list(range(300))
-            assert sorted(calls) == taken
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_factor_threads_end_with_the_call(monkeypatch):
-    """The worker thread exists only inside simulate_protocol: it is gone
-    after a return, after a StepControlError and after a worker's
-    LinAlgError, which surfaces from the call; an error in the state loop
-    stops it too.
-    This thread claims no task, so the worker solves every one."""
-    on_main = _schedule(monkeypatch, "worker")
-    before = threading.active_count()
+def test_factors_with_equal_entries_and_different_steps_are_not_reused(monkeypatch):
+    """On a constant drive every factor has the same driven entries, but
+    checkpoint spans give neighbouring steps different h: each step size
+    gets its own exponential, and the states follow the exact stage.  A
+    reuse keyed on the entries alone would apply the first step's factor
+    throughout."""
     sch = schedule8(smoothing_timescale=0.1)
-    simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
-    assert on_main and not any(on_main)
-    assert threading.active_count() == before
+    t_start, checkpoints = 12.0, np.array([12.5, 12.51, 14.0])
+    assert np.all(np.array(field_at(sch, np.linspace(t_start, checkpoints[-1], 101))) == 4.0)
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi /= np.linalg.norm(psi)
+    computed = []
+    kernel = protocol._exponentials
 
-    # fidelities that never settle: every halving pass runs, then the error
-    with pytest.MonkeyPatch.context() as patched:
-        fidelities = iter(np.arange(100.0))
-        patched.setattr(protocol, "average_fidelity", lambda f: next(fidelities))
-        on_main.clear()
-        tiny = SwitchingSchedule(k1=2.0, k2=1.0, delta_t=0.1, t1=0.05, smoothing_timescale=0.001)
-        with pytest.raises(StepControlError):
-            simulate_protocol(ChainSpec(6), tiny, t_end=0.2, sample_dt=1.0, step_hint=1.0)
-        assert on_main and not any(on_main)
-        assert threading.active_count() == before
+    def counted(n, entries, h, plan):
+        computed.extend(h.tolist())
+        return kernel(n, entries, h, plan)
 
-    solve = protocol.tridiagonal_eigh
-
-    def failing(d, e):
-        if not _on_main():
-            raise np.linalg.LinAlgError("injected")
-        return solve(d, e)
-
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(protocol, "tridiagonal_eigh", failing)
-        with pytest.raises(np.linalg.LinAlgError, match="injected"):
-            simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
-        assert threading.active_count() == before
-
-    # a task whose second factor has no eigenvectors: the state loop fails
-    # applying the first of a window's 25 tasks, with the worker waiting at
-    # the look-ahead bound while the error passes through the pool's exit
-    solve_factors = protocol._solve_factors
-
-    def short(*args):
-        v, slot, phases = solve_factors(*args)
-        return v, slot[:1], phases
-
-    monkeypatch.setattr(protocol, "_solve_factors", short)
-    spec, sch = LONG_WINDOW[:2]
-    with pytest.raises(IndexError):
-        simulate_protocol(spec, sch, t_end=sch.t2 + 1.0)
-    assert threading.active_count() == before
+    monkeypatch.setattr(protocol, "_exponentials", counted)
+    states = protocol._integrate_active(N8, sch, psi, t_start, checkpoints, 0.025)
+    # one chunk of 2 * (20 + 1 + 60) factors, three step sizes
+    assert computed == [(12.5 - 12.0) / 20, 12.51 - 12.5, (14.0 - 12.51) / 60]
+    stage = _stage_decomposition(N8, 4.0, 4.0)
+    for tc, state in zip(checkpoints, states):
+        assert np.max(np.abs(state - evolve(stage, psi, tc - t_start))) <= 1e-12
 
 
-def test_factor_threads_stay_at_two_on_a_larger_host(monkeypatch):
-    """A process that may run on eight CPUs still solves its factors on
-    two threads, this one and one worker: two is the count measured."""
-    monkeypatch.setattr(protocol, "_cpu_count", lambda: 8)
-    before = threading.active_count()
-    solvers, alive = set(), set()
-    solve = protocol.tridiagonal_eigh
+def _taylor_bound(n, theta):
+    """A bound on the 1-norm error of the factor kernel for ||B||_1 <=
+    theta.  On the halved factor, t = theta / 2^s: truncation below u (the
+    plan's degree), and each of the m stacked products (X and the powers up
+    to X^s, two Horner steps per lower block, B sin) adds at most n u times
+    the size of the series' terms, which e^t bounds.  A squaring multiplies
+    the error by at most 4 ||cos B||_1 <= 4 sqrt(n), since cos and sin of a
+    symmetric matrix have 2-norm at most 1, and its two products add at most
+    4 n^2 u."""
+    degree, squarings = protocol._series_plan(theta)
+    t = theta / 2**squarings
+    s = math.isqrt(degree) + 1
+    m = s + 2 * (degree // s) + 1
+    bound = _UNIT * (1 + m * n * math.exp(t))
+    for _ in range(squarings):
+        bound = 4 * math.sqrt(n) * bound + 4 * n * n * _UNIT
+    return bound
 
-    def recorded(d, e):
-        solvers.add(threading.current_thread().name)
-        alive.add(threading.active_count())
-        return solve(d, e)
 
-    monkeypatch.setattr(protocol, "tridiagonal_eigh", recorded)
-    sch = schedule8(smoothing_timescale=0.1)
-    simulate_protocol(N8, sch, t_end=sch.t2 + 1.0)
-    assert alive == {before + 1}
-    assert len(solvers - {threading.current_thread().name}) <= 1
+@pytest.mark.parametrize("theta", [1e-9, 0.05, 0.19, 0.5, 0.775, 1.0, 1.55, 1.9375, 2.0, 2.0000001, 3.9, 5.26, 30.5])
+def test_series_plan_degree_bounds_the_remainder(theta):
+    """The plan halves B to a norm t <= 2 only when theta is above 2, and
+    its degree q makes the exact Taylor remainder of exp(-iB) past the
+    degree-(2q + 1) term, sum_{j >= 2q+2} t^j / j! = e^t - sum_{j <= 2q+1}
+    t^j / j! (40 digits), at most u."""
+    mpmath = pytest.importorskip("mpmath")
+    degree, squarings = protocol._series_plan(theta)
+    t = theta / 2**squarings
+    assert (squarings > 0) == (theta > protocol._THETA_LIMIT)
+    assert t <= protocol._THETA_LIMIT and (squarings == 0 or 2 * t > protocol._THETA_LIMIT)
+    with mpmath.workdps(40):
+        tail = mpmath.exp(t) - sum(mpmath.mpf(t) ** j / mpmath.factorial(j) for j in range(2 * degree + 2))
+    assert 0 <= tail <= _UNIT
+    assert degree <= 11
+
+
+# (driven entries, h) of N = 8 factors: the plateaus and the switching
+# crossovers of the shipped K1 = 60 drive at the steps a smoothed pass
+# takes, and two beyond _THETA_LIMIT, which squaring brings back
+TAYLOR_CASES = [((-25.3, -4.1), 0.05), ((-30.0, 0.0), 0.05), ((-15.0, -15.0), 0.025), ((-0.0, -29.9), 0.0625),
+                ((-25.3, -4.1), 0.2), ((-60.0, -1.0), 0.5)]
+
+
+@pytest.mark.parametrize("entries, h", TAYLOR_CASES)
+def test_factor_exponential_matches_mpmath(entries, h):
+    mpmath = pytest.importorskip("mpmath")
+    b = _factor_matrix(8, entries, h)
+    theta = float(np.abs(b).sum(axis=0).max())
+    plan = protocol._series_plan(theta)
+    assert (plan[1] > 0) == (theta > protocol._THETA_LIMIT)
+    got = protocol._exponentials(8, np.array([entries]), np.array([h]), plan)[0]
+    with mpmath.workdps(40):
+        exact = np.array(mpmath.expm(-1j * mpmath.matrix(b.tolist())).tolist(), dtype=complex)
+    assert np.max(np.sum(np.abs(got - exact), axis=0)) <= _taylor_bound(8, theta)
+
+
+def test_factor_exponentials_match_the_stevd_eigen_kernel():
+    """N = 30 CF4 factors as a smoothed pass at tau_s = 0.5 plans them on
+    its first step, h = 0.05, both switching windows: the kernel agrees
+    with exp(-ihM) = v exp(-ihw) v^T from scipy's stevd, the eigen path it
+    replaced, within the sum of their error bounds.  stevd's pairs are
+    exact for M + dM with ||dM|| <= n u ||M|| and orthonormal to n u, so
+    the eigen path is off by at most n u (theta + 3) after forming the
+    product; entries are bounded by the 1-norm bounds."""
+    schedule = SwitchingSchedule(k1=60.0, k2=30.0, delta_t=optimal_interval(30, 30.0), smoothing_timescale=0.5)
+    h = 0.05
+    starts = np.concatenate([np.arange(t - 22.5, t + 22.5, h) for t in (schedule.t1, schedule.t2)])
+    omega2, omega_nm1 = field_at(schedule, starts[:, None] + h * protocol._NODES)
+    big, small = protocol._WEIGHT_BIG, protocol._WEIGHT_SMALL
+    entries = np.concatenate([
+        np.stack([da * -omega2[:, 0] + db * -omega2[:, 1], da * -omega_nm1[:, 0] + db * -omega_nm1[:, 1]], axis=1)
+        for da, db in ((big, small), (small, big))
+    ])
+    theta = float(np.max(h * (1.0 + np.abs(entries).max(axis=1))))
+    got = protocol._exponentials(30, entries, np.full(len(entries), h), protocol._series_plan(theta))
+    worst = 0.0
+    for k in range(0, len(entries), 7):
+        d = np.zeros(30)
+        d[[1, -2]] = entries[k]
+        w, v = eigh_tridiagonal(d, np.full(29, -(big + small)), lapack_driver="stevd")
+        worst = max(worst, np.max(np.abs(got[k] - (v * np.exp(-1j * h * w)) @ v.T)))
+    assert 1.5 < theta <= protocol._THETA_LIMIT
+    assert worst <= _taylor_bound(30, theta) + 30 * _UNIT * (theta + 3.0)
 
 
 @pytest.mark.parametrize("n", [2, 6, 8, 30])
 def test_tridiagonal_eigh_matches_stevd(n):
-    """The protocol's eigensolver, numpy's eigh on a stack of dense bands,
-    gives scipy stevd's levels and the magnitudes of its vectors bit for
-    bit, on signed-zero diagonals too; the signs never reach a state,
-    since each factor applies v (p * (v.T psi))."""
+    """``spectral.tridiagonal_eigh``, numpy's eigh on a stack of dense
+    bands, gives scipy stevd's levels and the magnitudes of its vectors bit
+    for bit, on signed-zero diagonals too, on the dense CF4-sized stacks
+    the stevd reference above is checked against."""
     rng = np.random.default_rng(n)
     d = rng.normal(scale=30.0, size=(20, n))
     d[rng.random((20, n)) < 0.3] = -0.0
     e = rng.normal(size=(20, n - 1))
-    w, v = protocol.tridiagonal_eigh(d, e)
+    w, v = tridiagonal_eigh(d, e)
     for i in range(20):
         w_ref, v_ref = eigh_tridiagonal(d[i], e[i], lapack_driver="stevd")
         assert np.array_equal(w[i], w_ref)
