@@ -32,22 +32,24 @@ step starts and sizes, one field_at call on every Gauss node, and each
 factor's two driven diagonal entries.  A factor is E = exp(-iB) with
 B = hM, M tridiagonal with off-diagonal -1/2 and the two driven entries.
 With X = B^2, E = cos B - i B (sin B / B), and both are Taylor polynomials
-in X, evaluated by Paterson-Stockmeyer with stacked real matmuls
-(``_exponentials``).  The degree, and a squaring count used only when
-theta > 2, come from theta, the largest ||hM||_1 of the whole window's
-factors (``_series_plan``): the smallest degree whose remainder bound is
-below the unit round-off, at most 11 in X.  The shipped smoothed runs
-(K1 = 60, first step 0.05) have theta <= 1.55 and never square.  The
-factors go in chunks of ``_factor_rows(N)`` rows, at most 2^14 entries per
-(rows, N, N) array (18 at N = 30).  Within a chunk, a factor whose driven
-entries and step h both equal the previous factor's bit for bit, as on
-flat logistic tails within one checkpoint span, reuses its exponential;
-the others go to one kernel call.  The loop over the state then does one
-complex matvec per factor.  Every step of the kernel is a stacked matmul,
-computed matrix by matrix, or elementwise, and theta never comes from a
-chunk, so a factor's bits depend on its own entries, its step and the
-window alone: the states are the same at any chunk size.  The whole path
-runs on the calling thread.
+in X, evaluated by Paterson-Stockmeyer (``_exponentials``): every block of
+both series comes from one real product of a per-degree coefficient table
+and the stacked powers X..X^s, then Horner in X^s.  The degree, and a
+squaring count used only when theta > 2, come from theta, the largest
+||hM||_1 of the whole window's factors (``_series_plan``): the smallest
+degree whose remainder bound is below the unit round-off, at most 11 in X.
+The shipped smoothed runs (K1 = 60, first step 0.05) have theta <= 1.55
+and never square.  The factors go in chunks of ``_factor_rows(N)`` rows,
+at most 2^14 entries per (rows, N, N) array (18 at N = 30).  Within a
+chunk, a factor whose driven entries and step h both equal the previous
+factor's bit for bit, as on flat logistic tails within one checkpoint
+span, reuses its exponential; the others go to one kernel call.  The loop
+over the state then does one complex matvec per factor.  Every step of the
+kernel is a stacked matmul, computed matrix by matrix, the coefficient
+product, each of whose outputs combines one entry of one factor's powers,
+or elementwise, and theta never comes from a chunk, so a factor's bits
+depend on its own entries, its step and the window alone: the states are
+the same at any chunk size.  The whole path runs on the calling thread.
 
 Smoothed runs halve the step until the final fidelity settles, and every
 pass but the accepted one is a probe: it only propagates, keeping each
@@ -66,6 +68,7 @@ so memory is bounded end to end.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -295,20 +298,61 @@ def _series_plan(theta: float) -> tuple[int, int]:
     return q, squarings
 
 
+@functools.cache
+def _series_table(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Paterson-Stockmeyer blocks of the factor kernel's two series at this
+    degree, as (coefficients, constants).
+
+    The series are cos B and -sin B / B in X = B^2, the coefficients of
+    X^k being (-1)^k / (2k)! and -(-1)^k / (2k + 1)! (negating a
+    coefficient is exact).  With s = ceil(sqrt(degree + 1)), block j holds
+    the terms X^(js)..X^(js + s - 1), the top one up to X^degree; a top
+    block of the constant alone joins the block below as its X^s term.
+    Row r * blocks + j of ``coefficients`` gives series r's block j on the
+    powers X^1..X^w, w = min(s, degree) columns, and ``constants[r, j]``
+    its X^0 term."""
+    s = math.isqrt(degree) + 1
+    starts = list(range(0, degree + 1, s))
+    if len(starts) > 1 and degree % s == 0:
+        starts.pop()
+    tops = [*(j + s - 1 for j in starts[:-1]), degree]
+    series = (
+        [(-1) ** k / math.factorial(2 * k) for k in range(degree + 1)],
+        [-((-1) ** k) / math.factorial(2 * k + 1) for k in range(degree + 1)],
+    )
+    width = min(s, degree)
+    coefficients = np.zeros((2, len(starts), width))
+    constants = np.zeros((2, len(starts)))
+    for r, c in enumerate(series):
+        for j, (start, top) in enumerate(zip(starts, tops)):
+            coefficients[r, j, : top - start] = c[start + 1 : top + 1]
+            constants[r, j] = c[start]
+    coefficients = coefficients.reshape(2 * len(starts), width)
+    coefficients.flags.writeable = constants.flags.writeable = False
+    return coefficients, constants
+
+
 def _exponentials(n: int, entries: np.ndarray, h: np.ndarray, plan: tuple[int, int]) -> np.ndarray:
     """exp(-iB) of every factor B = hM, (rows, n, n) complex: M has
     off-diagonal -1/2 and the driven entries ``entries[k]`` on sites 2 and
     N-1, h is ``h[k]``, and ``plan`` is _series_plan's (degree, squarings).
 
-    With X = B^2, cos B and sin B / B are polynomials of that degree in X,
-    each evaluated by Paterson-Stockmeyer: the powers X^1..X^s, s =
-    ceil(sqrt(degree + 1)), then Horner in X^s over blocks of s terms, the
-    top block taking up to s + 1.  Every step is a stacked real matmul or
-    an elementwise operation, so a factor's bits depend on its own entries,
-    h and the plan alone, never on the other rows of the stack.  Squarings
-    use cos 2B = 2 cos^2 B - 1 and sin 2B = 2 sin B cos B.
+    With X = B^2, cos B and -sin B / B are polynomials of that degree in X,
+    each evaluated by Paterson-Stockmeyer.  The powers X^1..X^w are stacked
+    (w = min(s, degree), s = ceil(sqrt(degree + 1))), and every block of
+    both series comes from one real product, the (2 blocks, w) coefficient
+    table of ``_series_table`` times the powers as a (w, rows n^2) matrix;
+    the block constants go on the diagonals, then Horner in X^s.  Each
+    output of the product combines the same entry of one factor's powers,
+    so a factor's bits depend on its own entries, h and the plan alone,
+    never on the other rows of the stack; every other step is a stacked
+    matmul or elementwise.  Squarings use cos 2B = 2 cos^2 B - 1 and
+    sin 2B = 2 sin B cos B.  cos B is the real part and B (-sin B / B) =
+    -sin B the imaginary part of the result.
     """
     degree, squarings = plan
+    coefficients, constants = _series_table(degree)
+    width = coefficients.shape[1]
     rows = len(entries)
     scale = np.ldexp(h, -squarings)
     b = np.zeros((rows, n, n))
@@ -317,36 +361,31 @@ def _exponentials(n: int, entries: np.ndarray, h: np.ndarray, plan: tuple[int, i
     off = (-(_WEIGHT_BIG + _WEIGHT_SMALL) * scale)[:, None]
     flat[:, 1 :: n + 1] = off
     flat[:, n :: n + 1] = off
-    x = b @ b
-    s = math.isqrt(degree) + 1
-    powers = [x]
-    while len(powers) < min(s, degree):
-        powers.append(powers[-1] @ x)
-    starts = list(range(0, degree + 1, s))
-    if len(starts) > 1 and degree % s == 0:
-        # a top block of one constant joins the block below as its X^s term
-        starts.pop()
+    powers = np.empty((width, rows, n, n))
+    if width:
+        np.matmul(b, b, out=powers[0])
+    for i in range(1, width):
+        np.matmul(powers[i - 1], powers[0], out=powers[i])
+    blocks = (coefficients @ powers.reshape(width, rows * n * n)).reshape(2, -1, rows, n * n)
+    blocks[..., :: n + 1] += constants[:, :, None, None]
+    blocks = blocks.reshape(2, -1, rows, n, n)
 
-    def series(coefficients):
-        acc = None
-        for j in reversed(starts):
-            top = degree if acc is None else j + s - 1
-            block = coefficients[j + 1] * powers[0] if top > j else np.zeros((rows, n, n))
-            for i in range(2, top - j + 1):
-                block += coefficients[j + i] * powers[i - 1]
-            block.reshape(rows, n * n)[:, :: n + 1] += coefficients[j]
-            acc = block if acc is None else acc @ powers[s - 1] + block
+    def horner(series):
+        acc = series[-1]
+        for block in series[-2::-1]:
+            acc = acc @ powers[-1]
+            acc += block
         return acc
 
-    cos = series([(-1) ** k / math.factorial(2 * k) for k in range(degree + 1)])
-    sin = b @ series([(-1) ** k / math.factorial(2 * k + 1) for k in range(degree + 1)])
+    cos = horner(blocks[0])
+    sin = b @ horner(blocks[1])  # -sin B
     for _ in range(squarings):
         sin = 2.0 * (sin @ cos)
         cos = 2.0 * (cos @ cos)
         cos.reshape(rows, n * n)[:, :: n + 1] -= 1.0
     e = np.empty((rows, n, n), dtype=complex)
     e.real = cos
-    e.imag = -sin
+    e.imag = sin
     return e
 
 
@@ -364,20 +403,20 @@ def _integrate_active(
     in stacked chunks (see the module docstring)."""
     n = spec.n_sites
     per_chunk = _factor_rows(n)
-    starts, sizes, counts = [], [], []
-    t = t_start
-    for tc in checkpoints:
-        span = tc - t
-        n_sub = 0
-        if span > 0:
-            n_sub = max(1, int(np.ceil(span / h0 - 1e-12)))
-            h = span / n_sub
-            starts.append(t + np.arange(n_sub) * h)
-            sizes.append(np.full(n_sub, h))
-            t = tc
-        counts.append(n_sub)
-    sizes = np.concatenate(sizes)
-    omega2, omega_nm1 = field_at(schedule, np.concatenate(starts)[:, None] + sizes[:, None] * _NODES)
+    # Span k runs from checkpoint k - 1 (t_start for k = 0) to checkpoint k
+    # in n_sub[k] equal steps (none for an empty span); step j of it starts
+    # at lo + j h, the same operations as one arange per span.
+    bounds = np.concatenate([[t_start], checkpoints])
+    lo = bounds[:-1]
+    span = bounds[1:] - lo
+    n_sub = np.where(span > 0, np.maximum(1, np.ceil(span / h0 - 1e-12)), 0).astype(np.int64)
+    h = span / np.maximum(n_sub, 1)
+    sizes = np.repeat(h, n_sub)
+    first = np.cumsum(n_sub) - n_sub
+    local = np.arange(len(sizes)) - np.repeat(first, n_sub)
+    starts = np.repeat(lo, n_sub) + local * sizes
+    counts = n_sub.tolist()
+    omega2, omega_nm1 = field_at(schedule, starts[:, None] + sizes[:, None] * _NODES)
     # Each factor exponentiates da*H1 + db*H2 of the two node Hamiltonians:
     # off-diagonal -(da + db) = -1/2, and on each driven site da*d1 + db*d2
     # with d = -omega, the same products and sum as the full diagonals, so
@@ -406,9 +445,9 @@ def _integrate_active(
             if i == 0:
                 chunk = np.arange(k, min(k + per_chunk, len(factors)))
                 rows = chunk[fresh[chunk]]
-                e = _exponentials(n, factors[rows], steps[rows], plan)
+                e = list(_exponentials(n, factors[rows], steps[rows], plan))
                 slot = (np.cumsum(fresh[chunk]) - 1).tolist()
-            psi = e[slot[i]] @ psi
+            psi = e[slot[i]].dot(psi)
             k += 1
         states.append(psi)
     return states

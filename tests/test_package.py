@@ -116,3 +116,44 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     fail, each subcommand still runs, in one process."""
     subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(TINY_RUNS), str(tmp_path)],
                    env=_package_env(), check=True, capture_output=True, text=True)
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+CONSOLE_SCRIPT = """
+import json, os, sys
+from barrierchain._script import main
+numpy_loaded = "numpy" in sys.modules
+status = main(["spectrum", "--n", "6", "--steps", "3", "--out", sys.argv[1]])
+print(json.dumps({"numpy_loaded": numpy_loaded, "status": status,
+                  "env": {name: os.environ.get(name) for name in json.loads(sys.argv[2])}}))
+"""
+
+IMPORTS_ONLY = """
+import json, os, sys
+import barrierchain, barrierchain.cli
+print(json.dumps({name: os.environ.get(name) for name in json.loads(sys.argv[1])}))
+"""
+
+
+def test_console_script_pins_blas_threads_the_user_left_unset(tmp_path):
+    """The console script sets each BLAS thread variable the user left
+    unset to 1 before numpy loads, and keeps a value the user set;
+    importing the package or its CLI sets none of them."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^barrierchain = "barrierchain\._script:main"$', pyproject, re.M)
+    env = _package_env()
+    for name in BLAS_THREAD_VARS:
+        env.pop(name, None)
+    names = json.dumps(BLAS_THREAD_VARS)
+    out = subprocess.run([sys.executable, "-c", IMPORTS_ONLY, names], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == dict.fromkeys(BLAS_THREAD_VARS)
+    env["OPENBLAS_NUM_THREADS"] = "3"
+    out = subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, str(tmp_path / "spectrum.csv"), names], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == {
+        "numpy_loaded": False,
+        "status": 0,
+        "env": {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"},
+    }

@@ -292,6 +292,10 @@ CF4_CASES = {
     "n30-window": (ChainSpec(30), SwitchingSchedule(k1=60.0, k2=30.0, delta_t=5.0, t1=2.5,
                                                     smoothing_timescale=0.05),
                    1.0, 0.1, 0.01, True),
+    # the first window's first checkpoint is its start (a zero span, as at
+    # 27.5 = t1 - 22.5 in the shipped tau_s = 0.5 runs), and t_end cuts the
+    # second window 0.01 after its last sample, a span shorter than h0
+    "n8-edge-spans": (N8, schedule8(smoothing_timescale=0.1), 1.01, 0.05, 0.025, False),
 }
 
 
@@ -468,6 +472,30 @@ def test_factor_exponential_matches_mpmath(entries, h):
     theta = float(np.abs(b).sum(axis=0).max())
     plan = protocol._series_plan(theta)
     assert (plan[1] > 0) == (theta > protocol._THETA_LIMIT)
+    got = protocol._exponentials(8, np.array([entries]), np.array([h]), plan)[0]
+    with mpmath.workdps(40):
+        exact = np.array(mpmath.expm(-1j * mpmath.matrix(b.tolist())).tolist(), dtype=complex)
+    assert np.max(np.sum(np.abs(got - exact), axis=0)) <= _taylor_bound(8, theta)
+
+
+# (theta, plan): one theta inside the range of every degree the plan gives
+# without squaring, q = 0 (theta up to about 1.5e-8, a tiny step_hint) to
+# 11, then one with 1 and one with 2 squarings
+DEGREE_CASES = [(1e-9, (0, 0)), (1e-6, (1, 0)), (1e-3, (2, 0)), (0.015, (3, 0)), (0.07, (4, 0)), (0.17, (5, 0)),
+                (0.33, (6, 0)), (0.55, (7, 0)), (0.8, (8, 0)), (1.1, (9, 0)), (1.5, (10, 0)), (1.85, (11, 0)),
+                (3.0, (10, 1)), (6.0, (10, 2))]
+
+
+@pytest.mark.parametrize("theta, plan", DEGREE_CASES, ids=[f"q{q}-squarings{s}" for _, (q, s) in DEGREE_CASES])
+def test_factor_exponential_matches_mpmath_at_every_degree(theta, plan):
+    """A factor with driven entries (-25.3, -4.1), so ||M||_1 = 26.3,
+    scaled to the given theta: the kernel at the plan's degree and
+    squarings is within the derived bound of 40-digit mpmath.expm."""
+    mpmath = pytest.importorskip("mpmath")
+    entries, h = (-25.3, -4.1), theta / 26.3
+    b = _factor_matrix(8, entries, h)
+    theta = float(np.abs(b).sum(axis=0).max())
+    assert protocol._series_plan(theta) == plan
     got = protocol._exponentials(8, np.array([entries]), np.array([h]), plan)[0]
     with mpmath.workdps(40):
         exact = np.array(mpmath.expm(-1j * mpmath.matrix(b.tolist())).tolist(), dtype=complex)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
-from barrierchain import protocol, spectral
+from barrierchain import spectral
 from barrierchain.chain import (
     ChainSpec,
     FieldProfile,
@@ -16,7 +16,6 @@ from barrierchain.chain import (
 )
 from barrierchain.disorder import BARRIER_LEAKAGE, BULK_UNIFORM, DisorderModel, _ensemble_fields
 from barrierchain.metrics import _grid_point, _pointwise_sums, ipr
-from barrierchain.protocol import SwitchingSchedule, field_at, optimal_interval
 from barrierchain.spectral import (
     _fix_signs,
     _parity_eigh,
@@ -634,26 +633,6 @@ def test_levels_and_weights_match_scipy_stevd_bit_for_bit(monkeypatch):
         assert _same_bits(levels, want_levels) and _same_bits(weights, want_weights), label
         ties += int(np.sum(levels[:, 1:] == levels[:, :-1]))
     assert ties > 0
-
-
-def test_cf4_factor_eigensolves_match_scipy_stevd_bit_for_bit():
-    """N = 30 CF4 factors as a smoothed protocol pass plans them (both
-    switching windows at tau_s = 0.5): one stacked ``tridiagonal_eigh``
-    gives stevd's levels and the magnitudes of its vectors, bit for bit."""
-    schedule = SwitchingSchedule(k1=60.0, k2=30.0, delta_t=optimal_interval(30, 30.0), smoothing_timescale=0.5)
-    starts = np.concatenate([np.arange(t - 22.5, t + 22.5, 0.0625) for t in (schedule.t1, schedule.t2)])
-    omega2, omega_nm1 = field_at(schedule, starts[:, None] + 0.0625 * protocol._NODES)
-    big, small = protocol._WEIGHT_BIG, protocol._WEIGHT_SMALL
-    d = np.zeros((2 * starts.size, 30))
-    d[:, 1] = np.concatenate([big * -omega2[:, 0] + small * -omega2[:, 1], small * -omega2[:, 0] + big * -omega2[:, 1]])
-    d[:, -2] = np.concatenate([big * -omega_nm1[:, 0] + small * -omega_nm1[:, 1],
-                               small * -omega_nm1[:, 0] + big * -omega_nm1[:, 1]])
-    off = np.full(29, -(big + small))
-    w, v = tridiagonal_eigh(d, off)
-    w_ref, v_ref = _stevd_rows(d, off)
-    assert np.array_equal(w, w_ref)
-    assert np.array_equal(np.abs(v), np.abs(v_ref))
-    assert d.shape[0] > 2000
 
 
 def test_site_state_validation():
