@@ -39,8 +39,15 @@ from .spectral import (
 _RANGE_SLACK = 1e-9
 # eigenvalues within this of zero count as exact zero modes
 _ZERO_MODE_TOL = 1e-9
-# stride, in grid steps, of the coarse pass that prunes a peak search
+# stride, in grid steps, of the coarse pass that prunes a peak search.  A
+# search given the Rabi time t_max doubles it while a cell stays no wider
+# than t_max / _CELLS_PER_RABI, up to _MAX_PRUNE_STRIDE: the 0.25 step cap
+# puts 4 t_max grid points in a Rabi time once t_max > 50, although the
+# landscape varies on the scale of t_max.  Powers of two keep the coarse
+# spacing exact.
 _PRUNE_STRIDE = 16
+_MAX_PRUNE_STRIDE = 128
+_CELLS_PER_RABI = 64.0
 # complex entries the tables of one batched coarse pass hold at most, together;
 # the fine pass builds its phase tables in slices of the same size
 _COARSE_ENTRIES = 1 << 16
@@ -300,12 +307,24 @@ def _product_error(per_factor: np.ndarray, ceilings: np.ndarray) -> np.ndarray:
     return _product_rule(change, roof) + 4.0 * ceilings.shape[1] * _UNIT * np.prod(roof, axis=1)
 
 
-def _row_maxima(coarse: np.ndarray, count: int, block: int) -> np.ndarray:
+def _prune_stride(step: float, t_max: float | None) -> int:
+    """The coarse pass's stride in grid steps: _PRUNE_STRIDE without a Rabi
+    time, else the largest power-of-two multiple of it, at most
+    _MAX_PRUNE_STRIDE, whose cell is no wider than t_max / _CELLS_PER_RABI."""
+    stride = _PRUNE_STRIDE
+    if t_max is not None:
+        while 2 * stride <= _MAX_PRUNE_STRIDE and 2 * stride * step <= t_max / _CELLS_PER_RABI:
+            stride *= 2
+    return stride
+
+
+def _row_maxima(coarse: np.ndarray, count: int, block: int, stride: int) -> np.ndarray:
     """Per chain and row of the blocked scan of ``count`` points, the
     largest coarse value (``coarse`` (chains, points), point j at grid index
-    16j) at the ends of the cells the row meets; shape (chains, rows).
+    sj for the stride s) at the ends of the cells the row meets; shape
+    (chains, rows).
 
-    Cell c spans grid points 16c..16(c+1), end points included, so row r,
+    Cell c spans grid points sc..s(c+1), end points included, so row r,
     grid points rB..(r+1)B-1, meets the cells from the last coarse point
     before rB, lower[r], to the first one after (r+1)B-1, upper[r] (the
     last point for the last row).  The points lower[r]..lower[r+1]-1 are
@@ -313,18 +332,25 @@ def _row_maxima(coarse: np.ndarray, count: int, block: int) -> np.ndarray:
     lower[r+1] = upper[r] - 1, so upper[r] - 1 and upper[r] are the rest.
     """
     edges = block * np.arange(-(-count // block) + 1) - 1
-    lower = np.maximum(edges[:-1], 0) // _PRUNE_STRIDE
-    upper = np.minimum(edges[1:] // _PRUNE_STRIDE + 1, coarse.shape[1] - 1)
+    lower = np.maximum(edges[:-1], 0) // stride
+    upper = np.minimum(edges[1:] // stride + 1, coarse.shape[1] - 1)
     return np.maximum(np.maximum.reduceat(coarse, lower, axis=1), np.maximum(coarse[:, upper - 1], coarse[:, upper]))
 
 
-def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, count: int, block: int) -> list[np.ndarray]:
+def _kept_rows(
+    levels: np.ndarray, weights: np.ndarray, lo: float, step: float, count: int, block: int, stride: int = _PRUNE_STRIDE
+) -> list[np.ndarray]:
     """Rows of each chain's blocked scan that can hold its grid maximum, for
     a stack of chains (``levels`` (S, N), ``weights`` (S, F, N)) that share
     the grid; one array of row indices per chain.
 
-    A coarse scan at stride _PRUNE_STRIDE steps splits the grid into cells
-    between neighbouring coarse points.  Within a cell the objective exceeds
+    A coarse scan every ``stride`` steps splits the grid into cells between
+    neighbouring coarse points.  The stride is 16, or, given the caller's
+    Rabi time, up to 128 (``_prune_stride``): the 0.25 step cap samples
+    slow Rabi dynamics far more finely than the cell bound needs.  The
+    bound holds at any width, so the stride changes how many coarse points
+    the pass evaluates and how many rows it keeps, never whether the kept
+    rows hold the grid maximum.  Within a cell the objective exceeds
     the larger end value by at most ``reach`` (slope bound times half the
     cell), so a cell whose bound lies below the coarse maximum cannot hold
     the grid maximum.  |a_f| does not change under a global phase, so each
@@ -357,30 +383,30 @@ def _kept_rows(levels: np.ndarray, weights: np.ndarray, lo: float, step: float, 
     magnitudes = np.abs(weights)
     ceilings = magnitudes.sum(axis=2)
     offset = np.abs(levels[:, None, :] - _median_levels(levels, magnitudes)[:, :, None])
-    stride = _PRUNE_STRIDE * ((lo + step) - lo)
-    reach = 0.5 * stride * _product_rule((magnitudes * offset).sum(axis=2), ceilings)
+    spacing = stride * ((lo + step) - lo)
+    reach = 0.5 * spacing * _product_rule((magnitudes * offset).sum(axis=2), ceilings)
     pruning = np.flatnonzero(reach < np.prod(ceilings, axis=1))
     if n_rows < 2 or pruning.size == 0:
         return kept
     # N for the sums, the largest |t| scanned for the phases
-    horizon = n_levels + abs(lo) + (count + _PRUNE_STRIDE) * step
+    horizon = n_levels + abs(lo) + (count + stride) * step
     spread = (magnitudes * (1.0 + np.abs(levels))[:, None, :]).sum(axis=2)
     slack = _product_rule(64.0 * _EPS * horizon * spread, ceilings)
 
-    n_coarse = -(-(count - 1) // _PRUNE_STRIDE) + 1
+    n_coarse = -(-(count - 1) // stride) + 1
     coarse_block = scan_block_length(n_coarse)
     coarse_rows = np.arange(-(-n_coarse // coarse_block))
     # coarse points past the last grid point only bound the final cell
-    top = (count - 1) // _PRUNE_STRIDE + 1
+    top = (count - 1) // stride + 1
     per_chain = n_factors * coarse_rows.size * (n_levels + coarse_block) + n_levels * (coarse_rows.size + coarse_block)
     for chunk in _slices(pruning.size, per_chain):
         part = pruning[chunk]
-        tables = phase_tables(levels[part, None], lo, stride, coarse_block, coarse_rows.size)
+        tables = phase_tables(levels[part, None], lo, spacing, coarse_block, coarse_rows.size)
         sums = tables.scan(weights[part], coarse_rows)
         margin = slack[part] + _product_error(tables.bound(weights[part]), ceilings[part])
         coarse = np.abs(sums.reshape(part.size, n_factors, -1)[:, :, :n_coarse]).prod(axis=1)
         floor = coarse[:, :top].max(axis=1) - margin
-        bound = _row_maxima(coarse, count, block) + reach[part, None] + margin[:, None]
+        bound = _row_maxima(coarse, count, block, stride) + reach[part, None] + margin[:, None]
         hits = (bound >= floor[:, None]).ravel().nonzero()[0]
         ends = np.searchsorted(hits, n_rows * np.arange(part.size + 1)).tolist()
         rows = hits % n_rows
@@ -472,9 +498,15 @@ def peak_search(
     minimizes it.  With |a_f| <= U_f = sum_k |w_fk| these bound the
     product's slope, so a coarse pass, one stacked scan per stack,
     certifies which cells lie strictly below the grid maximum (see
-    ``_kept_rows``).  Both passes scan approximate phase tables built by
-    recurrence once per slice of a stack (``spectral.phase_tables``), with
-    a proven bound on how far they move each value from the pointwise one.
+    ``_kept_rows``).  Its cells are 16 grid steps wide; given ``t_max`` they
+    widen by powers of two, to at most 128 steps, while a cell stays no
+    wider than t_max/64 (``_prune_stride``), because once t_max > 50 the
+    0.25 step cap samples the slow Rabi dynamics far more finely than the
+    bound needs.  The bound holds at any width, so the stride changes the
+    work, never the result.  Both passes scan approximate phase tables
+    built by recurrence once per slice of a stack
+    (``spectral.phase_tables``), with a proven bound on how far they move
+    each value from the pointwise one.
     The coarse pass adds that bound to its slack; the fine pass evaluates
     pointwise only the points within twice the bound of a chain's
     approximate maximum (``_grid_argmax``), so the argmax, the grid value
@@ -491,8 +523,11 @@ def peak_search(
     step = 0.25 if t_max is None else min(0.25, t_max / 200.0)
     count = _grid_count(lo, hi, step)
     block = scan_block_length(count)
-    grid = [_grid_argmax(levels, weights, _kept_rows(levels, weights, lo, step, count, block), lo, step, count, block)
-            for levels, weights in stacks]
+    stride = _prune_stride(step, t_max)
+    grid = []
+    for levels, weights in stacks:
+        kept = _kept_rows(levels, weights, lo, step, count, block, stride)
+        grid.append(_grid_argmax(levels, weights, kept, lo, step, count, block))
     t_grid, grid_value = map(np.concatenate, zip(*grid))
     # bracket entries ends[s]..ends[s+1]-1 belong to stack s
     ends = np.cumsum([0, *(t.size for t, _ in grid)]).tolist()
@@ -527,12 +562,3 @@ def max_fidelity(
     weights = transition_weights(decomp, 1, decomp.n_sites)
     [(t_star, abs_f)] = peak_search([(decomp.eigenvalues[None], weights[None, None])], window, t_max)
     return float(t_star[0]), average_fidelity(abs_f[0])
-
-
-def haar_qubits(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) arrays for n Haar-random qubit states (global phase fixed)."""
-    rng = np.random.default_rng(seed)
-    cos_theta = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    theta = np.arccos(cos_theta)
-    return np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)

@@ -32,7 +32,6 @@ from barrierchain.disorder import (
 from barrierchain.ebit import EbitState, evolve_ebit, pair_concurrence
 from barrierchain.metrics import (
     average_fidelity,
-    haar_qubits,
     ipr,
     localization_report,
     max_fidelity,
@@ -63,6 +62,7 @@ from barrierchain.spectral import (
 )
 
 from _full_grid import full_grid_max_fidelity
+from _haar import haar_qubits
 
 
 def _gate(num: int, label: str, clauses: list[tuple[str, bool]]) -> None:

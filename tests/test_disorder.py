@@ -12,8 +12,19 @@ from barrierchain.disorder import (
     monte_carlo,
     sample_profile,
 )
-from barrierchain.metrics import average_fidelity, localization_report, max_fidelity, peak_search, rabi_transfer_time
-from barrierchain.spectral import decompose, eigendecompose, transfer_spectra, transition_weights
+from barrierchain.metrics import (
+    _grid_count,
+    _kept_rows,
+    _prune_stride,
+    average_fidelity,
+    localization_report,
+    max_fidelity,
+    peak_search,
+    rabi_transfer_time,
+)
+from barrierchain.spectral import decompose, eigendecompose, scan_block_length, transfer_spectra, transition_weights
+
+from _full_grid import scan_amplitude
 
 N10 = ChainSpec(10)
 WINDOW10 = default_window(N10, 20.0)
@@ -309,3 +320,63 @@ def test_bulk_curves_coincide_across_omega():
     gap = abs(means[20.0][0] - means[40.0][0])
     combined = np.hypot(means[20.0][1], means[40.0][1])
     assert gap <= 2.0 * combined
+
+
+def _ensemble_stack(model_kind, strengths, n, omega, window_factor, n_samples):
+    """Distinct samples of one ``monte_carlo`` stack (every strength of a
+    kind at one omega, seed 2024), with the grid its search scans: (levels,
+    weights (S, 1, N), fields, lo, step, count, t_max)."""
+    spec = ChainSpec(n)
+    models = [DisorderModel(model_kind, b) for b in strengths]
+    fields = np.unique(_ensemble_fields(models, barrier_profile(spec, omega), n_samples, 2024).reshape(-1, n), axis=0)
+    levels, weights = transfer_spectra(fields)
+    t_max = disorder._clean_rabi_time(spec, omega)
+    lo, hi = default_window(spec, omega, window_factor)
+    step = min(0.25, t_max / 200.0)
+    return levels, weights[:, None], fields, lo, step, _grid_count(lo, hi, step), t_max
+
+
+def _cell_rule_rows(values, levels, weights, spacing, stride, block):
+    """Rows that Shubert's cell rule keeps when it reads exact grid values:
+    cell c, grid points sc..s(c+1) at stride s, can exceed its larger end
+    by at most reach = L spacing / 2, where L, the least over the levels
+    lambda_j of sum_k |w_k| |lambda_k - lambda_j|, is the least slope bound
+    (shaved by 1e-9 against rounding); a row is kept when a cell it meets
+    has a bound at or above the largest end.  The grid points past the
+    last multiple of s are left out, which only drops rows."""
+    slope = min(np.abs(weights) @ np.abs(levels - level) for level in levels)
+    reach = 0.5 * spacing * slope * (1.0 - 1e-9)
+    ends = values[::stride]
+    cells = np.flatnonzero(np.maximum(ends[:-1], ends[1:]) + reach >= ends.max())
+    return np.unique(np.concatenate([np.arange(stride * c // block, stride * (c + 1) // block + 1) for c in cells]))
+
+
+@pytest.mark.parametrize(
+    "model_kind, strengths, n, omega, window_factor, stride",
+    [
+        (BULK_UNIFORM, (0.0, 1.0, 2.0), 10, 10.0, 3.0, 32),
+        (BULK_UNIFORM, (0.0, 1.0, 2.0), 10, 20.0, 3.0, 128),
+        (BULK_UNIFORM, (0.0, 1.0, 2.0), 10, 40.0, 3.0, 128),
+        (BARRIER_LEAKAGE, (20.0,), 20, 20.0, 1.2, 128),
+    ],
+)
+def test_kept_rows_hold_every_full_grid_maximum_of_an_ensemble(model_kind, strengths, n, omega, window_factor, stride):
+    """On the stacks the `disorder` and `leakage` ensembles search, the rows
+    ``_kept_rows`` keeps at the stride ``_prune_stride`` picks from the
+    Rabi time hold every grid point where the full-grid scan reaches its
+    maximum (ties included), and every row the cell rule keeps when it
+    reads the full grid's exact values at that stride."""
+    levels, weights, fields, lo, step, count, t_max = _ensemble_stack(model_kind, strengths, n, omega, window_factor, 6)
+    assert _prune_stride(step, t_max) == stride
+    block = scan_block_length(count)
+    kept = _kept_rows(levels, weights, lo, step, count, block, stride)
+    assert all(rows.size < -(-count // block) for rows in kept)
+    spacing = stride * ((lo + step) - lo)
+    for row_fields, rows in zip(fields, kept):
+        decomp = decompose(ChainSpec(n), FieldProfile(row_fields))
+        chain_weights = transition_weights(decomp, 1, n)
+        values = scan_amplitude(decomp, chain_weights, lo, step, count)
+        peaks = np.flatnonzero(values == values.max()) // block
+        assert np.isin(peaks, rows).all()
+        certified = _cell_rule_rows(values, decomp.eigenvalues, chain_weights, spacing, stride, block)
+        assert np.isin(certified, rows).all()

@@ -29,7 +29,6 @@ from barrierchain.metrics import (
     average_fidelity,
     bilocalized_pair_by_energy,
     golden_section,
-    haar_qubits,
     ipr,
     localization_report,
     max_fidelity,
@@ -49,6 +48,7 @@ from barrierchain.spectral import (
 
 from _full_grid import _golden_section, full_grid_max_fidelity, scan_amplitude
 from _full_grid import full_grid_peak_search as _peak_search
+from _haar import haar_qubits
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -490,14 +490,16 @@ def test_two_level_beat_keeps_the_peak_cell(gap, second, phase, hi):
     assert (t_star[0], value[0]) == expected
 
 
-@pytest.mark.parametrize("lo, stride, count", [(0.0, 0.25, 16001), (211.3, 0.25, 30254), (211.3, 4.0, 1892)])
+@pytest.mark.parametrize(
+    "lo, stride, count", [(0.0, 0.25, 16001), (211.3, 0.25, 30254), (211.3, 4.0, 1892), (211.3, 32.0, 238)]
+)
 def test_product_error_bounds_both_passes(lo, stride, count):
     """The values both passes compare, prod_f |a_f| from the approximate
     tables, lie within ``_product_error`` of the pointwise evaluator's
     values on random and barrier chains, N 4..100, with one factor (|f|)
     and two (the pair concurrence): fine grids of 16k and 30k points, and
-    the coarse grid of a 30k-point search (stride 16 steps), past the
-    origin."""
+    the coarse grids of a 30k-point search at strides of 16 and 128 steps,
+    past the origin."""
     block = scan_block_length(count)
     every = np.arange(-(-count // block))
     for decomp, weights in _bound_chains():
@@ -736,29 +738,41 @@ def test_coarse_pass_memory_is_bounded_by_the_slice():
     assert peak < 4 * metrics._COARSE_ENTRIES * np.dtype(complex).itemsize < whole / 2
 
 
-def _cells_meeting_rows(count, block):
-    """(cells, rows) booleans: cell c, grid points 16c..min(16(c+1), count-1),
-    meets row r, grid points rB..min((r+1)B, count)-1, when the two ranges
-    share a point."""
+def _cells_meeting_rows(count, block, stride):
+    """(cells, rows) booleans: cell c, grid points sc..min(s(c+1), count-1)
+    at stride s, meets row r, grid points rB..min((r+1)B, count)-1, when the
+    two ranges share a point."""
     n_rows = -(-count // block)
-    n_cells = -(-(count - 1) // 16)
-    cell_first = 16 * np.arange(n_cells)
-    cell_last = np.minimum(cell_first + 16, count - 1)
+    n_cells = -(-(count - 1) // stride)
+    cell_first = stride * np.arange(n_cells)
+    cell_last = np.minimum(cell_first + stride, count - 1)
     row_first = block * np.arange(n_rows)
     row_last = np.minimum(row_first + block, count) - 1
     return (cell_first[:, None] <= row_last) & (row_first <= cell_last[:, None])
 
 
-def _cell_by_cell_row_maxima(coarse, count, block):
+def _cell_by_cell_row_maxima(coarse, count, block, stride):
     """Per row, the largest max(coarse[c], coarse[c+1]) over the cells c
     that meet it, tested cell by cell."""
-    meets = _cells_meeting_rows(count, block)
+    meets = _cells_meeting_rows(count, block, stride)
     cell = np.maximum(coarse[:, :-1], coarse[:, 1:])
     return np.where(meets[None], cell[:, :, None], -np.inf).max(axis=1)
 
 
-@pytest.mark.parametrize("count", [2, 17, 100, 150, 224, 225, 226, 1000, 4097, 30254])
-def test_row_maxima_keep_the_rows_of_the_cell_by_cell_rule(count):
+def _at_every_stride(cases):
+    """Each case followed by each coarse stride ``_prune_stride`` can return;
+    the 16-step cases keep the ids they had before strides varied."""
+    return [
+        pytest.param(*case, stride, id="-".join(map(str, case if stride == 16 else (*case, stride))))
+        for stride in (16, 32, 64, 128)
+        for case in cases
+    ]
+
+
+@pytest.mark.parametrize(
+    "count, stride", _at_every_stride([(c,) for c in (2, 17, 100, 150, 224, 225, 226, 1000, 4097, 30254)])
+)
+def test_row_maxima_keep_the_rows_of_the_cell_by_cell_rule(count, stride):
     """Each row's largest coarse value equals a cell-by-cell reference, on
     grids under 225 points (block < 16, where one cell spans several rows),
     with a full or a partial last row; and since rounding is monotone,
@@ -767,11 +781,11 @@ def test_row_maxima_keep_the_rows_of_the_cell_by_cell_rule(count):
     rule) reach the floor, ties included."""
     rng = np.random.default_rng(count)
     block = scan_block_length(count)
-    n_coarse = -(-(count - 1) // 16) + 1
+    n_coarse = -(-(count - 1) // stride) + 1
     coarse = rng.random((4, n_coarse))
-    maxima = _row_maxima(coarse, count, block)
+    maxima = _row_maxima(coarse, count, block, stride)
     assert maxima.shape == (4, -(-count // block))
-    assert np.array_equal(maxima, _cell_by_cell_row_maxima(coarse, count, block))
+    assert np.array_equal(maxima, _cell_by_cell_row_maxima(coarse, count, block, stride))
     reach, margin = rng.random(4)[:, None], 1e-3 * rng.random(4)[:, None]
     cell_bound = np.maximum(coarse[:, :-1], coarse[:, 1:]) + reach + margin
     # floors at a cell's own bound (a tie), just above it, and at a quantile
@@ -781,17 +795,24 @@ def test_row_maxima_keep_the_rows_of_the_cell_by_cell_rule(count):
         np.quantile(cell_bound[2], 0.9),
         np.quantile(cell_bound[3], 0.5),
     ])[:, None]
-    meets = _cells_meeting_rows(count, block)
+    meets = _cells_meeting_rows(count, block, stride)
     expected = ((cell_bound >= floor)[:, :, None] & meets[None]).any(axis=1)
     assert np.array_equal(maxima + reach + margin >= floor, expected)
 
 
-@pytest.mark.parametrize("count, step", [(150, 0.03), (226, 0.02), (4001, 0.01), (30254, 0.01)])
-def test_kept_rows_match_a_cell_by_cell_reference_on_random_stacks(monkeypatch, count, step):
+@pytest.mark.parametrize(
+    "count, step, stride", _at_every_stride([(150, 0.03), (226, 0.02), (4001, 0.01), (30254, 0.01)])
+)
+def test_kept_rows_match_a_cell_by_cell_reference_on_random_stacks(monkeypatch, count, step, stride):
     """Random N = 4 stacks with one factor and with two (the e-bit pair
     search's F = 2) keep the rows a cell-by-cell row map keeps, on grids
-    under 225 points and over, and some of their chains prune."""
+    under 225 points and over, and some of their chains prune.  A stride of
+    16 k scans the same window on a grid k times finer, (count - 1) k + 1
+    points at step / k (exact, k a power of two), so its cells span the
+    times of the 16-step cells and the stacks prune alike."""
     rng = np.random.default_rng(count)
+    refine = stride // 16
+    count, step = (count - 1) * refine + 1, step / refine
     block = scan_block_length(count)
     n_rows = -(-count // block)
     for n_factors in (1, 2):
@@ -800,10 +821,10 @@ def test_kept_rows_match_a_cell_by_cell_reference_on_random_stacks(monkeypatch, 
         levels = np.array([d.eigenvalues for d in decomps])
         ends = [d.eigenvectors[-1] * d.eigenvectors[0] for d in decomps]
         weights = np.array([[w * (1.0 + 0.5 * f) for f in range(n_factors)] for w in ends]) / n_factors
-        kept = _kept_rows(levels, weights, 0.0, step, count, block)
+        kept = _kept_rows(levels, weights, 0.0, step, count, block, stride)
         with monkeypatch.context() as patch:
             patch.setattr(metrics, "_row_maxima", _cell_by_cell_row_maxima)
-            reference = _kept_rows(levels, weights, 0.0, step, count, block)
+            reference = _kept_rows(levels, weights, 0.0, step, count, block, stride)
         assert [rows.tolist() for rows in kept] == [rows.tolist() for rows in reference]
         assert sum(rows.size < n_rows for rows in kept) >= 3
 

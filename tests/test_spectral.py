@@ -199,15 +199,16 @@ def _pointwise_scan(decomp, weights, times):
     "count, lo, stride",
     [
         (120001, 37.3, 0.25), (7501, 37.3, 4.0), (16001, 1234.5, 0.25), (1001, 0.0, 4.0), (5, 2.0, 0.25),
-        (1001, 0.1, 0.25), (401, 617.28394505, 6.1728394505),
+        (1001, 0.1, 0.25), (401, 617.28394505, 6.1728394505), (939, 37.3, 32.0),
     ],
-    ids=["fine-120k", "coarse-120k", "fine-16k", "coarse-16k", "fine-5", "off-spacing", "rabi-step"],
+    ids=["fine-120k", "coarse-120k", "fine-16k", "coarse-16k", "fine-5", "off-spacing", "rabi-step", "wide-120k"],
 )
 def test_phase_table_bound_is_sound(count, lo, stride):
     """Every entry of the approximate tables' scan lies within
     ``PhaseTables.bound`` of the pointwise sum at its grid time, for the
     fine pass's grids (stride 0.25) and their coarse passes' (stride 16
-    steps), up to 120k points and past the origin; the bound stays far
+    steps, and 128 steps as a long Rabi time gives), up to 120k points and
+    past the origin; the bound stays far
     below any difference a peak search resolves.  The tables are built at
     the grid's own spacing, which differs from the step at lo = 0.1 and
     at a Rabi-time step over (0.5 t_max, 2.5 t_max)."""
